@@ -221,12 +221,13 @@ def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
 
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(obs, 21)
+    lams = np.asarray(lambda_grid, dtype=float).reshape(-1)
     gen_residual = 0.0
     for dt in delta_ts:
-        for lam in np.asarray(lambda_grid, dtype=float):
-            g_quantum = generating_function(model, state, obs, lam, dt)
+        g_quantum = generating_function(model, state, obs, lams, dt)
+        for lam, g in zip(lams, g_quantum):
             g_classical = classical_generating_function(r, p, f, lam, dt)
-            gen_residual = max(gen_residual, abs(g_quantum - g_classical))
+            gen_residual = max(gen_residual, float(abs(g - g_classical)))
 
     epr = bound = slack = None
     if reversible and p.min() > 0:

@@ -8,25 +8,29 @@ from __future__ import annotations
 
 from typing import Callable
 
-# coefficients c_j for f^(n)(0) ~ sum_j c_j f(j*h) / h^n, all O(h^4)
-_STENCILS: dict[int, dict[int, float]] = {
-    1: {-2: 1 / 12, -1: -2 / 3, 1: 2 / 3, 2: -1 / 12},
-    2: {-2: -1 / 12, -1: 4 / 3, 0: -5 / 2, 1: 4 / 3, 2: -1 / 12},
-    3: {-3: 1 / 8, -2: -1, -1: 13 / 8, 1: -13 / 8, 2: 1, 3: -1 / 8},
-    4: {-3: -1 / 6, -2: 2, -1: -13 / 2, 0: 28 / 3, 1: -13 / 2, 2: 2, 3: -1 / 6},
+# offsets j and coefficients c_j for f^(n)(0) ~ sum_j c_j f(j*h) / h^n, all O(h^4)
+_STENCILS: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {
+    1: ((-2, -1, 1, 2), (1 / 12, -2 / 3, 2 / 3, -1 / 12)),
+    2: ((-2, -1, 0, 1, 2), (-1 / 12, 4 / 3, -5 / 2, 4 / 3, -1 / 12)),
+    3: ((-3, -2, -1, 1, 2, 3), (1 / 8, -1, 13 / 8, -13 / 8, 1, -1 / 8)),
+    4: ((-3, -2, -1, 0, 1, 2, 3), (-1 / 6, 2, -13 / 2, 28 / 3, -13 / 2, 2, -1 / 6)),
 }
+
+
+def stencil(order: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Offsets j and coefficients c_j of the O(h^4) central stencil,
+    f^(n)(0) ~ sum_j c_j f(j h) / h^n."""
+    if order not in _STENCILS:
+        raise ValueError(f"unsupported derivative order {order}")
+    return _STENCILS[order]
 
 
 def central_derivative(fn: Callable[[float], complex], order: int, h: float) -> complex:
     """n-th derivative of ``fn`` at 0 from an O(h^4) central stencil."""
-    if order not in _STENCILS:
-        raise ValueError(f"unsupported derivative order {order}")
+    offsets, coeffs = stencil(order)
     if h <= 0:
         raise ValueError("step size must be positive")
-    acc = 0.0 + 0.0j
-    for j, coeff in _STENCILS[order].items():
-        acc += coeff * fn(j * h)
-    return acc / h**order
+    return sum((c * fn(j * h) for j, c in zip(offsets, coeffs)), 0j) / h**order
 
 
 def moment_step(scale: float, order: int) -> float:

@@ -23,7 +23,7 @@ from .lindblad import (
     apply_adjoint_liouvillian,
     heisenberg_propagator,
 )
-from .numdiff import central_derivative, moment_step
+from .numdiff import moment_step, stencil
 from .operators import SpectralDecomposition, spectral_decompose
 from .util import anticommutator, as_operator, dagger, float_repr
 
@@ -81,10 +81,12 @@ class ObservableDecomposition:
     def projectors(self) -> np.ndarray:
         return self.spectrum.projectors
 
-    def phase_operator(self, lam: float) -> np.ndarray:
-        """exp(i lam X) from the stored eigenbasis."""
+    def phase_operator(self, lam) -> np.ndarray:
+        """exp(i lam X) from the stored eigenbasis; a stack of them, one per
+        entry, for an array of ``lam``."""
         vecs = self.spectrum.eigenvectors
-        return (vecs * np.exp(1j * lam * self.spectrum.eigenvalues)) @ dagger(vecs)
+        phases = np.exp(1j * np.multiply.outer(lam, self.spectrum.eigenvalues))
+        return (vecs * phases[..., None, :]) @ dagger(vecs)
 
     @property
     def max_gap(self) -> float:
@@ -100,6 +102,13 @@ def _coerce_observable(x) -> ObservableDecomposition:
     if isinstance(x, ObservableDecomposition):
         return x
     return ObservableDecomposition.from_operator(x)
+
+
+def _symmetrized_table(evolved: np.ndarray, projectors: np.ndarray, rho: np.ndarray,
+                       what: str) -> np.ndarray:
+    """Real table tr(A_y {P_x, rho}) / 2 of a stack of operators A_y."""
+    sym = projectors @ rho + rho @ projectors
+    return _real_table(0.5 * np.einsum("yij,xji->yx", evolved, sym), what)
 
 
 def _real_table(raw: np.ndarray, what: str) -> np.ndarray:
@@ -176,16 +185,9 @@ def tmh_table(model: LindbladModel, state: QuantumState, observable, delta_t: fl
     obs = _coerce_observable(observable)
     if obs.dim != model.dim:
         raise DimMismatchError("observable dimension differs from model")
-    rho = state.rho
     projectors = obs.projectors
-    apply_prop = heisenberg_propagator(model, float(delta_t))
-    evolved = [apply_prop(p) for p in projectors]
-    raw = np.empty((len(projectors), len(projectors)), dtype=complex)
-    sym = [p @ rho + rho @ p for p in projectors]
-    for iy, a in enumerate(evolved):
-        for ix in range(len(projectors)):
-            raw[iy, ix] = 0.5 * np.trace(a @ sym[ix])
-    values = _real_table(raw, "quasiprobability table")
+    evolved = heisenberg_propagator(model, float(delta_t))(projectors)
+    values = _symmetrized_table(evolved, projectors, state.rho, "quasiprobability table")
     return QuasiprobTable(
         labels_initial=obs.labels.copy(),
         labels_final=obs.labels.copy(),
@@ -199,25 +201,28 @@ def flux_matrix(model: LindbladModel, state: QuantumState, observable) -> FluxMa
     obs = _coerce_observable(observable)
     if obs.dim != model.dim:
         raise DimMismatchError("observable dimension differs from model")
-    rho = state.rho
     projectors = obs.projectors
-    raw = np.empty((len(projectors), len(projectors)), dtype=complex)
-    sym = [p @ rho + rho @ p for p in projectors]
-    for iy, p in enumerate(projectors):
-        a = apply_adjoint_liouvillian(model, p)
-        for ix in range(len(projectors)):
-            raw[iy, ix] = 0.5 * np.trace(a @ sym[ix])
-    values = _real_table(raw, "flux matrix")
+    generated = np.array([apply_adjoint_liouvillian(model, p) for p in projectors])
+    values = _symmetrized_table(generated, projectors, state.rho, "flux matrix")
     return FluxMatrix(labels=obs.labels.copy(), values=values)
 
 
 def generating_function(model: LindbladModel, state: QuantumState, observable,
-                        lam: float, delta_t: float) -> complex:
-    """Moment generating function tr({exp(L^dag dt) e^{ilX}, e^{-ilX}} rho)/2."""
+                        lam, delta_t: float):
+    """Moment generating function tr({exp(L^dag dt) e^{ilX}, e^{-ilX}} rho)/2.
+
+    A scalar ``lam`` gives a complex number. A 1-D array of ``lam`` gives a
+    complex array, all of it from one propagator applied to the stacked
+    phase operators.
+    """
     obs = _coerce_observable(observable)
-    u = obs.phase_operator(float(lam))
+    lams = np.asarray(lam, dtype=float)
+    u = obs.phase_operator(lams.reshape(-1))
     evolved = heisenberg_propagator(model, float(delta_t))(u)
-    return complex(0.5 * np.trace(anticommutator(evolved, dagger(u)) @ state.rho))
+    # tr({E, U^dag} rho) = tr(E (U^dag rho + rho U^dag))
+    u_dag = u.conj().swapaxes(-1, -2)
+    values = 0.5 * np.einsum("bij,bji->b", evolved, u_dag @ state.rho + state.rho @ u_dag)
+    return complex(values[0]) if lams.ndim == 0 else values
 
 
 def short_time_moment(flux: FluxMatrix, n: int) -> MomentReport:
@@ -265,20 +270,15 @@ def moment_from_generating_function(model: LindbladModel, state: QuantumState, o
                                     n: int, delta_t: float, step: float | None = None) -> MomentReport:
     """Moment of order n from finite differences of the generating function.
 
-    The stencil shares one propagator for the given lag, so the cost is a
-    handful of phase-operator evaluations.
+    All stencil points are evaluated in one generating-function call, so
+    they share one propagator application.
     """
     obs = _coerce_observable(observable)
     if step is None:
         step = moment_step(obs.max_gap, n)
-    apply_prop = heisenberg_propagator(model, float(delta_t))
-    rho = state.rho
-
-    def g(lam: float) -> complex:
-        u = obs.phase_operator(lam)
-        return complex(0.5 * np.trace(anticommutator(apply_prop(u), dagger(u)) @ rho))
-
-    value = (-1j) ** n * central_derivative(g, n, step)
+    offsets, coeffs = stencil(n)
+    values = generating_function(model, state, obs, [j * step for j in offsets], delta_t)
+    value = (-1j) ** n * (sum(c * g for c, g in zip(coeffs, values)) / step**n)
     return MomentReport(order=n, value=float(value.real), method=GENERATING_FUNCTION_FD)
 
 

@@ -1,6 +1,7 @@
 """Shared model builders and independent oracles for the test suite."""
 
 import numpy as np
+import scipy.linalg
 
 from quasitur.lindblad import JumpPair, LindbladModel, QuantumState
 
@@ -97,3 +98,32 @@ def kubo_quadrature(g: np.ndarray, a: np.ndarray, n_nodes: int = 64) -> np.ndarr
         g_1ms = (vecs * vals**(1.0 - s)) @ vecs.conj().T
         out += w * (g_s @ a @ g_1ms)
     return out
+
+
+def superoperator(model: LindbladModel, adjoint: bool) -> np.ndarray:
+    """Kronecker matrix of L (or L^dag) acting on row-major vectorized operators.
+
+    Built term by term from vec(A X B) = (A kron B^T) vec(X), independently
+    of the library's matrix-free generator.
+    """
+    d = model.dim
+    eye = np.eye(d, dtype=complex)
+    ham = model.hamiltonian
+    sign = 1j if adjoint else -1j
+    sup = sign * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    for op in model.jump_operators:
+        ldl = op.conj().T @ op
+        if adjoint:
+            sup += np.kron(op.conj().T, op.T)
+        else:
+            sup += np.kron(op, op.conj())
+        sup -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+    return sup
+
+
+def dense_propagate(model: LindbladModel, ops: np.ndarray, t: float, adjoint: bool) -> np.ndarray:
+    """exp(L^dag t) (or exp(L t)) applied to a (B, d, d) stack through the
+    dense exponential of the d^2 x d^2 Kronecker matrix."""
+    prop = scipy.linalg.expm(superoperator(model, adjoint) * t)
+    d = model.dim
+    return (ops.reshape(len(ops), d * d) @ prop.T).reshape(ops.shape)

@@ -1,6 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import quasitur.lindblad
+import quasitur.quasiprob
 from quasitur.classical import (
     ClassicalModel,
     classical_generating_function,
@@ -176,6 +181,38 @@ class TestQuantization:
         assert report.epr is None and report.tur_bound is None
         # statistics still reproduced
         assert report.max_residual <= 1e-9
+
+
+    @pytest.mark.parametrize("delta_ts", [(0.01, 0.1), (0.05,), (0.01, 0.1, 0.5)])
+    def test_one_propagator_per_table_and_lambda_grid(self, monkeypatch, delta_ts):
+        builds = []
+        original = quasitur.lindblad.heisenberg_propagator
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        lindblad_expm_calls = []
+        dense_expm = scipy.linalg.expm
+
+        def watched_expm(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_globals.get("__name__") == "quasitur.lindblad":
+                    lindblad_expm_calls.append(args)
+                frame = frame.f_back
+            return dense_expm(*args, **kwargs)
+
+        monkeypatch.setattr(quasitur.quasiprob, "heisenberg_propagator", counting)
+        monkeypatch.setattr(quasitur.lindblad, "heisenberg_propagator", counting)
+        monkeypatch.setattr(scipy.linalg, "expm", watched_expm)
+        rng = np.random.default_rng(61)
+        r = random_reversible_rate_matrix(rng, 4)
+        report = quantize_and_compare(r, random_probability(rng, 4), rng.normal(size=4),
+                                      delta_ts=delta_ts)
+        assert report.max_residual <= 1e-9
+        assert len(builds) == 2 * len(delta_ts)
+        assert lindblad_expm_calls == []
 
 
 class TestClassicalModelFiles:

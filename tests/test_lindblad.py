@@ -2,8 +2,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from quasitur.ensembles import random_hermitian, random_instance, random_model, random_state
+from quasitur.ensembles import (
+    random_hermitian,
+    random_instance,
+    random_model,
+    random_observable,
+    random_state,
+)
 from quasitur.errors import DegeneratePairError, DimMismatchError, NotHermitianError
 from quasitur.lindblad import (
     JumpPair,
@@ -14,6 +21,7 @@ from quasitur.lindblad import (
     apply_liouvillian,
     decompose_pair,
     heisenberg_propagate,
+    heisenberg_propagator,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -22,8 +30,17 @@ from quasitur.lindblad import (
     validate_local_detailed_balance,
 )
 from quasitur.operators import hs_inner_product
+from quasitur.quasiprob import ObservableDecomposition, generating_function
 
-from oracles import SIGMA_MINUS, SIGMA_PLUS, decay_qubit, excited_state, gibbs_state, thermal_qubit
+from oracles import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    decay_qubit,
+    dense_propagate,
+    excited_state,
+    gibbs_state,
+    thermal_qubit,
+)
 
 
 class TestDetailedBalance:
@@ -193,7 +210,8 @@ class TestPropagation:
 
 class TestLargeDimensionPath:
     def test_integrator_takes_over_beyond_exponential_limit(self):
-        # dimension 70 routes through the adaptive integrator automatically
+        # dimension 70 runs on the same matrix-free route as every other
+        # dimension; there is no dimension limit
         from quasitur.degeneracy import (
             CollectiveModelParams,
             build_collective_model,
@@ -232,6 +250,105 @@ class TestHeisenbergPropagation:
             lhs = np.trace(heisenberg_propagate(model, x, dt) @ state.rho)
             rhs = np.trace(x @ propagate(model, state, dt).rho)
             assert abs(lhs - rhs) <= 1e-9
+
+
+class TestMatrixFreeRoute:
+    """The expm_multiply route against the dense exponential of the Kronecker
+    superoperator, the reference oracle."""
+
+    @pytest.mark.parametrize("dim", [2, 6, 16, 32])
+    def test_propagate_matches_dense_expm(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        model = random_model(rng, dim, 3)
+        state = random_state(rng, dim)
+        expected = dense_propagate(model, state.rho[None], 0.3, adjoint=False)[0]
+        got = propagate(model, state, 0.3).rho
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("dim", [2, 6, 16, 32])
+    def test_heisenberg_stack_and_lambda_grid_match_dense_expm(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        model = random_model(rng, dim, 3)
+        state = random_state(rng, dim)
+        obs = ObservableDecomposition.from_operator(random_observable(rng, dim))
+        stack = np.array([random_hermitian(rng, dim) for _ in range(4)] + list(obs.projectors))
+        expected = dense_propagate(model, stack, 0.3, adjoint=True)
+        got = heisenberg_propagator(model, 0.3)(stack)
+        errors = np.linalg.norm(got - expected, axis=(1, 2))
+        assert np.all(errors <= 1e-12 * np.linalg.norm(expected, axis=(1, 2)))
+
+        lams = np.linspace(-2.0, 2.0, 9)
+        phases = obs.phase_operator(lams)
+        evolved = dense_propagate(model, phases, 0.3, adjoint=True)
+        reference = np.array([0.5 * np.trace((e @ u.conj().T + u.conj().T @ e) @ state.rho)
+                              for e, u in zip(evolved, phases)])
+        values = generating_function(model, state, obs, lams, 0.3)
+        assert values.shape == lams.shape
+        assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert generating_function(model, state, obs, lams[2], 0.3) == pytest.approx(values[2], abs=1e-14)
+
+    def test_model_without_jump_pairs(self):
+        rng = np.random.default_rng(41)
+        ham = random_hermitian(rng, 6)
+        model = LindbladModel(ham, ())
+        state = random_state(rng, 6)
+        x = random_hermitian(rng, 6)
+        unitary = scipy.linalg.expm(-1j * ham * 0.8)
+        closed_rho = unitary @ state.rho @ unitary.conj().T
+        closed_x = unitary.conj().T @ x @ unitary
+        for got, closed, oracle in (
+                (propagate(model, state, 0.8).rho, closed_rho,
+                 dense_propagate(model, state.rho[None], 0.8, adjoint=False)[0]),
+                (heisenberg_propagator(model, 0.8)(x), closed_x,
+                 dense_propagate(model, x[None], 0.8, adjoint=True)[0])):
+            assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+            assert np.linalg.norm(got - closed) <= 1e-12 * np.linalg.norm(closed)
+
+    def test_zero_time_on_a_stack(self):
+        rng = np.random.default_rng(42)
+        model = random_model(rng, 4, 2)
+        stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        out = heisenberg_propagator(model, 0.0)(stack)
+        np.testing.assert_array_equal(out, stack)
+        assert out is not stack
+
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(43)
+        model = random_model(rng, 5, 2)
+        stack = np.array([random_hermitian(rng, 5) for _ in range(3)])
+        for method in ("auto", "ivp"):
+            apply = heisenberg_propagator(model, 0.4, method=method)
+            together = apply(stack)
+            for x, out in zip(stack, together):
+                np.testing.assert_allclose(out, apply(x), atol=1e-9)
+
+    def test_rejects_wrong_shape(self):
+        apply = heisenberg_propagator(thermal_qubit(), 0.1)
+        with pytest.raises(DimMismatchError):
+            apply(np.eye(3, dtype=complex))
+        with pytest.raises(DimMismatchError):
+            apply(np.zeros((2, 2, 2, 2), dtype=complex))
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError):
+            propagate(thermal_qubit(), excited_state(), 0.1, method="dense")
+
+    def test_reproducible_and_leaves_global_rng_alone(self):
+        # the norm estimator inside expm_multiply draws from numpy's legacy
+        # global generator; results must not depend on its state
+        model, state, _ = random_instance(np.random.default_rng(44), max_dim=6, max_pairs=3)
+        saved = np.random.get_state()
+        try:
+            np.random.seed(1)
+            expected_draw = np.random.random()
+            np.random.seed(1)
+            first = propagate(model, state, 0.9).rho
+            assert np.random.random() == expected_draw
+            np.random.seed(2)
+            second = propagate(model, state, 0.9).rho
+        finally:
+            np.random.set_state(saved)
+        np.testing.assert_array_equal(first, second)
 
 
 class TestStateValidation:
