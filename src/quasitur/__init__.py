@@ -61,7 +61,7 @@ from .lindblad import (
     apply_dissipator,
     apply_liouvillian,
     decompose_pair,
-    heisenberg_propagate,
+    heisenberg_propagator,
     load_model,
     load_state,
     propagate,
@@ -98,6 +98,7 @@ from .thermo import (
     floored_state,
     geometric_representation,
     quantum_diffusivity,
+    tur_bound,
     tur_check,
     tur_report_dict,
 )

@@ -20,7 +20,7 @@ from .errors import DimMismatchError
 from .fcs import default_lambda_grid
 from .lindblad import JumpPair, LindbladModel, QuantumState
 from .quasiprob import ObservableDecomposition, flux_matrix, generating_function, short_time_moment, tmh_table
-from .thermo import currents, entropy_production_rate
+from .thermo import currents, entropy_production_rate, tur_bound
 
 
 def validate_rate_matrix(r: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -232,11 +232,7 @@ def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     epr = bound = slack = None
     if reversible and p.min() > 0:
         epr = entropy_production_rate(model, state)
-        j_f = currents(model, state, obs).dissipative_part
-        if m_quantum > 1e-14:
-            bound = 2.0 * j_f**2 / m_quantum
-        else:
-            bound = 0.0
+        bound = tur_bound(currents(model, state, obs).dissipative_part, m_quantum)
         slack = epr - bound
     return EmbeddingComparison(
         reversible=reversible,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CommutationViolatedError, DimMismatchError
 from .lindblad import LindbladModel, QuantumState, apply_adjoint_liouvillian
 from .numdiff import derivative_moment
-from .quasiprob import ObservableDecomposition, _coerce_observable
+from .quasiprob import _coerce_observable, _observable_matrix
 from .util import anticommutator, commutator, dagger, float_repr
 
 
@@ -60,10 +60,7 @@ def commutation_check(model: LindbladModel, observable, tol: float = 1e-9) -> Co
     Failure is a result, not an exception; the first violating jump index is
     recorded.
     """
-    x = observable.observable if isinstance(observable, ObservableDecomposition) \
-        else np.asarray(observable, dtype=complex)
-    if x.shape[0] != model.dim:
-        raise DimMismatchError("observable dimension differs from model")
+    x = _observable_matrix(observable, model.dim)
     weights = []
     residuals = []
     failed = None

@@ -33,9 +33,7 @@ from .errors import (
 )
 from .operators import hermiticity_error
 from .util import (
-    anticommutator,
     as_operator,
-    commutator,
     dagger,
     matrix_from_json,
     matrix_to_json,
@@ -198,54 +196,90 @@ def decompose_pair(pair: JumpPair) -> tuple[float, float, np.ndarray]:
     return gamma_f, gamma_b, ltilde
 
 
+def _sandwich(a: np.ndarray, g: np.ndarray, g_dag: np.ndarray, outer, inner) -> np.ndarray:
+    """A -> G A + A G^dag + sum_k outer_k A inner_k on one operator or a stack.
+
+    The one place the generator is written out. L^dag has G = iH - K/2
+    (K = sum_k L_k^dag L_k), outer_k = L_k^dag and inner_k = L_k; L swaps
+    G <-> G^dag and outer <-> inner. ``outer`` and ``inner`` may be lazy.
+    """
+    out = g @ a + a @ g_dag
+    for left, right in zip(outer, inner):
+        out += left @ a @ right
+    return out
+
+
+def _apply_generator(model: LindbladModel, a, hamiltonian: bool, heisenberg: bool) -> np.ndarray:
+    """L^dag(A) or L(rho), the Hamiltonian part only if ``hamiltonian``. Jumps
+    are visited one at a time and their adjoints built on the fly."""
+    mat = _state_matrix(a)
+    if mat.shape[0] != model.dim:
+        raise DimMismatchError("operator dimension differs from model")
+    jumps = model.jump_operators
+    g = 1j * model.hamiltonian if hamiltonian else np.zeros_like(mat)
+    for op in jumps:
+        g -= 0.5 * (dagger(op) @ op)
+    adjoints = map(dagger, jumps)
+    if heisenberg:
+        return _sandwich(mat, g, dagger(g), adjoints, jumps)
+    return _sandwich(mat, dagger(g), g, jumps, adjoints)
+
+
 def apply_dissipator(model: LindbladModel, state) -> np.ndarray:
     """D(rho) summed over both members of every pair."""
-    rho = _state_matrix(state)
-    if rho.shape[0] != model.dim:
-        raise DimMismatchError("state dimension differs from model")
-    out = np.zeros_like(rho)
-    for op in model.jump_operators:
-        ldl = dagger(op) @ op
-        out += op @ rho @ dagger(op) - 0.5 * anticommutator(ldl, rho)
-    return out
+    return _apply_generator(model, state, hamiltonian=False, heisenberg=False)
 
 
 def apply_adjoint_dissipator(model: LindbladModel, a) -> np.ndarray:
     """Heisenberg-picture dissipator D^dag(A)."""
-    mat = as_operator(a)
-    if mat.shape[0] != model.dim:
-        raise DimMismatchError("operator dimension differs from model")
-    out = np.zeros_like(mat)
-    for op in model.jump_operators:
-        ldl = dagger(op) @ op
-        out += dagger(op) @ mat @ op - 0.5 * anticommutator(ldl, mat)
-    return out
+    return _apply_generator(model, a, hamiltonian=False, heisenberg=True)
 
 
 def apply_liouvillian(model: LindbladModel, state) -> np.ndarray:
     """L(rho) = -i[H, rho] + D(rho)."""
-    rho = _state_matrix(state)
-    return -1j * commutator(model.hamiltonian, rho) + apply_dissipator(model, rho)
+    return _apply_generator(model, state, hamiltonian=True, heisenberg=False)
 
 
 def apply_adjoint_liouvillian(model: LindbladModel, a) -> np.ndarray:
     """L^dag(A) = +i[H, A] + D^dag(A)."""
-    mat = as_operator(a)
-    return 1j * commutator(model.hamiltonian, mat) + apply_adjoint_dissipator(model, mat)
+    return _apply_generator(model, a, hamiltonian=True, heisenberg=True)
+
+
+def resolved_fluxes(model: LindbladModel, state, basis: np.ndarray) -> np.ndarray:
+    """resolved[b, a] = Re <v_a| L^dag(|v_b><v_b|) rho |v_a>, the flux
+    tr({L^dag P_b, P_a} rho) / 2 between the rank-one projectors of the
+    orthonormal, complete columns v of ``basis``.
+
+    Closed form in that basis, with R = V^dag rho V, G' = V^dag G V and
+    L'_k = V^dag L_k V (G as in :func:`_sandwich`), o the entrywise product:
+
+        Re[G'^T o R + diag(sum_c conj(G'_ca) R_ca) + sum_k conj(L'_k) o (L'_k R)].
+
+    O(d^3) per jump, with no loop over basis columns.
+    """
+    v = np.asarray(basis, dtype=complex)
+    v_dag = dagger(v)
+    r = v_dag @ _state_matrix(state) @ v
+    g = 1j * (v_dag @ model.hamiltonian @ v)
+    out = np.zeros_like(r)
+    for op in model.jump_operators:
+        jump = v_dag @ op @ v
+        g -= 0.5 * (dagger(jump) @ jump)
+        out += jump.conj() * (jump @ r)
+    out += g.T * r
+    out[np.diag_indices_from(out)] += np.sum(g.conj() * r, axis=0)
+    return np.ascontiguousarray(out.real)
 
 
 class _Generator(LinearOperator):
     """A Lindblad generator acting on row-major vectorized d x d operators.
 
     A block of B operators is a (d*d, B) array whose columns are the
-    flattened operators. ``matmat`` applies
-
-        A -> G A + A G^dag + sum_k outer_k A inner_k
-
-    to all of them with batched matrix products. The adjoint swaps the
-    roles (G -> G^dag, outer <-> inner), which ``onenormest`` inside
-    ``expm_multiply`` needs. ``trace`` is the exact trace of the d^2 x d^2
-    matrix, so ``expm_multiply`` does not estimate it.
+    flattened operators; ``matmat`` applies :func:`_sandwich` to all of
+    them with batched matrix products. The adjoint swaps the roles
+    (G -> G^dag, outer <-> inner), which ``onenormest`` inside
+    ``expm_multiply`` needs. ``trace`` is the exact trace of the
+    d^2 x d^2 matrix, so ``expm_multiply`` does not estimate it.
     """
 
     def __init__(self, g: np.ndarray, outer: np.ndarray, inner: np.ndarray, trace: float):
@@ -260,9 +294,7 @@ class _Generator(LinearOperator):
     def _matmat(self, x):
         d = self.g.shape[0]
         ops = x.T.reshape(-1, d, d)
-        out = self.g @ ops + ops @ self.g_dag
-        for a, b in zip(self.outer, self.inner):
-            out += a @ ops @ b
+        out = _sandwich(ops, self.g, self.g_dag, self.outer, self.inner)
         return out.reshape(len(ops), d * d).T
 
     def _adjoint(self):
@@ -369,11 +401,6 @@ def propagate(model: LindbladModel, state: QuantumState, t: float, method: str =
     rho = (rho + dagger(rho)) / 2
     rho = rho / float(np.trace(rho).real)
     return QuantumState(rho, hermitian_tol=1e-9, psd_tol=1e-8, trace_tol=1e-9)
-
-
-def heisenberg_propagate(model: LindbladModel, x, dt: float, method: str = "auto") -> np.ndarray:
-    """Evolve an observable to exp(L^dag dt) X."""
-    return heisenberg_propagator(model, dt, method)(x)
 
 
 def heisenberg_propagator(model: LindbladModel, dt: float, method: str = "auto"):

@@ -49,10 +49,6 @@ def hs_inner_product(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.sum(a.conj() * b))
 
 
-def hs_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator with degeneracy classes.

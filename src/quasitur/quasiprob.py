@@ -15,19 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, ImaginaryResidueError
+from .errors import DimMismatchError
 from .lindblad import (
     LindbladModel,
     QuantumState,
     apply_adjoint_dissipator,
     apply_adjoint_liouvillian,
     heisenberg_propagator,
+    resolved_fluxes,
 )
 from .numdiff import moment_step, stencil
 from .operators import SpectralDecomposition, spectral_decompose
-from .util import anticommutator, as_operator, dagger, float_repr
-
-IMAG_RESIDUE_TOL = 1e-10
+from .util import anticommutator, as_operator, dagger, float_repr, group_sums, real_part
 
 FLUX_SUM = "flux_sum"
 OPERATOR_EXPRESSION = "operator_expression"
@@ -104,20 +103,11 @@ def _coerce_observable(x) -> ObservableDecomposition:
     return ObservableDecomposition.from_operator(x)
 
 
-def _symmetrized_table(evolved: np.ndarray, projectors: np.ndarray, rho: np.ndarray,
-                       what: str) -> np.ndarray:
-    """Real table tr(A_y {P_x, rho}) / 2 of a stack of operators A_y."""
-    sym = projectors @ rho + rho @ projectors
-    return _real_table(0.5 * np.einsum("yij,xji->yx", evolved, sym), what)
-
-
-def _real_table(raw: np.ndarray, what: str) -> np.ndarray:
-    residue = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if residue > IMAG_RESIDUE_TOL:
-        raise ImaginaryResidueError(
-            f"{what} has imaginary residue {residue:.3e}; Hermiticity is broken upstream"
-        )
-    return np.ascontiguousarray(raw.real)
+def _observable_matrix(x, dim: int) -> np.ndarray:
+    mat = x.observable if isinstance(x, ObservableDecomposition) else as_operator(x)
+    if mat.shape[0] != dim:
+        raise DimMismatchError("observable dimension differs from model")
+    return mat
 
 
 @dataclass(frozen=True)
@@ -180,14 +170,16 @@ def tmh_table(model: LindbladModel, state: QuantumState, observable, delta_t: fl
     """Two-time quasiprobability table at lag ``delta_t``.
 
     Marginals reproduce the single-time distributions; entries are checked
-    to be real within ``IMAG_RESIDUE_TOL`` and may be negative.
+    to be real (``util.real_part``) and may be negative.
     """
     obs = _coerce_observable(observable)
     if obs.dim != model.dim:
         raise DimMismatchError("observable dimension differs from model")
     projectors = obs.projectors
     evolved = heisenberg_propagator(model, float(delta_t))(projectors)
-    values = _symmetrized_table(evolved, projectors, state.rho, "quasiprobability table")
+    # q_yx = tr(E_y {P_x, rho}) / 2 with E_y = exp(L^dag dt) P_y
+    sym = projectors @ state.rho + state.rho @ projectors
+    values = real_part(0.5 * np.einsum("yij,xji->yx", evolved, sym), "quasiprobability table")
     return QuasiprobTable(
         labels_initial=obs.labels.copy(),
         labels_final=obs.labels.copy(),
@@ -197,13 +189,16 @@ def tmh_table(model: LindbladModel, state: QuantumState, observable, delta_t: fl
 
 
 def flux_matrix(model: LindbladModel, state: QuantumState, observable) -> FluxMatrix:
-    """T_yx(rho) = tr({L^dag P_y, P_x} rho) / 2 over eigenvalue classes."""
+    """T_yx(rho) = tr({L^dag P_y, P_x} rho) / 2 over eigenvalue classes.
+
+    Sums the rank-one fluxes between eigenvectors, from the O(d^3) closed
+    form :func:`quasitur.lindblad.resolved_fluxes`, over classes y and x.
+    """
     obs = _coerce_observable(observable)
     if obs.dim != model.dim:
         raise DimMismatchError("observable dimension differs from model")
-    projectors = obs.projectors
-    generated = np.array([apply_adjoint_liouvillian(model, p) for p in projectors])
-    values = _symmetrized_table(generated, projectors, state.rho, "flux matrix")
+    resolved = resolved_fluxes(model, state, obs.spectrum.eigenvectors)
+    values = group_sums(resolved, obs.spectrum.class_members)
     return FluxMatrix(labels=obs.labels.copy(), values=values)
 
 
@@ -238,11 +233,6 @@ def short_time_moment(flux: FluxMatrix, n: int) -> MomentReport:
     return MomentReport(order=n, value=float(np.sum(diff**n * flux.values)), method=FLUX_SUM)
 
 
-def short_time_fluctuation(flux: FluxMatrix) -> float:
-    """Second short-time moment m_X from the flux sum."""
-    return short_time_moment(flux, 2).value
-
-
 def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumState,
                                          observable, generator: str = "dissipator") -> MomentReport:
     """m_X = tr(G(X^2) rho) - tr({G(X), X} rho) with G the adjoint generator.
@@ -250,9 +240,7 @@ def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumSta
     The Hamiltonian part cancels via {[H, X], X} = [H, X^2], so the adjoint
     dissipator (default) and adjoint Liouvillian give the same value.
     """
-    x = observable.observable if isinstance(observable, ObservableDecomposition) else as_operator(observable)
-    if x.shape[0] != model.dim:
-        raise DimMismatchError("observable dimension differs from model")
+    x = _observable_matrix(observable, model.dim)
     if generator == "dissipator":
         gen = apply_adjoint_dissipator
     elif generator == "liouvillian":
@@ -261,9 +249,7 @@ def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumSta
         raise ValueError("generator must be 'dissipator' or 'liouvillian'")
     rho = state.rho
     value = np.trace(gen(model, x @ x) @ rho) - np.trace(anticommutator(gen(model, x), x) @ rho)
-    if abs(value.imag) > IMAG_RESIDUE_TOL * max(abs(value), 1.0):
-        raise ImaginaryResidueError(f"fluctuation has imaginary residue {value.imag:.3e}")
-    return MomentReport(order=2, value=float(value.real), method=OPERATOR_EXPRESSION)
+    return MomentReport(order=2, value=real_part(value, "fluctuation"), method=OPERATOR_EXPRESSION)
 
 
 def moment_from_generating_function(model: LindbladModel, state: QuantumState, observable,

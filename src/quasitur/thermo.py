@@ -17,34 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, SingularStateError, ZeroFluctuationError
+from .errors import SingularStateError, ZeroFluctuationError
 from .lindblad import (
     LindbladModel,
     QuantumState,
-    apply_adjoint_dissipator,
     apply_dissipator,
     apply_liouvillian,
     decompose_pair,
     model_hash,
 )
 from .operators import hs_inner_product, kubo_integral, matrix_log_psd
-from .quasiprob import ObservableDecomposition, flux_matrix, short_time_moment
-from .util import anticommutator, as_operator, commutator, dagger, operator_hash
+from .quasiprob import (
+    _coerce_observable,
+    _observable_matrix,
+    flux_matrix,
+    short_time_fluctuation_operator_form,
+    short_time_moment,
+)
+from .util import as_operator, commutator, dagger, operator_hash, real_part
 
 DEFAULT_EIGENVALUE_FLOOR = 1e-12
-REAL_RESIDUE_TOL = 1e-10
-
-
-def _observable_matrix(x) -> np.ndarray:
-    if isinstance(x, ObservableDecomposition):
-        return x.observable
-    return as_operator(x)
-
-
-def _real(value: complex, what: str) -> float:
-    if abs(value.imag) > REAL_RESIDUE_TOL * max(abs(value), 1.0):
-        raise ValueError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
 
 
 @dataclass(frozen=True)
@@ -61,12 +53,10 @@ class CurrentDecomposition:
 
 def currents(model: LindbladModel, state: QuantumState, observable) -> CurrentDecomposition:
     """J_X^H = i tr([H, X] rho) and J_X^d = tr(X D(rho))."""
-    x = _observable_matrix(observable)
-    if x.shape[0] != model.dim:
-        raise DimMismatchError("observable dimension differs from model")
+    x = _observable_matrix(observable, model.dim)
     rho = state.rho
-    j_ham = _real(complex(1j * np.trace(commutator(model.hamiltonian, x) @ rho)), "Hamiltonian current")
-    j_dis = _real(complex(np.trace(x @ apply_dissipator(model, rho))), "dissipative current")
+    j_ham = real_part(1j * np.trace(commutator(model.hamiltonian, x) @ rho), "Hamiltonian current")
+    j_dis = real_part(np.trace(x @ apply_dissipator(model, rho)), "dissipative current")
     return CurrentDecomposition(hamiltonian_part=j_ham, dissipative_part=j_dis)
 
 
@@ -116,17 +106,28 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
     flow = 0.0
     for op, s in zip(model.jump_operators, model.entropy_currents):
         flow += s * np.trace(dagger(op) @ op @ rho).real
-    return float(_real(complex(ds_dt), "entropy rate") + flow)
+    return float(real_part(ds_dt, "entropy rate") + flow)
 
 
 def quantum_diffusivity(model: LindbladModel, state: QuantumState, observable) -> float:
-    """D_X = tr(rho (D^dag(X^2) - {D^dag(X), X})) / 2."""
-    x = _observable_matrix(observable)
-    if x.shape[0] != model.dim:
-        raise DimMismatchError("observable dimension differs from model")
-    rho = state.rho
-    inner = apply_adjoint_dissipator(model, x @ x) - anticommutator(apply_adjoint_dissipator(model, x), x)
-    return _real(complex(0.5 * np.trace(rho @ inner)), "diffusivity")
+    """D_X = tr(rho (D^dag(X^2) - {D^dag(X), X})) / 2, half the operator form
+    of the short-time fluctuation."""
+    return short_time_fluctuation_operator_form(model, state, observable).value / 2
+
+
+def tur_bound(current: float, fluctuation: float) -> float:
+    """The bound 2 J^2 / m on the entropy production rate.
+
+    A vanishing fluctuation (m <= 1e-14) gives 0 when the current vanishes
+    too (|J| <= 1e-10) and raises ``ZeroFluctuationError`` otherwise.
+    """
+    if fluctuation <= 1e-14:
+        if abs(current) > 1e-10:
+            raise ZeroFluctuationError(
+                f"fluctuation {fluctuation:.3e} vanishes while current {current:.3e} does not"
+            )
+        return 0.0
+    return 2.0 * current**2 / fluctuation
 
 
 @dataclass(frozen=True)
@@ -158,24 +159,15 @@ def tur_check(model: LindbladModel, state: QuantumState, observable,
     computed from the flux sum; the diffusivity from its own operator
     expression, making the reported D_X = m_X / 2 identity a live check.
     """
-    obs = observable if isinstance(observable, ObservableDecomposition) else \
-        ObservableDecomposition.from_operator(observable)
+    obs = _coerce_observable(observable)
     use, applied = floored_state(state, eigenvalue_floor)
     # the floored state is strictly positive, so no further flooring happens
     epr = entropy_production_rate(model, use, eigenvalue_floor=None)
     j_d = currents(model, use, obs).dissipative_part
     m_x = short_time_moment(flux_matrix(model, use, obs), 2).value
     d_x = quantum_diffusivity(model, use, obs)
-    if m_x <= 1e-14:
-        if abs(j_d) > 1e-10:
-            raise ZeroFluctuationError(
-                f"fluctuation {m_x:.3e} vanishes while current {j_d:.3e} does not"
-            )
-        bound = 0.0
-        diff_bound = 0.0
-    else:
-        bound = 2.0 * j_d**2 / m_x
-        diff_bound = j_d**2 / d_x if d_x > 0 else 0.0
+    bound = tur_bound(j_d, m_x)
+    diff_bound = j_d**2 / d_x if bound > 0.0 and d_x > 0 else 0.0
     if abs(diff_bound - bound) > 1e-10 * max(bound, 1.0):
         raise ValueError(
             f"diffusivity bound {diff_bound!r} deviates from fluctuation bound {bound!r}"
@@ -206,7 +198,7 @@ def tur_report_dict(report: TURReport, model: LindbladModel, observable) -> dict
         "eigenvalue_floor": report.eigenvalue_floor,
         "floor_applied": report.floor_applied,
         "model_hash": model_hash(model),
-        "observable_hash": operator_hash(_observable_matrix(observable)),
+        "observable_hash": operator_hash(_observable_matrix(observable, model.dim)),
     }
 
 
@@ -277,7 +269,7 @@ class GeometricRepresentation:
         return hs_inner_product(a, self.weighted_apply(b))
 
     def weighted_norm_sq(self, a: np.ndarray) -> float:
-        return _real(complex(self.weighted_inner(a, a)), "weighted norm")
+        return real_part(self.weighted_inner(a, a), "weighted norm")
 
 
 def geometric_representation(model: LindbladModel, state: QuantumState) -> GeometricRepresentation:
@@ -315,8 +307,8 @@ def geometric_representation(model: LindbladModel, state: QuantumState) -> Geome
         norm = max(float(np.linalg.norm(op)), 1e-300)
         if float(np.linalg.norm(op + dagger(op))) > 1e-10 * norm:
             raise ValueError(f"{name} operator is not anti-Hermitian; inputs are inconsistent")
-    epr_inner = _real(complex(hs_inner_product(current, force)), "entropy production")
-    epr_norm = _real(complex(hs_inner_product(force, kubo_integral(weight, force))), "entropy production")
+    epr_inner = real_part(hs_inner_product(current, force), "entropy production")
+    epr_norm = real_part(hs_inner_product(force, kubo_integral(weight, force)), "entropy production")
     return GeometricRepresentation(
         current_operator=current,
         force_operator=force,

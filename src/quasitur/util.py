@@ -6,7 +6,11 @@ import hashlib
 
 import numpy as np
 
-from .errors import DimMismatchError
+from .errors import DimMismatchError, ImaginaryResidueError
+
+#: largest imaginary part, relative to max(|value|, 1), that a real quantity
+#: may carry before it is reported as broken Hermiticity
+IMAG_RESIDUE_TOL = 1e-10
 
 
 def as_operator(a) -> np.ndarray:
@@ -29,6 +33,34 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
+
+
+def real_part(value, what: str):
+    """Real part of a scalar (as ``float``) or an array that must be real.
+
+    Raises ``ImaginaryResidueError`` when max|imag| exceeds
+    ``IMAG_RESIDUE_TOL * max(max|value|, 1)``.
+    """
+    if np.ndim(value) == 0:
+        value = complex(value)
+        residue, scale, real = abs(value.imag), abs(value), value.real
+    else:
+        value = np.asarray(value)
+        residue, scale = np.abs(value.imag).max(initial=0.0), np.abs(value).max(initial=0.0)
+        real = np.ascontiguousarray(value.real)
+    if residue > IMAG_RESIDUE_TOL * max(scale, 1.0):
+        raise ImaginaryResidueError(
+            f"{what} has imaginary residue {residue:.3e}; Hermiticity is broken upstream"
+        )
+    return real
+
+
+def group_sums(a: np.ndarray, members) -> np.ndarray:
+    """out[i, j] = sum of a[p, q] over p in members[i] and q in members[j]."""
+    onehot = np.zeros((len(members), a.shape[0]))
+    for i, rows in enumerate(members):
+        onehot[i, rows] = 1.0
+    return onehot @ a @ onehot.T
 
 
 def float_repr(x: float) -> str:

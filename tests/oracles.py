@@ -127,3 +127,14 @@ def dense_propagate(model: LindbladModel, ops: np.ndarray, t: float, adjoint: bo
     prop = scipy.linalg.expm(superoperator(model, adjoint) * t)
     d = model.dim
     return (ops.reshape(len(ops), d * d) @ prop.T).reshape(ops.shape)
+
+
+def flux_reference(model: LindbladModel, rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """T_yx = tr({L^dag P_y, P_x} rho) / 2 over a (m, d, d) projector stack,
+    with L^dag P_y from the Kronecker superoperator."""
+    d = model.dim
+    generated = (projectors.reshape(len(projectors), d * d)
+                 @ superoperator(model, adjoint=True).T).reshape(projectors.shape)
+    return np.array([[0.5 * np.trace((g @ p + p @ g) @ rho).real for p in projectors]
+                     for g in generated])
+

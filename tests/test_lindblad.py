@@ -20,7 +20,6 @@ from quasitur.lindblad import (
     apply_dissipator,
     apply_liouvillian,
     decompose_pair,
-    heisenberg_propagate,
     heisenberg_propagator,
     load_model,
     model_from_dict,
@@ -224,7 +223,7 @@ class TestLargeDimensionPath:
         assert abs(np.trace(evolved.rho).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(evolved.rho)[0] >= -1e-8
         x = np.diag(np.linspace(-1.0, 1.0, model.dim)).astype(complex)
-        lhs = np.trace(heisenberg_propagate(model, x, 0.05) @ state.rho)
+        lhs = np.trace(heisenberg_propagator(model, 0.05)(x) @ state.rho)
         rhs = np.trace(x @ evolved.rho)
         assert abs(lhs - rhs) <= 1e-9
 
@@ -233,13 +232,13 @@ class TestHeisenbergPropagation:
     def test_identity_fixed_point(self):
         model = thermal_qubit()
         for dt in (0.0, 0.3, 1.7):
-            out = heisenberg_propagate(model, np.eye(2, dtype=complex), dt)
+            out = heisenberg_propagator(model, dt)(np.eye(2, dtype=complex))
             np.testing.assert_allclose(out, np.eye(2), atol=1e-10)
 
     def test_zero_time(self):
         model = thermal_qubit()
         x = random_hermitian(np.random.default_rng(12), 2)
-        np.testing.assert_allclose(heisenberg_propagate(model, x, 0.0), x, atol=1e-14)
+        np.testing.assert_allclose(heisenberg_propagator(model, 0.0)(x), x, atol=1e-14)
 
     def test_duality(self):
         rng = np.random.default_rng(13)
@@ -247,7 +246,7 @@ class TestHeisenbergPropagation:
             model, state, _ = random_instance(rng)
             x = random_hermitian(rng, model.dim)
             dt = float(rng.uniform(0, 1))
-            lhs = np.trace(heisenberg_propagate(model, x, dt) @ state.rho)
+            lhs = np.trace(heisenberg_propagator(model, dt)(x) @ state.rho)
             rhs = np.trace(x @ propagate(model, state, dt).rho)
             assert abs(lhs - rhs) <= 1e-9
 

@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from quasitur.degeneracy import DegenerateBasis, integrated_fluxes
 from quasitur.ensembles import (
     random_hermitian,
     random_instance,
     random_model,
     random_observable,
     random_state,
+    random_unitary,
 )
 from quasitur.errors import ImaginaryResidueError
 from quasitur.lindblad import JumpPair, LindbladModel, QuantumState, propagate
 from quasitur.quasiprob import (
     GENERATING_FUNCTION_FD,
     ObservableDecomposition,
-    _real_table,
     escape_rate,
     flux_matrix,
     generating_function,
@@ -24,8 +25,9 @@ from quasitur.quasiprob import (
     tmh_table,
 )
 from quasitur.thermo import currents
+from quasitur.util import real_part
 
-from oracles import SIGMA_Z, decay_qubit, excited_state, gibbs_state, thermal_qubit
+from oracles import SIGMA_Z, decay_qubit, excited_state, flux_reference, gibbs_state, thermal_qubit
 
 
 def observable_z():
@@ -186,6 +188,64 @@ class TestFluxMatrix:
                 assert flux.values[iy, ix] == pytest.approx(rate * p[ix], abs=1e-12)
 
 
+def rank_one_projectors(u):
+    return np.einsum("ia,ja->aij", u, u.conj())
+
+
+def assert_matches_reference(got, reference):
+    assert got.shape == reference.shape
+    assert np.max(np.abs(got - reference)) <= 1e-12 * max(np.max(np.abs(reference)), 1e-300)
+
+
+class TestFluxKernelOracle:
+    """``flux_matrix`` and ``integrated_fluxes(...).resolved`` against
+    tr({L^dag P_y, P_x} rho) / 2 built on the Kronecker superoperator."""
+
+    @pytest.mark.parametrize("dim", [2, 6, 16, 32])
+    def test_random_unitary_basis(self, dim):
+        rng = np.random.default_rng(400 + dim)
+        model = random_model(rng, dim, 3)
+        state = random_state(rng, dim)
+        u = random_unitary(rng, dim)
+        reference = flux_reference(model, state.rho, rank_one_projectors(u))
+        obs = ObservableDecomposition.from_eigenbasis(np.arange(dim, dtype=float), u)
+        assert_matches_reference(flux_matrix(model, state, obs).values, reference)
+        half = dim // 2
+        basis = DegenerateBasis(groups=((0.0, u[:, :half]), (1.0, u[:, half:])))
+        assert_matches_reference(integrated_fluxes(model, state, basis).resolved, reference)
+
+    def test_degenerate_observable_classes(self):
+        rng = np.random.default_rng(410)
+        model = random_model(rng, 7, 2)
+        state = random_state(rng, 7)
+        u = random_unitary(rng, 7)
+        x = (u * np.array([-1.0, -1.0, 0.5, 0.5, 0.5, 2.0, 3.0])) @ u.conj().T
+        obs = ObservableDecomposition.from_operator(x)
+        assert [len(m) for m in obs.spectrum.class_members] == [2, 3, 1, 1]
+        reference = flux_reference(model, state.rho, obs.projectors)
+        assert_matches_reference(flux_matrix(model, state, obs).values, reference)
+
+    def test_eigenbasis_with_repeated_values(self):
+        rng = np.random.default_rng(411)
+        model = random_model(rng, 5, 2)
+        state = random_state(rng, 5)
+        u = random_unitary(rng, 5)
+        obs = ObservableDecomposition.from_eigenbasis([0.0, 1.0, 1.0, 2.0, 0.0], u)
+        reference = flux_reference(model, state.rho, rank_one_projectors(u))
+        assert_matches_reference(flux_matrix(model, state, obs).values, reference)
+
+    def test_model_without_jumps(self):
+        rng = np.random.default_rng(412)
+        model = LindbladModel(random_hermitian(rng, 6), ())
+        state = random_state(rng, 6)
+        u = random_unitary(rng, 6)
+        reference = flux_reference(model, state.rho, rank_one_projectors(u))
+        obs = ObservableDecomposition.from_eigenbasis(np.arange(6.0), u)
+        assert_matches_reference(flux_matrix(model, state, obs).values, reference)
+        basis = DegenerateBasis(groups=((0.0, u[:, :4]), (1.0, u[:, 4:])))
+        assert_matches_reference(integrated_fluxes(model, state, basis).resolved, reference)
+
+
 class TestGeneratingFunction:
     def test_normalization_at_zero(self):
         rng = np.random.default_rng(7)
@@ -330,8 +390,14 @@ class TestObservableDecomposition:
 class TestDiagnostics:
     def test_imaginary_residue_guard(self):
         with pytest.raises(ImaginaryResidueError):
-            _real_table(np.array([[1.0 + 1e-5j]]), "test table")
+            real_part(np.array([[1.0 + 1e-5j]]), "test table")
 
     def test_accepts_tiny_residue(self):
-        out = _real_table(np.array([[1.0 + 1e-12j]]), "test table")
+        out = real_part(np.array([[1.0 + 1e-12j]]), "test table")
         assert out.dtype == float
+
+    def test_residue_relative_above_one(self):
+        assert real_part(1e4 + 1e-7j, "test value") == 1e4
+        assert isinstance(real_part(1e4 + 1e-7j, "test value"), float)
+        with pytest.raises(ImaginaryResidueError):
+            real_part(1e4 + 1e-5j, "test value")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quasitur.ensembles import random_hermitian, random_instance, random_state
-from quasitur.errors import SingularStateError
+from quasitur.errors import SingularStateError, ZeroFluctuationError
 from quasitur.lindblad import (
     LindbladModel,
     QuantumState,
@@ -18,6 +18,7 @@ from quasitur.thermo import (
     floored_state,
     geometric_representation,
     quantum_diffusivity,
+    tur_bound,
     tur_check,
     tur_report_dict,
 )
@@ -144,6 +145,20 @@ class TestDiffusivity:
                 flux_matrix(model, state, ObservableDecomposition.from_operator(x)), 2
             ).value
             assert abs(2 * d_x - m_x) <= 1e-10 * max(abs(m_x), 1.0)
+
+
+class TestTURBound:
+    def test_regular(self):
+        assert tur_bound(0.3, 0.2) == pytest.approx(2 * 0.3**2 / 0.2, rel=1e-15)
+        assert tur_bound(-0.3, 0.2) == tur_bound(0.3, 0.2)
+
+    def test_vanishing_fluctuation_and_current(self):
+        assert tur_bound(1e-11, 1e-15) == 0.0
+        assert tur_bound(0.0, 0.0) == 0.0
+
+    def test_vanishing_fluctuation_with_current_raises(self):
+        with pytest.raises(ZeroFluctuationError):
+            tur_bound(1e-6, 1e-15)
 
 
 class TestTURCheck:
