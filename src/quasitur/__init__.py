@@ -40,6 +40,7 @@ from .errors import (
     QuasiturError,
     SingularOperatorError,
     SingularStateError,
+    TracePreservationError,
     ZeroFluctuationError,
 )
 from .fcs import (

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BasisMismatchError, InsufficientPointsError
 from .lindblad import JumpPair, LindbladModel, QuantumState, apply_dissipator, resolved_fluxes
 from .thermo import entropy_production_rate, tur_bound
-from .util import dagger, float_repr, group_sums
+from .util import change_moment, dagger, float_repr, group_sums
 
 #: floor used when taking logs of series that may contain exact zeros
 LOG_CLIP = 1e-30
@@ -114,8 +114,7 @@ class IntegratedFluxMatrix:
 
     def second_moment(self) -> float:
         """m_X = sum (x_s - x_s')^2 T_{s's}."""
-        diff = self.group_values[:, None] - self.group_values[None, :]
-        return float(np.sum(diff**2 * self.values))
+        return change_moment(self.group_values, self.group_values, self.values, 2)
 
     @property
     def min_flux(self) -> float:

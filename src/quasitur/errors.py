@@ -49,6 +49,10 @@ class CommutationViolatedError(QuasiturError):
     """No jump weights exist: some [X, L_k] is not proportional to L_k."""
 
 
+class TracePreservationError(QuasiturError):
+    """Flux columns do not sum to zero: the generator is not trace preserving."""
+
+
 class ImaginaryResidueError(QuasiturError):
     """A quantity that must be real carries a large imaginary part.
 

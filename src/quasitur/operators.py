@@ -19,8 +19,6 @@ from .errors import DimMismatchError, NotHermitianError, SingularOperatorError
 from .util import as_operator, dagger
 
 HERMITICITY_RTOL = 1e-10
-#: below this spread in log-eigenvalues the log-mean falls back to the value
-EQUAL_EIGENVALUE_TOL = 1e-12
 
 
 def hermiticity_error(a: np.ndarray) -> float:
@@ -145,14 +143,21 @@ def matrix_log_psd(g: np.ndarray) -> np.ndarray:
 
 
 def logarithmic_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise log-mean (x - y) / (ln x - ln y), with x on the diagonal."""
+    """Elementwise log-mean (x - y) / (ln x - ln y), with x on the diagonal.
+
+    Evaluated as max(x, y) (1 - exp(-a)) / a with a = |ln x - ln y| through
+    ``expm1``, which stays accurate to rounding as x and y coincide (the
+    quotient of differences loses the digits of the gap; Higham, Functions
+    of Matrices, 2008, ch. 11), is exactly symmetric in x and y and cannot
+    overflow. Only a = 0 falls back to max(x, y).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    logx, logy = np.log(x), np.log(y)
-    dlog = logx - logy
-    equal = np.abs(dlog) < EQUAL_EIGENVALUE_TOL
-    safe = np.where(equal, 1.0, dlog)
-    return np.where(equal, x, (x - y) / safe)
+    larger = np.maximum(x, y)
+    gap = np.abs(np.log(x) - np.log(y))
+    equal = gap == 0.0
+    safe = np.where(equal, 1.0, gap)
+    return np.where(equal, larger, larger * -np.expm1(-safe) / safe)
 
 
 def kubo_integral(g: np.ndarray, a: np.ndarray) -> np.ndarray:

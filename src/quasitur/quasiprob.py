@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError
+from .errors import DimMismatchError, TracePreservationError
 from .lindblad import (
     LindbladModel,
     QuantumState,
@@ -26,7 +26,7 @@ from .lindblad import (
 )
 from .numdiff import moment_step, stencil
 from .operators import SpectralDecomposition, spectral_decompose
-from .util import anticommutator, as_operator, dagger, float_repr, group_sums, real_part
+from .util import anticommutator, as_operator, change_moment, dagger, float_repr, group_sums, real_part
 
 FLUX_SUM = "flux_sum"
 OPERATOR_EXPRESSION = "operator_expression"
@@ -129,8 +129,7 @@ class QuasiprobTable:
 
     def moment(self, n: int) -> float:
         """n-th moment of the change, weight (y - x)^n."""
-        diff = self.labels_final[:, None] - self.labels_initial[None, :]
-        return float(np.sum(diff**n * self.values))
+        return change_moment(self.labels_final, self.labels_initial, self.values, n)
 
     def to_csv(self, path) -> None:
         """Header row of final labels, first column of initial labels."""
@@ -153,7 +152,7 @@ class FluxMatrix:
         scale = max(float(np.max(np.abs(self.values))), 1.0)
         colsums = np.abs(self.values.sum(axis=0))
         if colsums.size and float(colsums.max()) > 1e-10 * scale:
-            raise ValueError(
+            raise TracePreservationError(
                 f"flux columns do not sum to zero (max {float(colsums.max()):.3e}); "
                 "the generator is not trace preserving"
             )
@@ -229,8 +228,8 @@ def short_time_moment(flux: FluxMatrix, n: int) -> MomentReport:
     """
     if n < 1:
         raise ValueError("moment order must be >= 1")
-    diff = flux.labels[:, None] - flux.labels[None, :]
-    return MomentReport(order=n, value=float(np.sum(diff**n * flux.values)), method=FLUX_SUM)
+    value = change_moment(flux.labels, flux.labels, flux.values, n)
+    return MomentReport(order=n, value=value, method=FLUX_SUM)
 
 
 def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumState,

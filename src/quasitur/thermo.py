@@ -22,11 +22,10 @@ from .lindblad import (
     LindbladModel,
     QuantumState,
     apply_dissipator,
-    apply_liouvillian,
     decompose_pair,
     model_hash,
 )
-from .operators import hs_inner_product, kubo_integral, matrix_log_psd
+from .operators import hs_inner_product, kubo_integral
 from .quasiprob import (
     _coerce_observable,
     _observable_matrix,
@@ -60,6 +59,31 @@ def currents(model: LindbladModel, state: QuantumState, observable) -> CurrentDe
     return CurrentDecomposition(hamiltonian_part=j_ham, dissipative_part=j_dis)
 
 
+def _floored_eigh(rho: np.ndarray,
+                  eigenvalue_floor: float | None) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Spectrum and eigenvectors of the floored rho from one ``eigh`` of rho.
+
+    Flooring to ``(1 - d*eps) rho + eps I`` keeps the eigenvectors and maps
+    each eigenvalue p to ``(1 - d*eps) p + eps``; it applies when the
+    smallest eigenvalue lies below ``eps``. Returns ``(p, U, applied)``.
+    Raises ``SingularStateError`` when the resulting spectrum is not
+    strictly positive, which with ``eigenvalue_floor=None`` (no flooring)
+    means any rank-deficient state.
+    """
+    p, u = np.linalg.eigh(rho)
+    applied = eigenvalue_floor is not None and p[0] < eigenvalue_floor
+    if applied:
+        eps = float(eigenvalue_floor)
+        p = (1.0 - len(p) * eps) * p + eps
+    if p[0] <= 0.0:
+        if eigenvalue_floor is None:
+            raise SingularStateError(f"state has eigenvalue {p[0]:.3e}; full rank is required")
+        raise SingularStateError(
+            f"state remains non-positive after flooring at {eigenvalue_floor:.1e}; increase the floor"
+        )
+    return p, u, applied
+
+
 def floored_state(state: QuantumState, eigenvalue_floor: float) -> tuple[QuantumState, bool]:
     """Mix rho with the maximally mixed state when rank deficient.
 
@@ -67,18 +91,12 @@ def floored_state(state: QuantumState, eigenvalue_floor: float) -> tuple[Quantum
     already at or above the floor; otherwise returns
     ``((1 - d*eps) rho + eps I, True)`` with ``eps`` the floor.
     """
-    rho = state.rho
-    d = rho.shape[0]
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    if min_eig >= eigenvalue_floor:
+    _, _, applied = _floored_eigh(state.rho, eigenvalue_floor)
+    if not applied:
         return state, False
+    d = state.dim
     eps = float(eigenvalue_floor)
-    mixed = (1.0 - d * eps) * rho + eps * np.eye(d)
-    if float(np.linalg.eigvalsh(mixed)[0]) <= 0.0:
-        raise SingularStateError(
-            f"state remains non-positive after flooring at {eps:.1e}; increase the floor"
-        )
-    return QuantumState(mixed), True
+    return QuantumState((1.0 - d * eps) * state.rho + eps * np.eye(d)), True
 
 
 def entropy_production_rate(model: LindbladModel, state: QuantumState,
@@ -90,23 +108,24 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
     sums the entropy currents over both members of every pair. Rank-deficient
     states are floored first; pass ``eigenvalue_floor=None`` to disable
     flooring and raise ``SingularStateError`` instead.
+
+    Evaluated in the eigenbasis of rho = sum_j p_j |j><j| (Spohn, J. Math.
+    Phys. 19, 1227, 1978):
+
+        sigma = sum_k sum_ij |<i|L_k|j>|^2 p_j (s_k + ln p_j - ln p_i),
+
+    from one ``eigh`` of rho and two d x d products per jump. The
+    Hamiltonian term tr([H, rho] ln rho) vanishes identically.
     """
-    if eigenvalue_floor is None:
-        min_eig = float(np.linalg.eigvalsh(state.rho)[0])
-        if min_eig <= 0.0:
-            raise SingularStateError(
-                f"state has eigenvalue {min_eig:.3e}; flooring disabled"
-            )
-        use = state
-    else:
-        use, _ = floored_state(state, eigenvalue_floor)
-    rho = use.rho
-    log_rho = matrix_log_psd(rho)
-    ds_dt = -np.trace(apply_liouvillian(model, rho) @ log_rho)
-    flow = 0.0
+    p, u, _ = _floored_eigh(state.rho, eigenvalue_floor)
+    log_p = np.log(p)
+    # entry (i, j): p_j (ln p_j - ln p_i), the weight of a jump |j> -> |i>
+    entropy_change = p * (log_p - log_p[:, None])
+    sigma = 0.0
     for op, s in zip(model.jump_operators, model.entropy_currents):
-        flow += s * np.trace(dagger(op) @ op @ rho).real
-    return float(real_part(ds_dt, "entropy rate") + flow)
+        weights = np.abs(dagger(u) @ op @ u) ** 2
+        sigma += float(np.sum(weights * entropy_change)) + s * float(weights.sum(axis=0) @ p)
+    return sigma
 
 
 def quantum_diffusivity(model: LindbladModel, state: QuantumState, observable) -> float:
@@ -280,11 +299,10 @@ def geometric_representation(model: LindbladModel, state: QuantumState) -> Geome
     inner product and as the weighted squared norm of the force.
     """
     rho = state.rho
-    if float(np.linalg.eigvalsh(rho)[0]) <= 0.0:
-        raise SingularStateError("geometric representation requires a full-rank state")
+    p, u, _ = _floored_eigh(rho, None)
     if not model.jump_pairs:
         raise ValueError("model has no jump pairs")
-    log_rho = matrix_log_psd(rho)
+    log_rho = (u * np.log(p)) @ dagger(u)
     d = model.dim
     cur_blocks, force_blocks, weight_blocks, strc_blocks = [], [], [], []
     for pair in model.jump_pairs:

@@ -138,3 +138,15 @@ def flux_reference(model: LindbladModel, rho: np.ndarray, projectors: np.ndarray
     return np.array([[0.5 * np.trace((g @ p + p @ g) @ rho).real for p in projectors]
                      for g in generated])
 
+
+def epr_reference(model: LindbladModel, rho: np.ndarray) -> float:
+    """sigma = -tr(L(rho) ln rho) + sum_k s_k tr(L_k^dag L_k rho) for a
+    full-rank rho, with L(rho) from the Kronecker superoperator and ln rho
+    from the eigendecomposition of rho."""
+    d = model.dim
+    vals, vecs = np.linalg.eigh(rho)
+    log_rho = (vecs * np.log(vals)) @ vecs.conj().T
+    generated = (superoperator(model, adjoint=False) @ rho.reshape(d * d)).reshape(d, d)
+    flow = sum(s * np.trace(op.conj().T @ op @ rho).real
+               for op, s in zip(model.jump_operators, model.entropy_currents))
+    return float(-np.trace(generated @ log_rho).real + flow)

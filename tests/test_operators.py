@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -5,6 +6,7 @@ from quasitur.errors import DimMismatchError, NotHermitianError, SingularOperato
 from quasitur.operators import (
     hs_inner_product,
     kubo_integral,
+    logarithmic_mean,
     matrix_log_psd,
     spectral_decompose,
 )
@@ -139,6 +141,24 @@ class TestKuboIntegral:
     def test_singular_weight(self):
         with pytest.raises(SingularOperatorError):
             kubo_integral(np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex))
+
+
+class TestLogarithmicMean:
+    def test_near_coincident_arguments_match_mpmath(self):
+        # the quotient (x - y) / (ln x - ln y) erred by 5e-6 at a relative
+        # gap of 1e-9 and by 5e-4 at 1e-11
+        rng = np.random.default_rng(17)
+        ys = np.array([1e-12, 3.7e-5, 0.2, 1.0, 13.0, 4e3])
+        for k in range(3, 16):
+            for sign in (1.0, -1.0):
+                xs = ys * (1.0 + sign * 10.0**-k * rng.uniform(1.0, 2.0, size=ys.size))
+                got = logarithmic_mean(xs, ys)
+                assert np.array_equal(got, logarithmic_mean(ys, xs))
+                with mpmath.workdps(50):
+                    for x, y, value in zip(xs, ys, got):
+                        x, y = mpmath.mpf(float(x)), mpmath.mpf(float(y))
+                        exact = (x - y) / (mpmath.log(x) - mpmath.log(y))
+                        assert abs((value - exact) / exact) <= 1e-14
 
 
 class TestHSInnerProduct:

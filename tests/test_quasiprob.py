@@ -11,10 +11,11 @@ from quasitur.ensembles import (
     random_state,
     random_unitary,
 )
-from quasitur.errors import ImaginaryResidueError
+from quasitur.errors import ImaginaryResidueError, QuasiturError, TracePreservationError
 from quasitur.lindblad import JumpPair, LindbladModel, QuantumState, propagate
 from quasitur.quasiprob import (
     GENERATING_FUNCTION_FD,
+    FluxMatrix,
     ObservableDecomposition,
     escape_rate,
     flux_matrix,
@@ -346,6 +347,30 @@ class TestEscapeRate:
         gamma = 0.7
         flux = flux_matrix(decay_qubit(gamma), excited_state(), observable_z())
         assert escape_rate(flux) == pytest.approx(gamma, abs=1e-12)
+
+
+class TestFluxMatrixInvariants:
+    def test_non_trace_preserving_columns_raise(self):
+        values = np.array([[-1.0, 0.2], [0.5, -0.2]])  # first column sums to -0.5
+        with pytest.raises(TracePreservationError) as info:
+            FluxMatrix(labels=np.array([0.0, 1.0]), values=values)
+        assert isinstance(info.value, QuasiturError)
+
+    def test_moment_sums_agree_bitwise(self):
+        # the table, the flux and the integrated-flux moments share one sum
+        from quasitur.degeneracy import IntegratedFluxMatrix
+        from quasitur.quasiprob import QuasiprobTable
+        rng = np.random.default_rng(23)
+        model, state, x = random_instance(rng)
+        flux = flux_matrix(model, state, ObservableDecomposition.from_operator(x))
+        diff = flux.labels[:, None] - flux.labels[None, :]
+        table = QuasiprobTable(flux.labels, flux.labels, flux.values, 0.1)
+        integrated = IntegratedFluxMatrix(flux.labels, flux.values, 0.0, flux.values)
+        for n in (1, 2, 3):
+            expected = float(np.sum(diff**n * flux.values))
+            assert short_time_moment(flux, n).value == expected
+            assert table.moment(n) == expected
+        assert integrated.second_moment() == float(np.sum(diff**2 * flux.values))
 
 
 class TestObservableDecomposition:

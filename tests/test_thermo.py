@@ -1,9 +1,16 @@
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
-from quasitur.ensembles import random_hermitian, random_instance, random_state
+from quasitur.degeneracy import (
+    CollectiveModelParams,
+    balanced_p_g,
+    build_collective_model,
+    build_plus_minus_state,
+)
+from quasitur.ensembles import random_hermitian, random_instance, random_model, random_state
 from quasitur.errors import SingularStateError, ZeroFluctuationError
 from quasitur.lindblad import (
     LindbladModel,
@@ -26,6 +33,7 @@ from quasitur.thermo import (
 from oracles import (
     SIGMA_Z,
     decay_qubit,
+    epr_reference,
     excited_state,
     gibbs_state,
     thermal_qubit,
@@ -120,6 +128,90 @@ class TestEntropyProductionRate:
         same, applied = floored_state(full_rank, 1e-12)
         assert not applied
         assert same is full_rank
+
+
+def _rank_deficient_state(rng, dim: int, rank: int) -> QuantumState:
+    """Random populations on ``rank`` of the basis states, exact zeros elsewhere.
+
+    A diagonal state keeps its zero eigenvalues exact. In a rotated basis
+    they would carry rounding of order 1e-17, which moves the floored
+    eigenvalues eps = 1e-12 by 1e-5 relative and sigma by about 1e-6
+    relative on any route.
+    """
+    p = np.zeros(dim)
+    p[rng.choice(dim, size=rank, replace=False)] = rng.uniform(0.1, 1.0, size=rank)
+    return QuantumState(np.diag(p / p.sum()).astype(complex))
+
+
+class TestEntropyProductionOracles:
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_collective_plus_closed_form(self, n):
+        # In the eigenbasis of the floored |+> state only <e,+|L_+|g,+> = N
+        # and its reverse survive, so with gamma_+ = gamma_- = 1 (s = 0)
+        # sigma = N^2 (p_g' - p_e') (ln p_g' - ln p_e'), p' = (1 - d eps) p + eps.
+        eps = 1e-12
+        template = CollectiveModelParams(n_levels=n)
+        params = CollectiveModelParams(n_levels=n, p_g=balanced_p_g(template, n, 0.5))
+        model = build_collective_model(params)
+        sigma = entropy_production_rate(model, build_plus_minus_state(params, "+"), eps)
+        with mpmath.workdps(50):
+            scale = 1 - 2 * n * mpmath.mpf(eps)
+            p_g = scale * mpmath.mpf(params.p_g) + eps
+            p_e = scale * (1 - mpmath.mpf(params.p_g)) + eps
+            exact = n**2 * (p_g - p_e) * (mpmath.log(p_g) - mpmath.log(p_e))
+            assert abs((sigma - exact) / exact) <= 5e-12
+
+    def test_matches_reference_route(self):
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            model, state, _ = random_instance(rng, max_dim=8)
+            sigma = entropy_production_rate(model, state)
+            assert sigma == pytest.approx(epr_reference(model, state.rho), rel=1e-12)
+            assert entropy_production_rate(model, state, eigenvalue_floor=None) == sigma
+
+    def test_matches_reference_route_on_floored_states(self):
+        rng = np.random.default_rng(17)
+        eps = 1e-12
+        for _ in range(100):
+            dim = int(rng.integers(2, 9))
+            model = random_model(rng, dim, int(rng.integers(1, 4)))
+            state = _rank_deficient_state(rng, dim, int(rng.integers(1, dim)))
+            floored = (1.0 - dim * eps) * state.rho + eps * np.eye(dim)
+            sigma = entropy_production_rate(model, state, eps)
+            assert sigma == pytest.approx(epr_reference(model, floored), rel=1e-12)
+
+    @staticmethod
+    def _count_decompositions(monkeypatch):
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return shapes
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        model = random_model(rng, 5, 2)
+        full_rank = random_state(rng, 5)
+        rank_deficient = _rank_deficient_state(rng, 5, 2)
+        shapes = self._count_decompositions(monkeypatch)
+        for state, floor in ((full_rank, 1e-12), (full_rank, None), (rank_deficient, 1e-12)):
+            shapes.clear()
+            entropy_production_rate(model, state, floor)
+            assert shapes == [(5, 5)]
+
+    def test_geometric_representation_decomposes_rho_once(self, monkeypatch):
+        # the O((2Pd)^3) eigh of the block weight inside kubo_integral is
+        # the only other decomposition
+        rng = np.random.default_rng(19)
+        model = random_model(rng, 4, 2)
+        state = random_state(rng, 4)
+        shapes = self._count_decompositions(monkeypatch)
+        geometric_representation(model, state)
+        assert shapes.count((4, 4)) == 1
 
 
 class TestDiffusivity:
