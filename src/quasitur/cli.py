@@ -10,6 +10,7 @@ byte-identical files. Exit codes: 0 success, 1 validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -38,24 +39,19 @@ from .lindblad import (
     validate_local_detailed_balance,
 )
 from .quasiprob import ObservableDecomposition
-from .thermo import tur_check, tur_report_dict
-from .util import float_repr, matrix_from_json
+from .thermo import DEFAULT_EIGENVALUE_FLOOR, tur_check, tur_report_dict
+from .util import float_repr, matrix_from_json, read_json, write_json
 
 TUR_SLACK_TOL = 1e-9
 CLOSED_FORM_RTOL = 1e-10
 
 
 def _load_observable(path) -> ObservableDecomposition:
-    with open(path) as fh:
-        data = json.load(fh)
-    return ObservableDecomposition.from_operator(matrix_from_json(data["observable"]))
+    return ObservableDecomposition.from_operator(matrix_from_json(read_json(path)["observable"]))
 
 
 def _write_json(path, config: dict, result: dict) -> None:
-    payload = {"config": config, "result": result}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"config": config, "result": result})
 
 
 def _config_dict(args, keys) -> dict:
@@ -215,19 +211,9 @@ def cmd_classical_check(args) -> int:
     cls = load_classical_model(args.model)
     delta_ts = [float(p) for p in args.delta_ts.split(",") if p]
     report = quantize_and_compare(cls.rate_matrix, cls.p0, cls.f, delta_ts=tuple(delta_ts))
-    result = {
-        "reversible": report.reversible,
-        "fluctuation_residual": report.fluctuation_residual,
-        "table_residuals": list(report.table_residuals),
-        "generating_residual": report.generating_residual,
-        "delta_ts": list(report.delta_ts),
-        "epr": report.epr,
-        "tur_bound": report.tur_bound,
-        "tur_slack": report.tur_slack,
-    }
     config = _config_dict(args, ["model", "delta_ts", "tol", "seed"])
     if args.output:
-        _write_json(args.output, config, result)
+        _write_json(args.output, config, dataclasses.asdict(report))
     ok = report.max_residual <= args.tol
     print(f"embedding residuals: fluctuation {report.fluctuation_residual:.3e}, "
           f"tables {[f'{r:.3e}' for r in report.table_residuals]}, "
@@ -271,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--observable", required=True, help="observable JSON file")
-    p.add_argument("--floor", type=float, default=1e-12,
+    p.add_argument("--floor", type=float, default=DEFAULT_EIGENVALUE_FLOOR,
                    help="eigenvalue floor for rank-deficient states")
     p.add_argument("--output", default=None, help="optional JSON report path")
 
@@ -285,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pg", type=float, default=0.5, help="ground-band weight")
     p.add_argument("--balance", type=float, default=0.5,
                    help="current scale kappa retuning p_g per N; <=0 keeps p_g fixed")
-    p.add_argument("--floor", type=float, default=1e-12, help="EPR eigenvalue floor")
+    p.add_argument("--floor", type=float, default=DEFAULT_EIGENVALUE_FLOOR,
+                   help="EPR eigenvalue floor")
     p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
     p.add_argument("--output-csv", required=True)
     p.add_argument("--output-json", required=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BasisMismatchError, InsufficientPointsError
 from .lindblad import JumpPair, LindbladModel, QuantumState, apply_dissipator, resolved_fluxes
-from .thermo import entropy_production_rate, tur_bound
+from .thermo import DEFAULT_EIGENVALUE_FLOOR, entropy_production_rate, tur_bound
 from .util import change_moment, dagger, float_repr, group_sums
 
 #: floor used when taking logs of series that may contain exact zeros
@@ -423,9 +423,6 @@ class ScalingSweepReport:
     eigenvalue_floor: float
     balance_scale: float | None
 
-    def series(self, name: str) -> tuple:
-        return getattr(self, name)
-
 
 def _sweep_point(params: CollectiveModelParams, state_kind: str,
                  epr_floor: float) -> tuple:
@@ -444,7 +441,7 @@ def _sweep_point(params: CollectiveModelParams, state_kind: str,
 
 
 def scaling_sweep(params_template: CollectiveModelParams, n_list, state_kind: str = "+",
-                  epr_floor: float = 1e-12, balance_scale: float | None = 0.5,
+                  epr_floor: float = DEFAULT_EIGENVALUE_FLOOR, balance_scale: float | None = 0.5,
                   workers: int = 1) -> ScalingSweepReport:
     """Evaluate the collective model across degeneracies N.
 

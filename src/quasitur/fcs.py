@@ -14,14 +14,15 @@ coincide, so the second moment m_X is observable by monitoring jumps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import CommutationViolatedError, DimMismatchError
 from .lindblad import LindbladModel, QuantumState, apply_adjoint_liouvillian
 from .numdiff import derivative_moment
-from .quasiprob import _coerce_observable, _observable_matrix
-from .util import anticommutator, commutator, dagger, float_repr
+from .quasiprob import _coerce_observable, _observable_matrix, _phase_generating
+from .util import commutator, dagger, float_repr, per_lambda
 
 
 @dataclass(frozen=True)
@@ -86,30 +87,30 @@ def commutation_check(model: LindbladModel, observable, tol: float = 1e-9) -> Co
 
 
 def fcs_generating_rate(model: LindbladModel, state: QuantumState,
-                        spec: CurrentObservableSpec, lam: float) -> complex:
-    """Short-time generating rate of the weighted jump-counting current."""
+                        spec: CurrentObservableSpec, lam):
+    """Short-time generating rate of the weighted jump-counting current.
+
+    A scalar ``lam`` gives a complex number, a 1-D array a complex array.
+    """
     if len(spec.weights) != len(model.jump_operators):
         raise DimMismatchError(
             f"{len(spec.weights)} weights for {len(model.jump_operators)} jump operators"
         )
     rho = state.rho
-    total = 0.0 + 0.0j
-    for w, op in zip(spec.weights, model.jump_operators):
-        activity = float(np.trace(dagger(op) @ op @ rho).real)
-        total += (np.exp(1j * lam * w) - 1.0) * activity
-    return complex(total)
+    activities = np.array([np.trace(dagger(op) @ op @ rho).real for op in model.jump_operators])
+    weights = np.array(spec.weights)
+    return per_lambda(lam, lambda lams: (np.exp(1j * np.outer(lams, weights)) - 1.0) @ activities)
 
 
-def tmh_generating_rate(model: LindbladModel, state: QuantumState, observable,
-                        lam: float) -> complex:
+def tmh_generating_rate(model: LindbladModel, state: QuantumState, observable, lam):
     """d/d(dt) of the quasiprobability generating function at dt = 0,
 
-    evaluated in closed form as tr({L^dag(e^{ilX}), e^{-ilX}} rho) / 2.
+    evaluated in closed form as tr({L^dag(e^{ilX}), e^{-ilX}} rho) / 2. A
+    scalar ``lam`` gives a complex number, a 1-D array a complex array from
+    one generator application to the stacked phase operators.
     """
     obs = _coerce_observable(observable)
-    u = obs.phase_operator(float(lam))
-    evolved = apply_adjoint_liouvillian(model, u)
-    return complex(0.5 * np.trace(anticommutator(evolved, dagger(u)) @ state.rho))
+    return _phase_generating(partial(apply_adjoint_liouvillian, model), obs, state, lam)
 
 
 def default_lambda_grid(observable, n_points: int = 41) -> np.ndarray:
@@ -165,7 +166,7 @@ def predicted_rate_difference(model: LindbladModel, state: QuantumState, observa
     weight = h_eig.T * rho_eig  # entry (x, y): H_yx rho_xy
     diffs = vals[None, :] - vals[:, None]  # entry (x, y): y - x
     grid = np.asarray(lambda_grid, dtype=float)
-    return np.array([complex(np.sum(weight * np.sin(lam * diffs))) for lam in grid])
+    return np.einsum("xy,bxy->b", weight, np.sin(np.multiply.outer(grid, diffs)))
 
 
 def compare_rates(model: LindbladModel, state: QuantumState, observable,
@@ -182,21 +183,20 @@ def compare_rates(model: LindbladModel, state: QuantumState, observable,
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(obs)
     grid = np.asarray(lambda_grid, dtype=float)
-    tmh = np.array([tmh_generating_rate(model, state, obs, lam) for lam in grid])
-    fcs = np.array([fcs_generating_rate(model, state, spec, lam) for lam in grid])
+    tmh = tmh_generating_rate(model, state, obs, grid)
+    fcs = fcs_generating_rate(model, state, spec, grid)
     predicted = predicted_rate_difference(model, state, obs, grid)
     residual = float(np.max(np.abs((tmh - fcs) - predicted))) if grid.size else 0.0
-    scale = max(obs.max_gap, 1e-6)
-    even_diffs = []
-    for order in (2, 4):
-        m_tmh = derivative_moment(lambda l: tmh_generating_rate(model, state, obs, l), order, scale)
-        m_fcs = derivative_moment(lambda l: fcs_generating_rate(model, state, spec, l), order, scale)
-        even_diffs.append(float(abs(m_tmh - m_fcs)))
+    tmh_at = partial(tmh_generating_rate, model, state, obs)
+    fcs_at = partial(fcs_generating_rate, model, state, spec)
+    gap = obs.max_gap
+    even_diffs = tuple(abs(derivative_moment(tmh_at, n, gap) - derivative_moment(fcs_at, n, gap))
+                       for n in (2, 4))
     return GeneratingRateComparison(
         lambda_grid=grid,
         tmh_rate=tmh,
         fcs_rate=fcs,
         predicted_difference=predicted,
         residual=residual,
-        even_moment_differences=tuple(even_diffs),
+        even_moment_differences=even_diffs,
     )

@@ -7,17 +7,17 @@ current per jump (k_B = 1). The module applies the generator
     L(rho) = -i[H, rho] + D(rho),
     D(rho) = sum_k L_k rho L_k^dag - {L_k^dag L_k, rho} / 2,
 
-its adjoint, and the corresponding finite-time propagators. Propagators
-never form the d^2 x d^2 generator: ``scipy.sparse.linalg.expm_multiply``
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011) applies its
-exponential to a whole stack of operators at once, through batched d x d
-matrix products.
+its adjoint, and the corresponding finite-time propagators. The four
+``apply_*`` functions take a state, one operator or a (B, d, d) stack.
+Propagators never form the d^2 x d^2 generator:
+``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33(2), 2011) applies its exponential to a whole stack of operators
+at once, through batched d x d matrix products.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -25,19 +25,16 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import LinearOperator, expm_multiply
 
-from .errors import (
-    DegeneratePairError,
-    DimMismatchError,
-    NonConvergenceError,
-    NotHermitianError,
-)
-from .operators import hermiticity_error
+from .errors import DegeneratePairError, DimMismatchError, NonConvergenceError
+from .operators import require_hermitian
 from .util import (
     as_operator,
     dagger,
     matrix_from_json,
     matrix_to_json,
     operator_hash,
+    read_json,
+    write_json,
 )
 
 #: tolerances of the opt-in ``method="ivp"`` Runge-Kutta cross-check
@@ -91,9 +88,7 @@ class LindbladModel:
     jump_pairs: tuple[JumpPair, ...]
 
     def __post_init__(self):
-        ham = as_operator(self.hamiltonian)
-        if hermiticity_error(ham) > 1e-10 * max(float(np.linalg.norm(ham)), 1e-300):
-            raise NotHermitianError("hamiltonian is not Hermitian to 1e-10")
+        ham = require_hermitian(self.hamiltonian)
         object.__setattr__(self, "hamiltonian", ham)
         object.__setattr__(self, "jump_pairs", tuple(self.jump_pairs))
         for pair in self.jump_pairs:
@@ -126,10 +121,7 @@ class QuantumState:
     __slots__ = ("rho",)
 
     def __init__(self, rho, *, hermitian_tol=1e-10, psd_tol=1e-10, trace_tol=1e-10):
-        mat = as_operator(rho)
-        norm = max(float(np.linalg.norm(mat)), 1e-300)
-        if hermiticity_error(mat) > hermitian_tol * norm:
-            raise NotHermitianError("density matrix is not Hermitian within tolerance")
+        mat = require_hermitian(rho, hermitian_tol)
         mat = (mat + dagger(mat)) / 2
         eigs = np.linalg.eigvalsh(mat)
         if eigs[0] < -psd_tol:
@@ -151,10 +143,6 @@ class QuantumState:
 
     def __repr__(self):
         return f"QuantumState(dim={self.dim})"
-
-
-def _state_matrix(state) -> np.ndarray:
-    return state.rho if isinstance(state, QuantumState) else as_operator(state)
 
 
 @dataclass(frozen=True)
@@ -210,13 +198,12 @@ def _sandwich(a: np.ndarray, g: np.ndarray, g_dag: np.ndarray, outer, inner) -> 
 
 
 def _apply_generator(model: LindbladModel, a, hamiltonian: bool, heisenberg: bool) -> np.ndarray:
-    """L^dag(A) or L(rho), the Hamiltonian part only if ``hamiltonian``. Jumps
-    are visited one at a time and their adjoints built on the fly."""
-    mat = _state_matrix(a)
-    if mat.shape[0] != model.dim:
-        raise DimMismatchError("operator dimension differs from model")
+    """L^dag(A) or L(rho), the Hamiltonian part only if ``hamiltonian``, on a
+    state, an operator or a (B, d, d) stack. Jumps are visited one at a time
+    and their adjoints built on the fly."""
+    mat = _operands(a, model.dim)
     jumps = model.jump_operators
-    g = 1j * model.hamiltonian if hamiltonian else np.zeros_like(mat)
+    g = 1j * model.hamiltonian if hamiltonian else np.zeros((model.dim, model.dim), dtype=complex)
     for op in jumps:
         g -= 0.5 * (dagger(op) @ op)
     adjoints = map(dagger, jumps)
@@ -259,7 +246,7 @@ def resolved_fluxes(model: LindbladModel, state, basis: np.ndarray) -> np.ndarra
     """
     v = np.asarray(basis, dtype=complex)
     v_dag = dagger(v)
-    r = v_dag @ _state_matrix(state) @ v
+    r = v_dag @ _operands(state, model.dim) @ v
     g = 1j * (v_dag @ model.hamiltonian @ v)
     out = np.zeros_like(r)
     for op in model.jump_operators:
@@ -335,18 +322,15 @@ def _pinned_legacy_rng():
         np.random.set_state(saved)
 
 
-def _as_stack(a, d: int) -> tuple[np.ndarray, bool]:
-    """A (d, d) operator or a (B, d, d) stack as a complex stack, plus
-    whether a single operator was given."""
-    stack = np.ascontiguousarray(a, dtype=complex)
-    single = stack.ndim == 2
-    if single:
-        stack = stack[None]
-    if stack.ndim != 3 or stack.shape[1:] != (d, d):
+def _operands(a, d: int) -> np.ndarray:
+    """The rho of a state, a (d, d) operator or a (B, d, d) stack as a
+    complex array, checked for shape and finite entries."""
+    ops = np.ascontiguousarray(a.rho if isinstance(a, QuantumState) else a, dtype=complex)
+    if ops.ndim not in (2, 3) or ops.shape[-2:] != (d, d):
         raise DimMismatchError(f"expected ({d}, {d}) operators, got shape {np.shape(a)}")
-    if not np.all(np.isfinite(stack)):
+    if not np.all(np.isfinite(ops)):
         raise ValueError("operator contains non-finite entries")
-    return stack, single
+    return ops
 
 
 def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
@@ -371,9 +355,10 @@ def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
         raise ValueError(f"unknown propagation method {method!r}")
 
     def apply(a):
-        stack, single = _as_stack(a, d)
+        ops = _operands(a, d)
+        stack = ops.reshape(-1, d, d)
         out = evolve(stack) if t > 0.0 and len(stack) else stack.copy()
-        return out[0] if single else out
+        return out.reshape(ops.shape)
 
     return apply
 
@@ -456,33 +441,27 @@ def model_from_dict(data: dict) -> LindbladModel:
 
 
 def save_model(model: LindbladModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> LindbladModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))
 
 
 def state_to_dict(state: QuantumState) -> dict:
     return {"rho": matrix_to_json(state.rho)}
 
 
-def state_from_dict(data: dict, **tolerances) -> QuantumState:
-    return QuantumState(matrix_from_json(data["rho"]), **tolerances)
+def state_from_dict(data: dict) -> QuantumState:
+    return QuantumState(matrix_from_json(data["rho"]))
 
 
 def save_state(state: QuantumState, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, state_to_dict(state))
 
 
-def load_state(path, **tolerances) -> QuantumState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh), **tolerances)
+def load_state(path) -> QuantumState:
+    return state_from_dict(read_json(path))
 
 
 def model_hash(model: LindbladModel) -> str:

@@ -20,13 +20,21 @@ from .lindblad import (
     LindbladModel,
     QuantumState,
     apply_adjoint_dissipator,
-    apply_adjoint_liouvillian,
     heisenberg_propagator,
     resolved_fluxes,
 )
-from .numdiff import moment_step, stencil
+from .numdiff import derivative_moment
 from .operators import SpectralDecomposition, spectral_decompose
-from .util import anticommutator, as_operator, change_moment, dagger, float_repr, group_sums, real_part
+from .util import (
+    anticommutator,
+    as_operator,
+    change_moment,
+    dagger,
+    float_repr,
+    group_sums,
+    per_lambda,
+    real_part,
+)
 
 FLUX_SUM = "flux_sum"
 OPERATOR_EXPRESSION = "operator_expression"
@@ -201,6 +209,24 @@ def flux_matrix(model: LindbladModel, state: QuantumState, observable) -> FluxMa
     return FluxMatrix(labels=obs.labels.copy(), values=values)
 
 
+def _phase_generating(heisenberg, obs: ObservableDecomposition, state: QuantumState, lam):
+    """tr({heisenberg(e^{ilX}), e^{-ilX}} rho) / 2 under the convention of
+    :func:`quasitur.util.per_lambda`.
+
+    ``heisenberg`` maps a (B, d, d) stack of phase operators to their
+    Heisenberg-picture images in one call.
+    """
+    rho = state.rho
+
+    def values_at(lams):
+        u = obs.phase_operator(lams)
+        # tr({E, U^dag} rho) = tr(E (U^dag rho + rho U^dag))
+        u_dag = u.conj().swapaxes(-1, -2)
+        return 0.5 * np.einsum("bij,bji->b", heisenberg(u), u_dag @ rho + rho @ u_dag)
+
+    return per_lambda(lam, values_at)
+
+
 def generating_function(model: LindbladModel, state: QuantumState, observable,
                         lam, delta_t: float):
     """Moment generating function tr({exp(L^dag dt) e^{ilX}, e^{-ilX}} rho)/2.
@@ -210,13 +236,7 @@ def generating_function(model: LindbladModel, state: QuantumState, observable,
     phase operators.
     """
     obs = _coerce_observable(observable)
-    lams = np.asarray(lam, dtype=float)
-    u = obs.phase_operator(lams.reshape(-1))
-    evolved = heisenberg_propagator(model, float(delta_t))(u)
-    # tr({E, U^dag} rho) = tr(E (U^dag rho + rho U^dag))
-    u_dag = u.conj().swapaxes(-1, -2)
-    values = 0.5 * np.einsum("bij,bji->b", evolved, u_dag @ state.rho + state.rho @ u_dag)
-    return complex(values[0]) if lams.ndim == 0 else values
+    return _phase_generating(heisenberg_propagator(model, float(delta_t)), obs, state, lam)
 
 
 def short_time_moment(flux: FluxMatrix, n: int) -> MomentReport:
@@ -233,38 +253,30 @@ def short_time_moment(flux: FluxMatrix, n: int) -> MomentReport:
 
 
 def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumState,
-                                         observable, generator: str = "dissipator") -> MomentReport:
-    """m_X = tr(G(X^2) rho) - tr({G(X), X} rho) with G the adjoint generator.
+                                         observable) -> MomentReport:
+    """m_X = tr(D^dag(X^2) rho) - tr({D^dag(X), X} rho) with D^dag the adjoint dissipator.
 
-    The Hamiltonian part cancels via {[H, X], X} = [H, X^2], so the adjoint
-    dissipator (default) and adjoint Liouvillian give the same value.
+    The Hamiltonian part of the adjoint Liouvillian cancels via
+    {[H, X], X} = [H, X^2], so it would give the same value.
     """
     x = _observable_matrix(observable, model.dim)
-    if generator == "dissipator":
-        gen = apply_adjoint_dissipator
-    elif generator == "liouvillian":
-        gen = apply_adjoint_liouvillian
-    else:
-        raise ValueError("generator must be 'dissipator' or 'liouvillian'")
     rho = state.rho
-    value = np.trace(gen(model, x @ x) @ rho) - np.trace(anticommutator(gen(model, x), x) @ rho)
+    value = (np.trace(apply_adjoint_dissipator(model, x @ x) @ rho)
+             - np.trace(anticommutator(apply_adjoint_dissipator(model, x), x) @ rho))
     return MomentReport(order=2, value=real_part(value, "fluctuation"), method=OPERATOR_EXPRESSION)
 
 
 def moment_from_generating_function(model: LindbladModel, state: QuantumState, observable,
-                                    n: int, delta_t: float, step: float | None = None) -> MomentReport:
+                                    n: int, delta_t: float) -> MomentReport:
     """Moment of order n from finite differences of the generating function.
 
     All stencil points are evaluated in one generating-function call, so
     they share one propagator application.
     """
     obs = _coerce_observable(observable)
-    if step is None:
-        step = moment_step(obs.max_gap, n)
-    offsets, coeffs = stencil(n)
-    values = generating_function(model, state, obs, [j * step for j in offsets], delta_t)
-    value = (-1j) ** n * (sum(c * g for c, g in zip(coeffs, values)) / step**n)
-    return MomentReport(order=n, value=float(value.real), method=GENERATING_FUNCTION_FD)
+    value = derivative_moment(lambda lams: generating_function(model, state, obs, lams, delta_t),
+                              n, obs.max_gap)
+    return MomentReport(order=n, value=value.real, method=GENERATING_FUNCTION_FD)
 
 
 def escape_rate(flux: FluxMatrix) -> float:

@@ -13,7 +13,7 @@ follows by Cauchy-Schwarz; it is exposed here for direct verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,7 +71,7 @@ def _floored_eigh(rho: np.ndarray,
     means any rank-deficient state.
     """
     p, u = np.linalg.eigh(rho)
-    applied = eigenvalue_floor is not None and p[0] < eigenvalue_floor
+    applied = eigenvalue_floor is not None and bool(p[0] < eigenvalue_floor)
     if applied:
         eps = float(eigenvalue_floor)
         p = (1.0 - len(p) * eps) * p + eps
@@ -84,6 +84,17 @@ def _floored_eigh(rho: np.ndarray,
     return p, u, applied
 
 
+def _floored(state: QuantumState, eigenvalue_floor: float):
+    """``(p, U, floored state, applied)`` from one ``eigh`` of rho; the floored
+    state is ``state`` itself unless the floor applied."""
+    p, u, applied = _floored_eigh(state.rho, eigenvalue_floor)
+    if applied:
+        d = state.dim
+        eps = float(eigenvalue_floor)
+        state = QuantumState((1.0 - d * eps) * state.rho + eps * np.eye(d))
+    return p, u, state, applied
+
+
 def floored_state(state: QuantumState, eigenvalue_floor: float) -> tuple[QuantumState, bool]:
     """Mix rho with the maximally mixed state when rank deficient.
 
@@ -91,12 +102,21 @@ def floored_state(state: QuantumState, eigenvalue_floor: float) -> tuple[Quantum
     already at or above the floor; otherwise returns
     ``((1 - d*eps) rho + eps I, True)`` with ``eps`` the floor.
     """
-    _, _, applied = _floored_eigh(state.rho, eigenvalue_floor)
-    if not applied:
-        return state, False
-    d = state.dim
-    eps = float(eigenvalue_floor)
-    return QuantumState((1.0 - d * eps) * state.rho + eps * np.eye(d)), True
+    _, _, floored, applied = _floored(state, eigenvalue_floor)
+    return floored, applied
+
+
+def _spohn_rate(model: LindbladModel, p: np.ndarray, u: np.ndarray) -> float:
+    """sigma = sum_k sum_ij |<i|L_k|j>|^2 p_j (s_k + ln p_j - ln p_i) for
+    rho = U diag(p) U^dag; see :func:`entropy_production_rate`."""
+    log_p = np.log(p)
+    # entry (i, j): p_j (ln p_j - ln p_i), the weight of a jump |j> -> |i>
+    entropy_change = p * (log_p - log_p[:, None])
+    sigma = 0.0
+    for op, s in zip(model.jump_operators, model.entropy_currents):
+        weights = np.abs(dagger(u) @ op @ u) ** 2
+        sigma += float(np.sum(weights * entropy_change)) + s * float(weights.sum(axis=0) @ p)
+    return sigma
 
 
 def entropy_production_rate(model: LindbladModel, state: QuantumState,
@@ -118,14 +138,7 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
     Hamiltonian term tr([H, rho] ln rho) vanishes identically.
     """
     p, u, _ = _floored_eigh(state.rho, eigenvalue_floor)
-    log_p = np.log(p)
-    # entry (i, j): p_j (ln p_j - ln p_i), the weight of a jump |j> -> |i>
-    entropy_change = p * (log_p - log_p[:, None])
-    sigma = 0.0
-    for op, s in zip(model.jump_operators, model.entropy_currents):
-        weights = np.abs(dagger(u) @ op @ u) ** 2
-        sigma += float(np.sum(weights * entropy_change)) + s * float(weights.sum(axis=0) @ p)
-    return sigma
+    return _spohn_rate(model, p, u)
 
 
 def quantum_diffusivity(model: LindbladModel, state: QuantumState, observable) -> float:
@@ -174,14 +187,15 @@ def tur_check(model: LindbladModel, state: QuantumState, observable,
     """Evaluate the uncertainty relation for one (model, state, observable).
 
     All quantities are evaluated on the same (floored, if necessary) state
-    so the inequality applies to the instance exactly. The fluctuation is
-    computed from the flux sum; the diffusivity from its own operator
-    expression, making the reported D_X = m_X / 2 identity a live check.
+    so the inequality applies to the instance exactly; rho is decomposed
+    once, for the floor decision and the entropy production rate. The
+    fluctuation is computed from the flux sum; the diffusivity from its own
+    operator expression, making the reported D_X = m_X / 2 identity a live
+    check.
     """
     obs = _coerce_observable(observable)
-    use, applied = floored_state(state, eigenvalue_floor)
-    # the floored state is strictly positive, so no further flooring happens
-    epr = entropy_production_rate(model, use, eigenvalue_floor=None)
+    p, u, use, applied = _floored(state, eigenvalue_floor)
+    epr = _spohn_rate(model, p, u)
     j_d = currents(model, use, obs).dissipative_part
     m_x = short_time_moment(flux_matrix(model, use, obs), 2).value
     d_x = quantum_diffusivity(model, use, obs)
@@ -207,15 +221,7 @@ def tur_check(model: LindbladModel, state: QuantumState, observable,
 def tur_report_dict(report: TURReport, model: LindbladModel, observable) -> dict:
     """JSON-ready report with model and observable hashes."""
     return {
-        "epr": report.epr,
-        "current": report.current,
-        "fluctuation": report.fluctuation,
-        "bound": report.bound,
-        "slack": report.slack,
-        "diffusivity": report.diffusivity,
-        "diffusivity_bound": report.diffusivity_bound,
-        "eigenvalue_floor": report.eigenvalue_floor,
-        "floor_applied": report.floor_applied,
+        **asdict(report),
         "model_hash": model_hash(model),
         "observable_hash": operator_hash(_observable_matrix(observable, model.dim)),
     }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
@@ -55,6 +56,18 @@ def real_part(value, what: str):
     return real
 
 
+def per_lambda(lam, values_at):
+    """The convention of every generating function in counting field ``lam``.
+
+    ``values_at`` maps a 1-D float array of ``lam`` to one complex value per
+    entry. A scalar ``lam`` gives a ``complex``, a 1-D array a complex array,
+    both from one call.
+    """
+    lams = np.asarray(lam, dtype=float)
+    values = values_at(lams.reshape(-1))
+    return complex(values[0]) if lams.ndim == 0 else values
+
+
 def group_sums(a: np.ndarray, members) -> np.ndarray:
     """out[i, j] = sum of a[p, q] over p in members[i] and q in members[j]."""
     onehot = np.zeros((len(members), a.shape[0]))
@@ -97,3 +110,15 @@ def matrix_from_json(data) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def write_json(path, data) -> None:
+    """Write ``data`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)

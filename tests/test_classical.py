@@ -192,10 +192,12 @@ class TestQuantization:
             builds.append(args)
             return original(*args, **kwargs)
 
+        expm_calls = []
         lindblad_expm_calls = []
         dense_expm = scipy.linalg.expm
 
         def watched_expm(*args, **kwargs):
+            expm_calls.append(args)
             frame = sys._getframe(1)
             while frame is not None:
                 if frame.f_globals.get("__name__") == "quasitur.lindblad":
@@ -213,6 +215,8 @@ class TestQuantization:
         assert report.max_residual <= 1e-9
         assert len(builds) == 2 * len(delta_ts)
         assert lindblad_expm_calls == []
+        # the classical side: one exp(R dt) for the table and one for the lambda grid, per lag
+        assert len(expm_calls) == 2 * len(delta_ts)
 
 
 class TestClassicalModelFiles:

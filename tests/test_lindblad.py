@@ -16,6 +16,7 @@ from quasitur.lindblad import (
     JumpPair,
     LindbladModel,
     QuantumState,
+    apply_adjoint_dissipator,
     apply_adjoint_liouvillian,
     apply_dissipator,
     apply_liouvillian,
@@ -151,6 +152,24 @@ class TestGeneratorApplication:
             rhs = hs_inner_product(apply_adjoint_liouvillian(model, a), state.rho)
             scale = np.linalg.norm(a) * np.linalg.norm(state.rho)
             assert abs(lhs - rhs) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("apply", [apply_dissipator, apply_adjoint_dissipator,
+                                       apply_liouvillian, apply_adjoint_liouvillian])
+    def test_stack_matches_one_at_a_time(self, apply):
+        rng = np.random.default_rng(8)
+        model = random_model(rng, 5, 2)
+        stack = np.array([random_hermitian(rng, 5) + 1j * random_hermitian(rng, 5) for _ in range(3)])
+        together = apply(model, stack)
+        assert together.shape == stack.shape
+        for a, out in zip(stack, together):
+            single = apply(model, a)
+            assert np.linalg.norm(out - single) <= 1e-14 * np.linalg.norm(single)
+        state = random_state(rng, 5)
+        np.testing.assert_array_equal(apply(model, state), apply(model, state.rho))
+        with pytest.raises(DimMismatchError):
+            apply(model, np.zeros((3, 4, 4), dtype=complex))
+        with pytest.raises(DimMismatchError):
+            apply(model, random_state(rng, 4))
 
 
 class TestPropagation:

@@ -12,7 +12,7 @@ from quasitur.ensembles import (
     random_unitary,
 )
 from quasitur.errors import ImaginaryResidueError, QuasiturError, TracePreservationError
-from quasitur.lindblad import JumpPair, LindbladModel, QuantumState, propagate
+from quasitur.lindblad import JumpPair, LindbladModel, QuantumState, apply_adjoint_liouvillian, propagate
 from quasitur.quasiprob import (
     GENERATING_FUNCTION_FD,
     FluxMatrix,
@@ -320,8 +320,11 @@ class TestMoments:
             obs = ObservableDecomposition.from_operator(x)
             m_flux = short_time_moment(flux_matrix(model, state, obs), 2).value
             m_op = short_time_fluctuation_operator_form(model, state, obs).value
-            m_liou = short_time_fluctuation_operator_form(model, state, obs,
-                                                          generator="liouvillian").value
+            # the same form with the adjoint Liouvillian; its Hamiltonian part cancels
+            x = obs.observable
+            gen_x = apply_adjoint_liouvillian(model, x)
+            m_liou = np.trace((apply_adjoint_liouvillian(model, x @ x) - gen_x @ x - x @ gen_x)
+                              @ state.rho).real
             assert abs(m_op - m_flux) <= 1e-10 * max(abs(m_flux), 1.0)
             assert abs(m_liou - m_op) <= 1e-10 * max(abs(m_op), 1.0)
 

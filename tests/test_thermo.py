@@ -19,6 +19,7 @@ from quasitur.lindblad import (
     propagate,
 )
 from quasitur.operators import kubo_integral
+from quasitur.quasiprob import ObservableDecomposition
 from quasitur.thermo import (
     currents,
     entropy_production_rate,
@@ -212,6 +213,34 @@ class TestEntropyProductionOracles:
         shapes = self._count_decompositions(monkeypatch)
         geometric_representation(model, state)
         assert shapes.count((4, 4)) == 1
+
+    def test_tur_check_decomposes_rho_once(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        model = random_model(rng, 5, 2)
+        full_rank = random_state(rng, 5)
+        rank_deficient = _rank_deficient_state(rng, 5, 2)
+        x = random_hermitian(rng, 5)
+        obs = ObservableDecomposition.from_operator(x)
+        shapes = self._count_decompositions(monkeypatch)
+        assert not tur_check(model, full_rank, obs).floor_applied
+        assert shapes == [(5, 5)]
+        # a raw matrix adds the observable's own decomposition
+        shapes.clear()
+        tur_check(model, full_rank, x)
+        assert shapes == [(5, 5), (5, 5)]
+        # a floored state is still validated as a QuantumState, one eigvalsh
+        shapes.clear()
+        assert tur_check(model, rank_deficient, obs).floor_applied
+        assert shapes == [(5, 5), (5, 5)]
+
+    def test_tur_check_epr_matches_entropy_production_rate(self):
+        # full-rank and floored states: both take sigma from the same floored spectrum
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            model, state, x = random_instance(rng)
+            rank_deficient = _rank_deficient_state(rng, model.dim, 1)
+            for rho in (state, rank_deficient):
+                assert tur_check(model, rho, x).epr == entropy_production_rate(model, rho)
 
 
 class TestDiffusivity:
