@@ -71,17 +71,19 @@ def classical_generating_function(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     """< exp(R^T dt)(e^{ilf}) e^{-ilf} >_p with entrywise exponential/product.
 
     A scalar ``lam`` gives a complex number. A 1-D array of ``lam`` gives a
-    complex array, all of it from one propagator.
+    complex array, all of it from one propagator. Phases are of f minus its
+    midpoint, which cancels and keeps them bounded at complex ``lam``.
     """
     r = validate_rate_matrix(r)
     p = validate_probability(p)
     f = np.asarray(f, dtype=float).reshape(-1)
+    centered = f - 0.5 * (f.max() + f.min())
     # row b of phases @ exp(R dt) is exp(R^T dt) applied to e^{i lam_b f}
     prop = scipy.linalg.expm(r * float(delta_t))
 
     def values_at(lams):
-        phases = np.exp(1j * np.outer(lams, f))
-        return ((phases @ prop) * phases.conj()) @ p
+        return ((np.exp(1j * np.outer(lams, centered)) @ prop)
+                * np.exp(-1j * np.outer(lams, centered))) @ p
 
     return per_lambda(lam, values_at)
 

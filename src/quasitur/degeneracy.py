@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BasisMismatchError, InsufficientPointsError
-from .lindblad import JumpPair, LindbladModel, QuantumState, apply_dissipator, resolved_fluxes
+from .lindblad import JumpPair, LindbladModel, QuantumState, resolved_fluxes
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, entropy_production_rate, tur_bound
 from .util import change_moment, dagger, float_repr, group_sums
 
@@ -434,8 +434,8 @@ def _sweep_point(params: CollectiveModelParams, state_kind: str,
     basis = collective_basis(params)
     fluxes = integrated_fluxes(model, state, basis)
     m_x = fluxes.second_moment()
-    ham = model.hamiltonian
-    j_d = float(np.trace(ham @ apply_dissipator(model, state.rho)).real)
+    # X = H has no Hamiltonian current, so J_d = tr(L^dag(H) rho), the first moment
+    j_d = change_moment(fluxes.group_values, fluxes.group_values, fluxes.values, 1)
     epr = entropy_production_rate(model, state, epr_floor)
     return m_x, fluxes.escape_rate, fluxes.min_flux, j_d, epr, tur_bound(j_d, m_x)
 
@@ -540,17 +540,10 @@ def sweep_to_csv(report: ScalingSweepReport, path) -> None:
     """Plot-ready CSV: one row per N."""
     with open(path, "w") as fh:
         fh.write("N,m_X,escape_rate,min_T,J_d,epr,bound\n")
-        for i, n in enumerate(report.n_values):
-            row = [
-                str(n),
-                float_repr(report.m_x[i]),
-                float_repr(report.escape_rates[i]),
-                float_repr(report.min_integrated_flux[i]),
-                float_repr(report.currents[i]),
-                float_repr(report.eprs[i]),
-                float_repr(report.bounds[i]),
-            ]
-            fh.write(",".join(row) + "\n")
+        for n, *values in zip(report.n_values, report.m_x, report.escape_rates,
+                              report.min_integrated_flux, report.currents, report.eprs,
+                              report.bounds):
+            fh.write(",".join([str(n)] + [float_repr(v) for v in values]) + "\n")
 
 
 def sweep_summary(report: ScalingSweepReport, conditions: QConditionReport | None = None) -> dict:

@@ -22,7 +22,7 @@ def random_observable(rng: np.random.Generator, dim: int, spread: float = 1.0) -
     """Random Hermitian observable rescaled to spectral radius ``spread``.
 
     Keeping the spectrum in [-spread, spread] bounds the frequencies of
-    exp(i l X), which keeps finite-difference moment extraction accurate.
+    exp(i l X), and with them the contour radius of moment extraction.
     """
     x = random_hermitian(rng, dim)
     radius = float(np.max(np.abs(np.linalg.eigvalsh(x))))

@@ -175,8 +175,8 @@ def compare_rates(model: LindbladModel, state: QuantumState, observable,
 
     Raises ``CommutationViolatedError`` when no jump weights exist. The
     residual is the worst absolute deviation of (tmh - fcs) from the
-    prediction over the grid; even-moment agreement is probed by finite
-    differences at orders 2 and 4.
+    prediction over the grid; even-moment agreement is probed at orders 2
+    and 4 by :func:`quasitur.numdiff.derivative_moment`.
     """
     obs = _coerce_observable(observable)
     spec = commutation_check(model, obs, commutation_tol).spec()

@@ -357,7 +357,8 @@ def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
     def apply(a):
         ops = _operands(a, d)
         stack = ops.reshape(-1, d, d)
-        out = evolve(stack) if t > 0.0 and len(stack) else stack.copy()
+        # below the smallest normal lag, t L underflows and exp(t L) is the identity
+        out = evolve(stack) if t >= np.finfo(float).tiny and len(stack) else stack.copy()
         return out.reshape(ops.shape)
 
     return apply

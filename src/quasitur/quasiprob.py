@@ -89,10 +89,12 @@ class ObservableDecomposition:
         return self.spectrum.projectors
 
     def phase_operator(self, lam) -> np.ndarray:
-        """exp(i lam X) from the stored eigenbasis; a stack of them, one per
-        entry, for an array of ``lam``."""
-        vecs = self.spectrum.eigenvectors
-        phases = np.exp(1j * np.multiply.outer(lam, self.spectrum.eigenvalues))
+        """exp(i lam (X - c)) from the stored eigenbasis, one per entry of an
+        array of (possibly complex) ``lam``. The shift by c, the midpoint of
+        X's spectrum, cancels from every generating function and bounds
+        |exp(+-i lam (x - c))| by exp(|lam| gap / 2) whatever offset X has."""
+        vecs, vals = self.spectrum.eigenvectors, self.spectrum.eigenvalues
+        phases = np.exp(1j * np.multiply.outer(lam, vals - 0.5 * (vals.max() + vals.min())))
         return (vecs * phases[..., None, :]) @ dagger(vecs)
 
     @property
@@ -219,10 +221,10 @@ def _phase_generating(heisenberg, obs: ObservableDecomposition, state: QuantumSt
     rho = state.rho
 
     def values_at(lams):
-        u = obs.phase_operator(lams)
-        # tr({E, U^dag} rho) = tr(E (U^dag rho + rho U^dag))
-        u_dag = u.conj().swapaxes(-1, -2)
-        return 0.5 * np.einsum("bij,bji->b", heisenberg(u), u_dag @ rho + rho @ u_dag)
+        # tr({E, V} rho) = tr(E (V rho + rho V)) with V the phase at -lam
+        v = obs.phase_operator(-lams)
+        return 0.5 * np.einsum("bij,bji->b", heisenberg(obs.phase_operator(lams)),
+                               v @ rho + rho @ v)
 
     return per_lambda(lam, values_at)
 
@@ -268,9 +270,10 @@ def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumSta
 
 def moment_from_generating_function(model: LindbladModel, state: QuantumState, observable,
                                     n: int, delta_t: float) -> MomentReport:
-    """Moment of order n from finite differences of the generating function.
+    """Moment of order n from the Taylor coefficients of the generating
+    function on a circle (:func:`quasitur.numdiff.derivative_moment`).
 
-    All stencil points are evaluated in one generating-function call, so
+    All contour nodes are evaluated in one generating-function call, so
     they share one propagator application.
     """
     obs = _coerce_observable(observable)

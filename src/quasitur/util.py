@@ -59,11 +59,11 @@ def real_part(value, what: str):
 def per_lambda(lam, values_at):
     """The convention of every generating function in counting field ``lam``.
 
-    ``values_at`` maps a 1-D float array of ``lam`` to one complex value per
-    entry. A scalar ``lam`` gives a ``complex``, a 1-D array a complex array,
-    both from one call.
+    ``values_at`` maps a 1-D float or complex array of ``lam`` to one complex
+    value per entry. A scalar ``lam`` gives a ``complex``, a 1-D array a
+    complex array, both from one call.
     """
-    lams = np.asarray(lam, dtype=float)
+    lams = np.asarray(lam, dtype=complex if np.iscomplexobj(lam) else float)
     values = values_at(lams.reshape(-1))
     return complex(values[0]) if lams.ndim == 0 else values
 

@@ -83,7 +83,9 @@ def test_criterion_02_diffusivity_identity(tur_ensemble):
     verdict(2, worst <= 1e-10, f"max |2 D_X - m_X| / max(m_X, 1) = {worst:.3e}")
 
 
-def test_criterion_03_moment_route_consistency():
+@pytest.fixture(scope="module")
+def moment_route_gap():
+    """Criterion 3's worst pairwise gap, shared with its precision check."""
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(100):
@@ -96,7 +98,16 @@ def test_criterion_03_moment_route_consistency():
             2, max(obs.max_gap, 1e-6)).real
         worst = max(worst, abs(m_flux - m_operator), abs(m_flux - m_rate_fd),
                     abs(m_operator - m_rate_fd))
+    return worst
+
+
+def test_criterion_03_moment_route_consistency(moment_route_gap):
+    worst = moment_route_gap
     verdict(3, worst <= 1e-6, f"max pairwise moment-route gap {worst:.3e} on 100 instances")
+
+
+def test_criterion_03_gap_is_rounding(moment_route_gap):
+    assert moment_route_gap <= 1e-12
 
 
 def test_criterion_04_table_marginals_and_expansion():
@@ -192,7 +203,9 @@ def test_criterion_07_q_condition_verdicts():
                    f"diagonal m_H exponent {diag_slope:.3f}")
 
 
-def test_criterion_08_counting_statistics_bridge():
+@pytest.fixture(scope="module")
+def counting_bridge():
+    """Criterion 8's worst sine-formula residual and even-moment gap."""
     cases = []
     model = ladder_model()
     cases.append((model, ladder_state(),
@@ -208,12 +221,23 @@ def test_criterion_08_counting_statistics_bridge():
         scale = max(1.0, float(np.max(np.abs(comparison.tmh_rate))))
         worst_residual = max(worst_residual, comparison.residual / scale)
         worst_even = max(worst_even, max(comparison.even_moment_differences))
+    return worst_residual, worst_even
+
+
+def test_criterion_08_counting_statistics_bridge(counting_bridge):
+    worst_residual, worst_even = counting_bridge
     ok = worst_residual <= 1e-8 and worst_even <= 1e-6
     verdict(8, ok, f"sine-formula residual {worst_residual:.3e}, "
                    f"even-moment gap (orders 2 and 4) {worst_even:.3e}")
 
 
-def test_criterion_09_classical_bridge():
+def test_criterion_08_even_moment_gap_is_rounding(counting_bridge):
+    assert counting_bridge[1] <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def classical_bridge():
+    """Criterion 9's worst embedding residual and moment gap."""
     rng = np.random.default_rng(909)
     worst_embed = 0.0
     worst_fd = 0.0
@@ -234,9 +258,18 @@ def test_criterion_09_classical_bridge():
                 order, scale).real
             exact = classical_joint_moment(r, p, f, order, 0.2)
             worst_fd = max(worst_fd, abs(fd - exact))
+    return worst_embed, worst_fd
+
+
+def test_criterion_09_classical_bridge(classical_bridge):
+    worst_embed, worst_fd = classical_bridge
     ok = worst_embed <= 1e-9 and worst_fd <= 1e-6
     verdict(9, ok, f"embedding residual {worst_embed:.3e}, "
                    f"generating-function moment gap {worst_fd:.3e} on 100 chains")
+
+
+def test_criterion_09_moment_gap_is_rounding(classical_bridge):
+    assert classical_bridge[1] <= 1e-12
 
 
 def test_criterion_10_geometric_representation():

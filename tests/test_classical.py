@@ -101,6 +101,20 @@ class TestClassicalGeneratingFunction:
                 exact = classical_joint_moment(r, p, f, n, dt)
                 assert fd == pytest.approx(exact, abs=1e-6)
 
+    def test_moments_ignore_an_offset(self):
+        # dyadic values, so that adding the offset is exact in floating point
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            r = random_reversible_rate_matrix(rng, 4)
+            p = random_probability(rng, 4)
+            f = rng.integers(-8, 9, size=4) / 4
+            scale = max(float(f.max() - f.min()), 1e-6)
+            for n in (1, 2, 3, 4):
+                m, m_shifted = (derivative_moment(
+                    lambda lam: classical_generating_function(r, p, g, lam, 0.2), n, scale).real
+                    for g in (f, f + 1e4))
+                assert abs(m_shifted - m) <= 1e-12 * max(abs(m), 1.0)
+
 
 class TestShortTimeSecondMoment:
     def test_constant_function(self):

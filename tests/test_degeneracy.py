@@ -324,6 +324,19 @@ class TestScalingSweep:
         with pytest.raises(ValueError):
             scaling_sweep(params, [8, 4], "+")
 
+    @pytest.mark.parametrize("state_kind", ["+", "-", "diagonal"])
+    def test_dissipative_current_closed_form(self, state_kind):
+        # with g+ p_g - g- p_e = kappa / N, J_d = omega kappa times N, chi / N or 1
+        omega, kappa = 1.3, 0.6
+        params = CollectiveModelParams(n_levels=4, omega=omega, gamma_plus=0.8,
+                                       gamma_minus=0.4, p_g=0.5)
+        n_list = [15, 16, 256]
+        sweep = scaling_sweep(params, n_list, state_kind, balance_scale=kappa)
+        for n, j_d in zip(n_list, sweep.currents):
+            factor = {"+": n, "-": parity(n) / n, "diagonal": 1.0}[state_kind]
+            expected = omega * kappa * factor
+            assert abs(j_d - expected) <= 1e-11 * max(abs(expected), omega * kappa)
+
     def test_balanced_population_formula(self):
         params = CollectiveModelParams(n_levels=4, omega=1.0, gamma_plus=0.8,
                                        gamma_minus=0.4, p_g=0.5)

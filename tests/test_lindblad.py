@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,15 @@ class TestHeisenbergPropagation:
         model = thermal_qubit()
         x = random_hermitian(np.random.default_rng(12), 2)
         np.testing.assert_allclose(heisenberg_propagator(model, 0.0)(x), x, atol=1e-14)
+
+    def test_subnormal_lag_returns_input(self):
+        rng = np.random.default_rng(14)
+        model, _, _ = random_instance(rng)
+        stack = np.array([random_hermitian(rng, model.dim) for _ in range(3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = heisenberg_propagator(model, 1e-310)(stack)
+        assert np.array_equal(out, stack) and out is not stack
 
     def test_duality(self):
         rng = np.random.default_rng(13)

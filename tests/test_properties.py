@@ -1,7 +1,8 @@
 """Property tests of the counting-field convention shared by every
 generating function: a scalar lambda gives a complex number, a 1-D array
 gives the same values from one evaluation, and those values match the
-closed forms evaluated one lambda at a time."""
+closed forms evaluated one lambda at a time. Complex lambda, which the
+contour moments use, obey the same convention and G(-conj l) = conj G(l)."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, d
 
 seeds = st.integers(0, 2**32 - 1)
 lambda_arrays = st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=8).map(np.array)
+complex_lambda_arrays = st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                                                   allow_infinity=False),
+                                 min_size=1, max_size=8).map(lambda lams: np.array(lams, dtype=complex))
 lags = st.floats(0.0, 1.0)
 
 
@@ -48,16 +52,35 @@ def _generating_functions(seed, delta_t):
     }
 
 
-@PROPERTY_SETTINGS
-@given(seed=seeds, lams=lambda_arrays, delta_t=lags)
-def test_array_matches_scalar_calls(seed, lams, delta_t):
+def _assert_array_matches_scalar_calls(seed, lams, delta_t, scalar_type):
     for name, fn in _generating_functions(seed, delta_t).items():
         values = fn(lams)
         assert isinstance(values, np.ndarray) and values.shape == lams.shape, name
         for lam, value in zip(lams, values):
-            scalar = fn(float(lam))
+            scalar = fn(scalar_type(lam))
             assert type(scalar) is complex, name
             assert abs(scalar - value) <= 1e-14 * max(abs(value), 1.0), name
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, lams=lambda_arrays, delta_t=lags)
+def test_array_matches_scalar_calls(seed, lams, delta_t):
+    _assert_array_matches_scalar_calls(seed, lams, delta_t, float)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, lams=complex_lambda_arrays, delta_t=lags)
+def test_complex_array_matches_scalar_calls(seed, lams, delta_t):
+    _assert_array_matches_scalar_calls(seed, lams, delta_t, complex)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, lams=complex_lambda_arrays, delta_t=lags)
+def test_conjugate_symmetry(seed, lams, delta_t):
+    for name, fn in _generating_functions(seed, delta_t).items():
+        values = fn(lams)
+        mirrored = fn(-lams.conj())
+        assert np.all(np.abs(mirrored - values.conj()) <= 1e-14 * np.maximum(np.abs(values), 1.0)), name
 
 
 def _loop_references(seed, delta_t):

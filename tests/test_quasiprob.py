@@ -283,6 +283,20 @@ class TestGeneratingFunction:
                 fd = moment_from_generating_function(model, state, obs, n, dt).value
                 assert fd == pytest.approx(table.moment(n), abs=1e-6)
 
+    def test_moments_ignore_an_offset(self):
+        # dyadic eigenvalues, so that adding the offset is exact in floating point
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            model, state, _ = random_instance(rng)
+            vecs = random_unitary(rng, model.dim)
+            vals = rng.integers(-8, 9, size=model.dim) / 4
+            obs = ObservableDecomposition.from_eigenbasis(vals, vecs)
+            shifted = ObservableDecomposition.from_eigenbasis(vals + 1e4, vecs)
+            for n in (1, 2, 3, 4):
+                m = moment_from_generating_function(model, state, obs, n, 0.15).value
+                m_shifted = moment_from_generating_function(model, state, shifted, n, 0.15).value
+                assert abs(m_shifted - m) <= 1e-12 * max(abs(m), 1.0)
+
 
 class TestMoments:
     def test_constant_observable(self):
