@@ -13,7 +13,6 @@ from .classical import (
 from .degeneracy import (
     ClosedFormFluxes,
     CollectiveModelParams,
-    DegenerateBasis,
     IntegratedFluxMatrix,
     ScalingSweepReport,
     build_collective_model,
@@ -71,16 +70,14 @@ from .lindblad import (
     validate_local_detailed_balance,
 )
 from .operators import (
-    SpectralDecomposition,
+    ObservableDecomposition,
     hs_inner_product,
     kubo_integral,
     matrix_log_psd,
-    spectral_decompose,
 )
 from .quasiprob import (
     FluxMatrix,
     MomentReport,
-    ObservableDecomposition,
     QuasiprobTable,
     escape_rate,
     flux_matrix,

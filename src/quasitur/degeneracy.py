@@ -17,83 +17,12 @@ import numpy as np
 
 from .errors import BasisMismatchError, InsufficientPointsError
 from .lindblad import JumpPair, LindbladModel, QuantumState, resolved_fluxes
+from .operators import ObservableDecomposition
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, entropy_production_rate, tur_bound
 from .util import change_moment, dagger, float_repr, group_sums
 
 #: floor used when taking logs of series that may contain exact zeros
 LOG_CLIP = 1e-30
-
-
-@dataclass(frozen=True)
-class DegenerateBasis:
-    """Eigenvalue groups (x_s, orthonormal vectors spanning the eigenspace)."""
-
-    groups: tuple
-
-    def __post_init__(self):
-        norm_groups = []
-        for value, vectors in self.groups:
-            vecs = np.asarray(vectors, dtype=complex)
-            if vecs.ndim != 2:
-                raise BasisMismatchError("group vectors must be a (dim, n_s) array")
-            norm_groups.append((float(value), vecs))
-        object.__setattr__(self, "groups", tuple(norm_groups))
-        full = self.vectors
-        d = full.shape[0]
-        if full.shape[1] != d:
-            raise BasisMismatchError(
-                f"basis has {full.shape[1]} vectors for dimension {d}; must be complete"
-            )
-        if np.linalg.norm(dagger(full) @ full - np.eye(d)) > 1e-9:
-            raise BasisMismatchError("basis vectors are not orthonormal")
-
-    @property
-    def dim(self) -> int:
-        return self.groups[0][1].shape[0]
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    @property
-    def group_values(self) -> np.ndarray:
-        return np.array([value for value, _ in self.groups])
-
-    @property
-    def group_sizes(self) -> tuple:
-        return tuple(vecs.shape[1] for _, vecs in self.groups)
-
-    @property
-    def vectors(self) -> np.ndarray:
-        """All vectors as columns, group by group."""
-        return np.hstack([vecs for _, vecs in self.groups])
-
-    @property
-    def group_index(self) -> np.ndarray:
-        """Group label per basis column."""
-        return np.repeat(np.arange(self.n_groups), self.group_sizes)
-
-    def observable(self) -> np.ndarray:
-        """The operator sum_s x_s sum_j |s,j><s,j| this basis diagonalizes."""
-        v = self.vectors
-        vals = np.repeat(self.group_values, self.group_sizes)
-        return (v * vals) @ dagger(v)
-
-    def validate_against(self, x: np.ndarray, tol: float = 1e-9) -> None:
-        """Check X|s,j> = x_s|s,j> for every group vector."""
-        for value, vecs in self.groups:
-            residual = float(np.linalg.norm(x @ vecs - value * vecs))
-            if residual > tol * max(float(np.linalg.norm(x)), 1.0):
-                raise BasisMismatchError(
-                    f"vectors of group {value!r} fail the eigenvalue relation ({residual:.3e})"
-                )
-
-    def rotated(self, unitaries) -> "DegenerateBasis":
-        """Apply a unitary rotation inside each degenerate group."""
-        new = []
-        for (value, vecs), u in zip(self.groups, unitaries):
-            new.append((value, vecs @ np.asarray(u, dtype=complex)))
-        return DegenerateBasis(groups=tuple(new))
 
 
 @dataclass(frozen=True)
@@ -122,7 +51,7 @@ class IntegratedFluxMatrix:
 
 
 def integrated_fluxes(model: LindbladModel, state: QuantumState,
-                      basis: DegenerateBasis) -> IntegratedFluxMatrix:
+                      basis: ObservableDecomposition) -> IntegratedFluxMatrix:
     """Basis-resolved fluxes T_{s'j',sj} summed into group fluxes.
 
     Each flux is tr({L^dag P_{s'j'}, P_{sj}} rho) / 2 with rank-one
@@ -132,12 +61,11 @@ def integrated_fluxes(model: LindbladModel, state: QuantumState,
     """
     if basis.dim != model.dim:
         raise BasisMismatchError("basis dimension differs from model")
-    resolved = resolved_fluxes(model, state, basis.vectors)
+    resolved = resolved_fluxes(model, state, basis.eigenvectors)
     self_terms = np.diag(resolved)
-    members = [np.flatnonzero(basis.group_index == s) for s in range(basis.n_groups)]
-    values = group_sums(resolved - np.diag(self_terms), members)
+    values = group_sums(resolved - np.diag(self_terms), basis.class_members)
     return IntegratedFluxMatrix(
-        group_values=basis.group_values,
+        group_values=basis.class_values,
         values=values,
         escape_rate=-float(self_terms.sum()),
         resolved=resolved,
@@ -163,7 +91,7 @@ class ClassicalityReport:
         return int(self.jump_counts.max()) if self.jump_counts.size else 0
 
 
-def classify_basis_classicality(model: LindbladModel, basis: DegenerateBasis,
+def classify_basis_classicality(model: LindbladModel, basis: ObservableDecomposition,
                                 magnitude_bound: float, count_bound: int,
                                 zero_tol: float = 1e-12) -> ClassicalityReport:
     """Classify a basis as classical if every transition is touched by at
@@ -171,7 +99,7 @@ def classify_basis_classicality(model: LindbladModel, basis: DegenerateBasis,
     ``magnitude_bound`` in magnitude."""
     if basis.dim != model.dim:
         raise BasisMismatchError("basis dimension differs from model")
-    v = basis.vectors
+    v = basis.eigenvectors
     n = v.shape[1]
     max_mag = np.zeros((n, n))
     counts = np.zeros((n, n), dtype=int)
@@ -189,9 +117,9 @@ def classify_basis_classicality(model: LindbladModel, basis: DegenerateBasis,
     )
 
 
-def l1_coherence(state: QuantumState, basis: DegenerateBasis) -> float:
+def l1_coherence(state: QuantumState, basis: ObservableDecomposition) -> float:
     """Sum of absolute off-diagonal elements of rho in the given basis."""
-    v = basis.vectors
+    v = basis.eigenvectors
     mat = dagger(v) @ state.rho @ v
     return float(np.sum(np.abs(mat)) - np.sum(np.abs(np.diag(mat))))
 
@@ -251,15 +179,11 @@ def build_collective_model(params: CollectiveModelParams) -> LindbladModel:
     return LindbladModel(hamiltonian=ham, jump_pairs=(pair,))
 
 
-def collective_basis(params: CollectiveModelParams) -> DegenerateBasis:
+def collective_basis(params: CollectiveModelParams) -> ObservableDecomposition:
     """The product basis {|g,j>, |e,j>} with exact groups."""
     n = params.n_levels
-    d = params.dim
-    eye = np.eye(d, dtype=complex)
-    return DegenerateBasis(groups=(
-        (0.0, eye[:, :n]),
-        (params.omega, eye[:, n:]),
-    ))
+    eye = np.eye(params.dim, dtype=complex)
+    return ObservableDecomposition.from_groups(((0.0, eye[:, :n]), (params.omega, eye[:, n:])))
 
 
 def _band_vector(params: CollectiveModelParams, band: int, sign: str) -> np.ndarray:
@@ -291,7 +215,7 @@ def build_diagonal_state(params: CollectiveModelParams) -> QuantumState:
     return QuantumState(np.diag(diag.astype(complex)))
 
 
-def superposition_basis(params: CollectiveModelParams, sign: str) -> DegenerateBasis:
+def superposition_basis(params: CollectiveModelParams, sign: str) -> ObservableDecomposition:
     """A degenerate basis whose first vector per band is |s,+> (or |s,->).
 
     The remaining vectors complete each band orthonormally. Collective jump
@@ -310,7 +234,7 @@ def superposition_basis(params: CollectiveModelParams, sign: str) -> DegenerateB
         block = np.zeros((params.dim, n), dtype=complex)
         block[band * n:(band + 1) * n, :] = q
         groups.append((value, block))
-    return DegenerateBasis(groups=tuple(groups))
+    return ObservableDecomposition.from_groups(groups)
 
 
 @dataclass(frozen=True)

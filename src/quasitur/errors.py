@@ -29,8 +29,9 @@ class SingularStateError(QuasiturError):
     """A state is rank deficient where full rank is required."""
 
 
-class BasisMismatchError(QuasiturError):
-    """A supplied eigenbasis is inconsistent with the observable."""
+class BasisMismatchError(QuasiturError, ValueError):
+    """A supplied eigenbasis is incomplete, not orthonormal, or inconsistent
+    with the observable."""
 
 
 class InsufficientPointsError(QuasiturError):

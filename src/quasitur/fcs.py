@@ -159,8 +159,8 @@ def predicted_rate_difference(model: LindbladModel, state: QuantumState, observa
     when H or rho commutes with X.
     """
     obs = _coerce_observable(observable)
-    vecs = obs.spectrum.eigenvectors
-    vals = obs.spectrum.eigenvalues
+    vecs = obs.eigenvectors
+    vals = obs.eigenvalues
     h_eig = dagger(vecs) @ model.hamiltonian @ vecs
     rho_eig = dagger(vecs) @ state.rho @ vecs
     weight = h_eig.T * rho_eig  # entry (x, y): H_yx rho_xy

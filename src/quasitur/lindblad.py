@@ -40,6 +40,9 @@ from .util import (
 #: tolerances of the opt-in ``method="ivp"`` Runge-Kutta cross-check
 IVP_RTOL = 1e-10
 IVP_ATOL = 1e-12
+#: below this bound on ||t L||_1, ||exp(t L) X - X|| < 1e-292 ||X||: the
+#: propagator returns X, and expm_multiply never sees subnormal entries
+NEGLIGIBLE_GENERATOR_NORM = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -266,10 +269,12 @@ class _Generator(LinearOperator):
     them with batched matrix products. The adjoint swaps the roles
     (G -> G^dag, outer <-> inner), which ``onenormest`` inside
     ``expm_multiply`` needs. ``trace`` is the exact trace of the
-    d^2 x d^2 matrix, so ``expm_multiply`` does not estimate it.
+    d^2 x d^2 matrix, so ``expm_multiply`` does not estimate it;
+    ``norm_bound`` bounds its 1-norm and that of its adjoint.
     """
 
-    def __init__(self, g: np.ndarray, outer: np.ndarray, inner: np.ndarray, trace: float):
+    def __init__(self, g: np.ndarray, outer: np.ndarray, inner: np.ndarray, trace: float,
+                 norm_bound: float):
         d = g.shape[0]
         super().__init__(complex, (d * d, d * d))
         self.g = g
@@ -277,6 +282,7 @@ class _Generator(LinearOperator):
         self.outer = outer
         self.inner = inner
         self.trace = trace
+        self.norm_bound = norm_bound
 
     def _matmat(self, x):
         d = self.g.shape[0]
@@ -285,7 +291,7 @@ class _Generator(LinearOperator):
         return out.reshape(len(ops), d * d).T
 
     def _adjoint(self):
-        return _Generator(self.g_dag, self.inner, self.outer, self.trace)
+        return _Generator(self.g_dag, self.inner, self.outer, self.trace, self.norm_bound)
 
 
 def _generator(model: LindbladModel, t: float, heisenberg: bool) -> _Generator:
@@ -294,7 +300,9 @@ def _generator(model: LindbladModel, t: float, heisenberg: bool) -> _Generator:
     With G = i t H - K / 2 and K = t sum_k L_k^dag L_k, the adjoint generator
     is A -> G A + A G^dag + t sum_k L_k^dag A L_k; the forward generator is
     its Hilbert-Schmidt adjoint. The trace of either d^2 x d^2 matrix is
-    t sum_k |tr L_k|^2 - d tr K.
+    t sum_k |tr L_k|^2 - d tr K. Since vec(A X B) = (A kron B^T) vec(X) and
+    ||A kron B||_1 = ||A||_1 ||B||_1, the 1-norm of either is at most
+    2 n(G) + t sum_k n(L_k)^2, with n the larger of the 1- and inf-norms.
     """
     d = model.dim
     jumps = np.array(model.jump_operators, dtype=complex).reshape(-1, d, d) * np.sqrt(t)
@@ -302,7 +310,9 @@ def _generator(model: LindbladModel, t: float, heisenberg: bool) -> _Generator:
     k = np.sum(jumps_dag @ jumps, axis=0)
     g = 1j * t * model.hamiltonian - 0.5 * k
     trace = float(np.sum(np.abs(np.trace(jumps, axis1=1, axis2=2)) ** 2) - d * np.trace(k).real)
-    gen = _Generator(g, jumps_dag, jumps, trace)
+    mags = np.abs(np.concatenate([g[None], jumps]))
+    norms = np.maximum(mags.sum(axis=1).max(axis=1), mags.sum(axis=2).max(axis=1))
+    gen = _Generator(g, jumps_dag, jumps, trace, float(2 * norms[0] + np.sum(norms[1:] ** 2)))
     return gen if heisenberg else gen.H
 
 
@@ -336,8 +346,8 @@ def _operands(a, d: int) -> np.ndarray:
 def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
     """Callable applying exp(L^dag t) or exp(L t) to an operator or a stack."""
     d = model.dim
+    gen = _generator(model, t, heisenberg)
     if method in ("auto", "expm"):
-        gen = _generator(model, t, heisenberg)
 
         def evolve(stack):
             with _pinned_legacy_rng():
@@ -357,8 +367,8 @@ def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
     def apply(a):
         ops = _operands(a, d)
         stack = ops.reshape(-1, d, d)
-        # below the smallest normal lag, t L underflows and exp(t L) is the identity
-        out = evolve(stack) if t >= np.finfo(float).tiny and len(stack) else stack.copy()
+        negligible = gen.norm_bound < NEGLIGIBLE_GENERATOR_NORM
+        out = stack.copy() if negligible or not len(stack) else evolve(stack)
         return out.reshape(ops.shape)
 
     return apply

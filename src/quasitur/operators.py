@@ -1,6 +1,6 @@
 """Dense Hermitian operator primitives.
 
-Spectral decompositions with degeneracy merging, matrix logarithms of
+Observable eigendecompositions with degeneracy classes, matrix logarithms of
 positive operators, Hilbert-Schmidt inner products, and the logarithmic-mean
 integral super-operator S_G(A) = int_0^1 G^s A G^(1-s) ds that underlies the
 entropy-production geometry.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, NotHermitianError, SingularOperatorError
+from .errors import BasisMismatchError, DimMismatchError, NotHermitianError, SingularOperatorError
 from .util import as_operator, dagger
 
 HERMITICITY_RTOL = 1e-10
@@ -48,25 +48,93 @@ def hs_inner_product(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator with degeneracy classes.
+class ObservableDecomposition:
+    """Observable with its eigenbasis grouped into eigenvalue classes.
 
-    Eigenvalues within the merging tolerance are grouped into a single
-    class with a combined projector; ``class_values`` holds one
-    representative value per class, ascending.
+    Eigenvalues within the merging tolerance share a class with a combined
+    projector; ``class_values`` holds one representative value per class.
 
     Attributes
     ----------
-    eigenvalues : (d,) float array, ascending
+    observable : (d, d) complex array
+    eigenvalues : (d,) float array, one per eigenvector column
     eigenvectors : (d, d) complex array, orthonormal columns
     class_values : (m,) float array
     class_members : tuple of index arrays into the eigenvector columns
     """
 
+    observable: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     class_values: np.ndarray
     class_members: tuple
+
+    @classmethod
+    def from_operator(cls, x, degeneracy_tol: float | None = None) -> "ObservableDecomposition":
+        """Diagonalize a Hermitian operator, merging near-degenerate eigenvalues.
+
+        ``degeneracy_tol`` is the absolute gap below which neighbouring
+        (ascending) eigenvalues share a class; it defaults to
+        ``1e-9 * max(||x||, 1)``. Raises ``NotHermitianError`` if ``x`` fails
+        the Hermiticity check.
+        """
+        mat = require_hermitian(x)
+        if degeneracy_tol is None:
+            degeneracy_tol = 1e-9 * max(float(np.linalg.norm(mat)), 1.0)
+        eigenvalues, eigenvectors = np.linalg.eigh(mat)
+        members: list[np.ndarray] = []
+        start = 0
+        for i in range(1, len(eigenvalues) + 1):
+            if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > degeneracy_tol:
+                members.append(np.arange(start, i))
+                start = i
+        return cls(observable=mat, eigenvalues=eigenvalues, eigenvectors=eigenvectors,
+                   class_values=np.array([float(np.mean(eigenvalues[m])) for m in members]),
+                   class_members=tuple(members))
+
+    @classmethod
+    def from_groups(cls, groups) -> "ObservableDecomposition":
+        """Build from (x_s, vectors) pairs, one class per pair, in the given
+        order; each ``vectors`` is a (d, n_s) array spanning the eigenspace.
+
+        The observable is sum_s x_s sum_j |s,j><s,j|. Raises
+        ``BasisMismatchError`` unless every group is 2-D and the vectors
+        together form a complete orthonormal basis.
+        """
+        values, blocks = [], []
+        for value, vectors in groups:
+            vecs = np.asarray(vectors, dtype=complex)
+            if vecs.ndim != 2:
+                raise BasisMismatchError("group vectors must be a (dim, n_s) array")
+            values.append(float(value))
+            blocks.append(vecs)
+        full = np.hstack(blocks)
+        d = full.shape[0]
+        if full.shape[1] != d:
+            raise BasisMismatchError(
+                f"basis has {full.shape[1]} vectors for dimension {d}; must be complete"
+            )
+        if np.linalg.norm(dagger(full) @ full - np.eye(d)) > 1e-9:
+            raise BasisMismatchError("basis vectors are not orthonormal")
+        sizes = [vecs.shape[1] for vecs in blocks]
+        eigenvalues = np.repeat(values, sizes)
+        return cls(observable=(full * eigenvalues) @ dagger(full), eigenvalues=eigenvalues,
+                   eigenvectors=full, class_values=np.array(values),
+                   class_members=tuple(np.split(np.arange(d), np.cumsum(sizes)[:-1])))
+
+    @classmethod
+    def from_eigenbasis(cls, values, vectors) -> "ObservableDecomposition":
+        """Build with one class per supplied eigenvector, in the given order.
+
+        Repeated values are kept as distinct classes, which lets tables be
+        indexed by state rather than by eigenvalue (used by the classical
+        embedding, where several states may carry the same observable value).
+        """
+        vals = np.asarray(values, dtype=float).reshape(-1)
+        vecs = np.asarray(vectors, dtype=complex)
+        if vecs.shape != (len(vals), len(vals)):
+            raise DimMismatchError("eigenbasis must be square with one value per column")
+        return cls.from_groups((v, vecs[:, i:i + 1]) for i, v in enumerate(vals))
 
     @property
     def dim(self) -> int:
@@ -88,38 +156,33 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
 
+    def validate_against(self, x: np.ndarray, tol: float = 1e-9) -> None:
+        """Check X|s,j> = x_s|s,j> for every class vector."""
+        for value, members in zip(self.class_values, self.class_members):
+            vecs = self.eigenvectors[:, members]
+            residual = float(np.linalg.norm(x @ vecs - value * vecs))
+            if residual > tol * max(float(np.linalg.norm(x)), 1.0):
+                raise BasisMismatchError(
+                    f"vectors of class {float(value)!r} fail the eigenvalue relation ({residual:.3e})"
+                )
 
-def spectral_decompose(a: np.ndarray, degeneracy_tol: float | None = None) -> SpectralDecomposition:
-    """Diagonalize a Hermitian operator, merging near-degenerate eigenvalues.
+    def phase_operator(self, lam) -> np.ndarray:
+        """exp(i lam (X - c)) from the stored eigenbasis, one per entry of an
+        array of (possibly complex) ``lam``. The shift by c, the midpoint of
+        X's spectrum, cancels from every generating function and bounds
+        |exp(+-i lam (x - c))| by exp(|lam| gap / 2) whatever offset X has."""
+        vecs, vals = self.eigenvectors, self.eigenvalues
+        phases = np.exp(1j * np.multiply.outer(lam, vals - 0.5 * (vals.max() + vals.min())))
+        return (vecs * phases[..., None, :]) @ dagger(vecs)
 
-    Parameters
-    ----------
-    a : Hermitian matrix
-    degeneracy_tol : absolute gap below which neighbouring eigenvalues are
-        merged into one class. Defaults to ``1e-9 * max(||a||, 1)``.
+    @property
+    def max_gap(self) -> float:
+        """Largest eigenvalue separation, the frequency scale of exp(i lam X).
 
-    Raises
-    ------
-    NotHermitianError
-        if ``a`` fails the Hermiticity check.
-    """
-    mat = require_hermitian(a)
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-9 * max(float(np.linalg.norm(mat)), 1.0)
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    members: list[np.ndarray] = []
-    start = 0
-    for i in range(1, len(eigenvalues) + 1):
-        if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > degeneracy_tol:
-            members.append(np.arange(start, i))
-            start = i
-    class_values = np.array([float(np.mean(eigenvalues[m])) for m in members])
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        class_values=class_values,
-        class_members=tuple(members),
-    )
+        Values may be stored in caller order, so take the full spread.
+        """
+        vals = self.eigenvalues
+        return float(vals.max() - vals.min()) if len(vals) > 1 else 0.0
 
 
 def _positive_eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,12 +24,11 @@ from .lindblad import (
     resolved_fluxes,
 )
 from .numdiff import derivative_moment
-from .operators import SpectralDecomposition, spectral_decompose
+from .operators import ObservableDecomposition
 from .util import (
     anticommutator,
     as_operator,
     change_moment,
-    dagger,
     float_repr,
     group_sums,
     per_lambda,
@@ -38,73 +37,7 @@ from .util import (
 
 FLUX_SUM = "flux_sum"
 OPERATOR_EXPRESSION = "operator_expression"
-GENERATING_FUNCTION_FD = "generating_function_fd"
-
-
-@dataclass(frozen=True)
-class ObservableDecomposition:
-    """Observable together with its eigenvalue classes and projectors."""
-
-    observable: np.ndarray
-    spectrum: SpectralDecomposition
-
-    @classmethod
-    def from_operator(cls, x, degeneracy_tol: float | None = None) -> "ObservableDecomposition":
-        mat = as_operator(x)
-        return cls(observable=mat, spectrum=spectral_decompose(mat, degeneracy_tol))
-
-    @classmethod
-    def from_eigenbasis(cls, values, vectors) -> "ObservableDecomposition":
-        """Build with one class per supplied eigenvector, in the given order.
-
-        Repeated values are kept as distinct classes, which lets tables be
-        indexed by state rather than by eigenvalue (used by the classical
-        embedding, where several states may carry the same observable value).
-        """
-        vals = np.asarray(values, dtype=float).reshape(-1)
-        vecs = np.asarray(vectors, dtype=complex)
-        if vecs.shape != (len(vals), len(vals)):
-            raise DimMismatchError("eigenbasis must be square with one value per column")
-        if np.linalg.norm(dagger(vecs) @ vecs - np.eye(len(vals))) > 1e-9:
-            raise ValueError("eigenbasis columns are not orthonormal")
-        spectrum = SpectralDecomposition(
-            eigenvalues=vals,
-            eigenvectors=vecs,
-            class_values=vals.copy(),
-            class_members=tuple(np.array([i]) for i in range(len(vals))),
-        )
-        observable = (vecs * vals) @ dagger(vecs)
-        return cls(observable=observable, spectrum=spectrum)
-
-    @property
-    def dim(self) -> int:
-        return self.spectrum.dim
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.spectrum.class_values
-
-    @property
-    def projectors(self) -> np.ndarray:
-        return self.spectrum.projectors
-
-    def phase_operator(self, lam) -> np.ndarray:
-        """exp(i lam (X - c)) from the stored eigenbasis, one per entry of an
-        array of (possibly complex) ``lam``. The shift by c, the midpoint of
-        X's spectrum, cancels from every generating function and bounds
-        |exp(+-i lam (x - c))| by exp(|lam| gap / 2) whatever offset X has."""
-        vecs, vals = self.spectrum.eigenvectors, self.spectrum.eigenvalues
-        phases = np.exp(1j * np.multiply.outer(lam, vals - 0.5 * (vals.max() + vals.min())))
-        return (vecs * phases[..., None, :]) @ dagger(vecs)
-
-    @property
-    def max_gap(self) -> float:
-        """Largest eigenvalue separation, the frequency scale of exp(i lam X).
-
-        Values may be stored in caller order, so take the full spread.
-        """
-        vals = self.spectrum.eigenvalues
-        return float(vals.max() - vals.min()) if len(vals) > 1 else 0.0
+GENERATING_FUNCTION_CONTOUR = "generating_function_contour"
 
 
 def _coerce_observable(x) -> ObservableDecomposition:
@@ -190,8 +123,8 @@ def tmh_table(model: LindbladModel, state: QuantumState, observable, delta_t: fl
     sym = projectors @ state.rho + state.rho @ projectors
     values = real_part(0.5 * np.einsum("yij,xji->yx", evolved, sym), "quasiprobability table")
     return QuasiprobTable(
-        labels_initial=obs.labels.copy(),
-        labels_final=obs.labels.copy(),
+        labels_initial=obs.class_values.copy(),
+        labels_final=obs.class_values.copy(),
         values=values,
         delta_t=float(delta_t),
     )
@@ -206,9 +139,9 @@ def flux_matrix(model: LindbladModel, state: QuantumState, observable) -> FluxMa
     obs = _coerce_observable(observable)
     if obs.dim != model.dim:
         raise DimMismatchError("observable dimension differs from model")
-    resolved = resolved_fluxes(model, state, obs.spectrum.eigenvectors)
-    values = group_sums(resolved, obs.spectrum.class_members)
-    return FluxMatrix(labels=obs.labels.copy(), values=values)
+    resolved = resolved_fluxes(model, state, obs.eigenvectors)
+    values = group_sums(resolved, obs.class_members)
+    return FluxMatrix(labels=obs.class_values.copy(), values=values)
 
 
 def _phase_generating(heisenberg, obs: ObservableDecomposition, state: QuantumState, lam):
@@ -279,7 +212,7 @@ def moment_from_generating_function(model: LindbladModel, state: QuantumState, o
     obs = _coerce_observable(observable)
     value = derivative_moment(lambda lams: generating_function(model, state, obs, lams, delta_t),
                               n, obs.max_gap)
-    return MomentReport(order=n, value=value.real, method=GENERATING_FUNCTION_FD)
+    return MomentReport(order=n, value=value.real, method=GENERATING_FUNCTION_CONTOUR)
 
 
 def escape_rate(flux: FluxMatrix) -> float:

@@ -227,25 +227,6 @@ def tur_report_dict(report: TURReport, model: LindbladModel, observable) -> dict
     }
 
 
-def _block(top_right: np.ndarray, bottom_left: np.ndarray) -> np.ndarray:
-    d = top_right.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[:d, d:] = top_right
-    out[d:, :d] = bottom_left
-    return out
-
-
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total), dtype=complex)
-    at = 0
-    for b in blocks:
-        n = b.shape[0]
-        out[at:at + n, at:at + n] = b
-        at += n
-    return out
-
-
 @dataclass(frozen=True)
 class GeometricRepresentation:
     """Force/current operators on the pair-indexed enlarged space.
@@ -268,8 +249,7 @@ class GeometricRepresentation:
 
     def expand(self, x) -> np.ndarray:
         """I_B otimes X on the enlarged space (2P copies of X)."""
-        mat = as_operator(x)
-        return _block_diag([mat] * (2 * self.n_pairs))
+        return np.kron(np.eye(2 * self.n_pairs), as_operator(x))
 
     def gradient(self, x) -> np.ndarray:
         """[I otimes X, B], the gradient of an observable."""
@@ -281,11 +261,8 @@ class GeometricRepresentation:
         Maps the current operator back to the dissipator.
         """
         c = commutator(np.asarray(m, dtype=complex), self.structure_operator)
-        d = self.dim
-        out = np.zeros((d, d), dtype=complex)
-        for k in range(2 * self.n_pairs):
-            out += c[k * d:(k + 1) * d, k * d:(k + 1) * d]
-        return out
+        n, d = 2 * self.n_pairs, self.dim
+        return np.einsum("aiaj->ij", c.reshape(n, d, n, d))
 
     def weighted_apply(self, a: np.ndarray) -> np.ndarray:
         return kubo_integral(self.weight, a)
@@ -310,23 +287,24 @@ def geometric_representation(model: LindbladModel, state: QuantumState) -> Geome
         raise ValueError("model has no jump pairs")
     log_rho = (u * np.log(p)) @ dagger(u)
     d = model.dim
-    cur_blocks, force_blocks, weight_blocks, strc_blocks = [], [], [], []
-    for pair in model.jump_pairs:
+    n = 2 * len(model.jump_pairs)
+    # blocks[o, a, :, b] is the d x d block (a, b) of operator o: the current,
+    # force, weight and structure operators; pair k owns blocks 2k and 2k + 1
+    blocks = np.zeros((4, n, d, n, d), dtype=complex)
+    for k, pair in enumerate(model.jump_pairs):
         gamma_f, gamma_b, lt = decompose_pair(pair)
         s = pair.entropy_current
         lt_d = dagger(lt)
-        j_fwd = 0.5 * (gamma_f * lt @ rho - gamma_b * rho @ lt)
-        j_bwd = 0.5 * (gamma_b * lt_d @ rho - gamma_f * rho @ lt_d)
-        f_fwd = s * lt + commutator(lt, log_rho)
-        f_bwd = -s * lt_d + commutator(lt_d, log_rho)
-        cur_blocks.append(_block(j_bwd, j_fwd))
-        force_blocks.append(_block(f_bwd, f_fwd))
-        weight_blocks.append(_block_diag([gamma_f / 2 * rho, gamma_b / 2 * rho]))
-        strc_blocks.append(_block(lt_d, lt))
-    current = _block_diag(cur_blocks)
-    force = _block_diag(force_blocks)
-    weight = _block_diag(weight_blocks)
-    strc = _block_diag(strc_blocks)
+        a, b = 2 * k, 2 * k + 1
+        blocks[0, b, :, a] = 0.5 * (gamma_f * lt @ rho - gamma_b * rho @ lt)
+        blocks[0, a, :, b] = 0.5 * (gamma_b * lt_d @ rho - gamma_f * rho @ lt_d)
+        blocks[1, b, :, a] = s * lt + commutator(lt, log_rho)
+        blocks[1, a, :, b] = -s * lt_d + commutator(lt_d, log_rho)
+        blocks[2, a, :, a] = gamma_f / 2 * rho
+        blocks[2, b, :, b] = gamma_b / 2 * rho
+        blocks[3, b, :, a] = lt
+        blocks[3, a, :, b] = lt_d
+    current, force, weight, strc = blocks.reshape(4, n * d, n * d)
     for name, op in (("current", current), ("force", force)):
         norm = max(float(np.linalg.norm(op)), 1e-300)
         if float(np.linalg.norm(op + dagger(op))) > 1e-10 * norm:

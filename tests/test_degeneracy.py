@@ -3,7 +3,6 @@ import pytest
 
 from quasitur.degeneracy import (
     CollectiveModelParams,
-    DegenerateBasis,
     balanced_p_g,
     build_collective_model,
     build_diagonal_state,
@@ -42,7 +41,7 @@ def random_degenerate_setup(rng, dim=6, sizes=(3, 2, 1)):
     for value, size in zip(values, sizes):
         groups.append((value, u[:, at:at + size]))
         at += size
-    return model, state, DegenerateBasis(groups=tuple(groups))
+    return model, state, ObservableDecomposition.from_groups(groups)
 
 
 class TestIntegratedFluxes:
@@ -83,11 +82,12 @@ class TestIntegratedFluxes:
         rng = np.random.default_rng(1)
         for _ in range(10):
             model, state, basis = random_degenerate_setup(rng)
-            rotations = [random_unitary(rng, size) for size in basis.group_sizes]
-            rotated = integrated_fluxes(model, state, basis.rotated(rotations))
+            rotated = integrated_fluxes(model, state, ObservableDecomposition.from_groups(
+                (value, basis.eigenvectors[:, m] @ random_unitary(rng, len(m)))
+                for value, m in zip(basis.class_values, basis.class_members)))
             original = integrated_fluxes(model, state, basis)
-            for i in range(basis.n_groups):
-                for j in range(basis.n_groups):
+            for i in range(basis.n_classes):
+                for j in range(basis.n_classes):
                     if i != j:
                         assert rotated.values[i, j] == pytest.approx(
                             original.values[i, j], abs=1e-9)
@@ -98,11 +98,25 @@ class TestIntegratedFluxes:
             model, state, basis = random_degenerate_setup(rng)
             fluxes = integrated_fluxes(model, state, basis)
             obs = ObservableDecomposition.from_eigenbasis(
-                np.repeat(basis.group_values, basis.group_sizes), basis.vectors)
+                basis.eigenvalues, basis.eigenvectors)
             # regroup the per-state flux matrix into classes by value
             m_resolved = short_time_moment(flux_matrix(model, state, obs), 2).value
             assert fluxes.second_moment() == pytest.approx(
                 m_resolved, abs=1e-9 * max(abs(m_resolved), 1.0))
+
+    def test_degenerate_operator_matches_groups(self):
+        rng = np.random.default_rng(3)
+        model, state, basis = random_degenerate_setup(rng)
+        from_x = ObservableDecomposition.from_operator(basis.observable)
+        assert [len(m) for m in from_x.class_members] == [3, 2, 1]
+        regrouped = ObservableDecomposition.from_groups(
+            (value, from_x.eigenvectors[:, m])
+            for value, m in zip(basis.class_values, from_x.class_members))
+        a = integrated_fluxes(model, state, from_x)
+        b = integrated_fluxes(model, state, regrouped)
+        np.testing.assert_allclose(a.group_values, b.group_values, rtol=1e-12)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert a.escape_rate == b.escape_rate
 
     def test_dimension_mismatch(self):
         params = CollectiveModelParams(n_levels=3, **STANDARD)
@@ -127,18 +141,18 @@ class TestDegenerateBasis:
     def test_incomplete_basis_rejected(self):
         eye = np.eye(4, dtype=complex)
         with pytest.raises(BasisMismatchError):
-            DegenerateBasis(groups=((0.0, eye[:, :2]), (1.0, eye[:, 2:3])))
+            ObservableDecomposition.from_groups(((0.0, eye[:, :2]), (1.0, eye[:, 2:3])))
 
     def test_non_orthonormal_rejected(self):
         vecs = np.ones((2, 2), dtype=complex)
         with pytest.raises(BasisMismatchError):
-            DegenerateBasis(groups=((0.0, vecs[:, :1]), (1.0, vecs[:, 1:])))
+            ObservableDecomposition.from_groups(((0.0, vecs[:, :1]), (1.0, vecs[:, 1:])))
 
     def test_observable_reconstruction(self):
         params = CollectiveModelParams(n_levels=2, omega=0.9, gamma_plus=1.0,
                                        gamma_minus=1.0, p_g=0.5)
         basis = collective_basis(params)
-        np.testing.assert_allclose(basis.observable(),
+        np.testing.assert_allclose(basis.observable,
                                    build_collective_model(params).hamiltonian, atol=1e-12)
 
 

@@ -269,6 +269,21 @@ class TestHeisenbergPropagation:
             out = heisenberg_propagator(model, 1e-310)(stack)
         assert np.array_equal(out, stack) and out is not stack
 
+    def test_tiny_normal_lag_returns_input(self):
+        # lags just above the subnormal range: onenormest would divide by
+        # subnormal entries of t L X, with or without jumps
+        tiny = np.finfo(float).tiny
+        for seed in range(1, 9):
+            rng = np.random.default_rng(seed)
+            model, _, _ = random_instance(rng)
+            stack = np.array([random_hermitian(rng, model.dim) for _ in range(3)])
+            for m in (model, LindbladModel(model.hamiltonian, ())):
+                for lag in (tiny, 2.3e-308, 1e-307, 1e-306):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        out = heisenberg_propagator(m, lag)(stack)
+                    assert np.array_equal(out, stack)
+
     def test_duality(self):
         rng = np.random.default_rng(13)
         for _ in range(20):

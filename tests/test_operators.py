@@ -2,36 +2,42 @@ import mpmath
 import numpy as np
 import pytest
 
-from quasitur.errors import DimMismatchError, NotHermitianError, SingularOperatorError
+from quasitur.errors import (
+    BasisMismatchError,
+    DimMismatchError,
+    NotHermitianError,
+    QuasiturError,
+    SingularOperatorError,
+)
 from quasitur.operators import (
+    ObservableDecomposition,
     hs_inner_product,
     kubo_integral,
     logarithmic_mean,
     matrix_log_psd,
-    spectral_decompose,
 )
-from quasitur.ensembles import random_hermitian
+from quasitur.ensembles import random_hermitian, random_unitary
 
 from oracles import kubo_quadrature
 
 
 class TestSpectralDecompose:
     def test_identity(self):
-        dec = spectral_decompose(np.eye(2, dtype=complex), degeneracy_tol=1e-9)
+        dec = ObservableDecomposition.from_operator(np.eye(2, dtype=complex), degeneracy_tol=1e-9)
         assert dec.n_classes == 1
         assert dec.class_values[0] == pytest.approx(1.0)
         np.testing.assert_allclose(dec.projector(0), np.eye(2), atol=1e-12)
 
     def test_diagonal(self):
         omega = 0.7
-        dec = spectral_decompose(np.diag([0.0, omega]).astype(complex))
+        dec = ObservableDecomposition.from_operator(np.diag([0.0, omega]).astype(complex))
         np.testing.assert_allclose(dec.class_values, [0.0, omega])
         np.testing.assert_allclose(dec.projector(0), np.diag([1.0, 0.0]), atol=1e-12)
         np.testing.assert_allclose(dec.projector(1), np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_pauli_x_type(self):
         # hand diagonalization: eigenvectors (1, -1)/sqrt(2) and (1, 1)/sqrt(2)
-        dec = spectral_decompose(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        dec = ObservableDecomposition.from_operator(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
         np.testing.assert_allclose(dec.class_values, [-1.0, 1.0], atol=1e-12)
         minus = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
         plus = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -40,11 +46,11 @@ class TestSpectralDecompose:
 
     def test_not_hermitian(self):
         with pytest.raises(NotHermitianError):
-            spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+            ObservableDecomposition.from_operator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
     def test_degeneracy_merging(self):
         a = np.diag([0.0, 1e-12, 1.0]).astype(complex)
-        dec = spectral_decompose(a, degeneracy_tol=1e-9)
+        dec = ObservableDecomposition.from_operator(a, degeneracy_tol=1e-9)
         assert dec.n_classes == 2
         assert dec.class_members[0].size == 2
 
@@ -52,7 +58,7 @@ class TestSpectralDecompose:
         rng = np.random.default_rng(101)
         for _ in range(50):
             dim = int(rng.integers(2, 7))
-            dec = spectral_decompose(random_hermitian(rng, dim))
+            dec = ObservableDecomposition.from_operator(random_hermitian(rng, dim))
             projectors = dec.projectors
             total = projectors.sum(axis=0)
             np.testing.assert_allclose(total, np.eye(dim), atol=1e-10)
@@ -65,8 +71,38 @@ class TestSpectralDecompose:
     def test_reconstruction(self):
         rng = np.random.default_rng(7)
         a = random_hermitian(rng, 5)
-        dec = spectral_decompose(a)
+        dec = ObservableDecomposition.from_operator(a)
         assert np.linalg.norm(dec.reconstruct() - a) <= 1e-10 * np.linalg.norm(a)
+
+
+class TestObservableConstructors:
+    def test_eigenbasis_is_singleton_groups(self):
+        rng = np.random.default_rng(21)
+        vals = np.array([0.5, -1.0, 0.5, 2.0])
+        vecs = random_unitary(rng, 4)
+        a = ObservableDecomposition.from_eigenbasis(vals, vecs)
+        b = ObservableDecomposition.from_groups((v, vecs[:, [i]]) for i, v in enumerate(vals))
+        for name in ("observable", "eigenvalues", "eigenvectors", "class_values"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert len(a.class_members) == len(b.class_members) == 4
+        for ma, mb in zip(a.class_members, b.class_members):
+            assert np.array_equal(ma, mb)
+
+    def test_one_dimensional_group_rejected(self):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(BasisMismatchError) as info:
+            ObservableDecomposition.from_groups(((0.0, eye[:, 0]), (1.0, eye[:, 1:])))
+        assert isinstance(info.value, ValueError) and isinstance(info.value, QuasiturError)
+
+    def test_validate_against_from_operator(self):
+        rng = np.random.default_rng(22)
+        u = random_unitary(rng, 5)
+        x = (u * np.array([-1.0, -1.0, 0.5, 0.5, 2.0])) @ u.conj().T
+        dec = ObservableDecomposition.from_operator(x)
+        assert dec.n_classes == 3
+        dec.validate_against(x)
+        with pytest.raises(BasisMismatchError):
+            dec.validate_against(x + np.diag([0.0, 0.0, 0.0, 0.0, 0.1]))
 
 
 class TestMatrixLog:

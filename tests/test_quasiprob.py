@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from quasitur.degeneracy import DegenerateBasis, integrated_fluxes
+from quasitur.degeneracy import integrated_fluxes
 from quasitur.ensembles import (
     random_hermitian,
     random_instance,
@@ -14,7 +14,7 @@ from quasitur.ensembles import (
 from quasitur.errors import ImaginaryResidueError, QuasiturError, TracePreservationError
 from quasitur.lindblad import JumpPair, LindbladModel, QuantumState, apply_adjoint_liouvillian, propagate
 from quasitur.quasiprob import (
-    GENERATING_FUNCTION_FD,
+    GENERATING_FUNCTION_CONTOUR,
     FluxMatrix,
     ObservableDecomposition,
     escape_rate,
@@ -79,7 +79,7 @@ class TestTMHTable:
             model = random_model(rng, 2, 1)
             state = random_state(rng, 2, mix=0.05)
             obs = ObservableDecomposition.from_operator(random_observable(rng, 2))
-            if obs.spectrum.n_classes < 2:
+            if obs.n_classes < 2:
                 continue
             flux = flux_matrix(model, state, obs)
             off = flux.values.copy()
@@ -212,7 +212,7 @@ class TestFluxKernelOracle:
         obs = ObservableDecomposition.from_eigenbasis(np.arange(dim, dtype=float), u)
         assert_matches_reference(flux_matrix(model, state, obs).values, reference)
         half = dim // 2
-        basis = DegenerateBasis(groups=((0.0, u[:, :half]), (1.0, u[:, half:])))
+        basis = ObservableDecomposition.from_groups(((0.0, u[:, :half]), (1.0, u[:, half:])))
         assert_matches_reference(integrated_fluxes(model, state, basis).resolved, reference)
 
     def test_degenerate_observable_classes(self):
@@ -222,7 +222,7 @@ class TestFluxKernelOracle:
         u = random_unitary(rng, 7)
         x = (u * np.array([-1.0, -1.0, 0.5, 0.5, 0.5, 2.0, 3.0])) @ u.conj().T
         obs = ObservableDecomposition.from_operator(x)
-        assert [len(m) for m in obs.spectrum.class_members] == [2, 3, 1, 1]
+        assert [len(m) for m in obs.class_members] == [2, 3, 1, 1]
         reference = flux_reference(model, state.rho, obs.projectors)
         assert_matches_reference(flux_matrix(model, state, obs).values, reference)
 
@@ -243,7 +243,7 @@ class TestFluxKernelOracle:
         reference = flux_reference(model, state.rho, rank_one_projectors(u))
         obs = ObservableDecomposition.from_eigenbasis(np.arange(6.0), u)
         assert_matches_reference(flux_matrix(model, state, obs).values, reference)
-        basis = DegenerateBasis(groups=((0.0, u[:, :4]), (1.0, u[:, 4:])))
+        basis = ObservableDecomposition.from_groups(((0.0, u[:, :4]), (1.0, u[:, 4:])))
         assert_matches_reference(integrated_fluxes(model, state, basis).resolved, reference)
 
 
@@ -269,7 +269,7 @@ class TestGeneratingFunction:
             dt = 0.2
             table = tmh_table(model, state, obs, dt)
             report = moment_from_generating_function(model, state, obs, 2, dt)
-            assert report.method == GENERATING_FUNCTION_FD
+            assert report.method == GENERATING_FUNCTION_CONTOUR
             assert report.value == pytest.approx(table.moment(2), abs=1e-6)
 
     def test_fd_moments_orders_one_to_four(self):
