@@ -248,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--time", type=float, required=True, help="evolution time")
     p.add_argument("--method", choices=["auto", "expm", "ivp"], default="auto",
-                   help="propagation backend: auto and expm (an alias) apply the "
-                        "exponential matrix-free with expm_multiply; ivp integrates "
-                        "with adaptive Runge-Kutta as a cross-check")
+                   help="propagation backend: auto and expm (an alias) take the "
+                        "cheaper of the dense exponential and expm_multiply; ivp "
+                        "integrates with adaptive Runge-Kutta as a cross-check")
     p.add_argument("--output", required=True, help="output state JSON path")
 
     p = add("tur", cmd_tur, "evaluate the uncertainty-relation report")

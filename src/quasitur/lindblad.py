@@ -9,19 +9,23 @@ current per jump (k_B = 1). The module applies the generator
 
 its adjoint, and the corresponding finite-time propagators. The four
 ``apply_*`` functions take a state, one operator or a (B, d, d) stack.
-Propagators never form the d^2 x d^2 generator:
-``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33(2), 2011) applies its exponential to a whole stack of operators
-at once, through batched d x d matrix products.
+Propagators apply exp(tL) to a whole stack at once by one of two exact
+routes, whichever a cost estimate finds cheaper for the stack: the action
+route, ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33(2), 2011) through batched d x d matrix products, or the dense
+route, ``scipy.linalg.expm`` of the d^2 x d^2 generator, formed column by
+column through the same generator kernel, for small or stiff generators.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import LinearOperator, expm_multiply
 
@@ -43,6 +47,16 @@ IVP_ATOL = 1e-12
 #: below this bound on ||t L||_1, ||exp(t L) X - X|| < 1e-292 ||X||: the
 #: propagator returns X, and expm_multiply never sees subnormal entries
 NEGLIGIBLE_GENERATOR_NORM = np.finfo(float).tiny / np.finfo(float).eps
+#: largest d^2 whose d^2 x d^2 generator the dense route exponentiates
+#: (16 MiB per complex work array at the cap); larger d always take the
+#: action route
+DENSE_MAX_SIZE = 1024
+#: constants of the route cost estimate in :func:`_dense_is_cheaper`, fitted
+#: to best-of-k timings of both routes at d = 2..32, ||tL||_1 = 1..1e4 and
+#: B in {1, 9, d} on a 2-core Xeon
+DENSE_SQUARING_OFFSET = 8.0
+ACTION_STEP_WEIGHT = 120.0
+ACTION_OVERHEAD = 4e6
 
 
 @dataclass(frozen=True)
@@ -343,15 +357,43 @@ def _operands(a, d: int) -> np.ndarray:
     return ops
 
 
+def _dense_is_cheaper(d: int, norm_bound: float, batch: int) -> bool:
+    """Whether exp(tL) is cheaper formed densely than applied by action.
+
+    Scaling and squaring of the d^2 x d^2 matrix costs about
+    d^6 (log2 ||tL||_1 + c) (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005);
+    the action route costs about B d^3 ||tL||_1 in Taylor steps on a block
+    of B operators, plus a fixed overhead of norm estimates and Python calls.
+    ``norm_bound`` stands in for ||tL||_1.
+    """
+    if d * d > DENSE_MAX_SIZE:
+        return False
+    norm = max(norm_bound, 1.0)
+    dense = d**6 * (np.log2(norm) + DENSE_SQUARING_OFFSET)
+    return dense < ACTION_STEP_WEIGHT * batch * d**3 * norm + ACTION_OVERHEAD
+
+
 def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
-    """Callable applying exp(L^dag t) or exp(L t) to an operator or a stack."""
+    """Callable applying exp(L^dag t) or exp(L t) to an operator or a stack.
+
+    For ``"auto"`` and ``"expm"`` each call takes the cheaper of two exact
+    routes for its block, by :func:`_dense_is_cheaper`: the dense
+    exponential of the generator, formed on first use through the one
+    generator kernel and kept by the callable, or ``expm_multiply``.
+    """
     d = model.dim
     gen = _generator(model, t, heisenberg)
     if method in ("auto", "expm"):
+        @functools.cache
+        def dense_transpose():
+            return scipy.linalg.expm(gen.matmat(np.eye(d * d))).T
 
         def evolve(stack):
+            flat = stack.reshape(len(stack), d * d)
+            if _dense_is_cheaper(d, gen.norm_bound, len(stack)):
+                return (flat @ dense_transpose()).reshape(stack.shape)
             with _pinned_legacy_rng():
-                out = expm_multiply(gen, stack.reshape(len(stack), d * d).T, traceA=gen.trace)
+                out = expm_multiply(gen, flat.T, traceA=gen.trace)
             return out.T.reshape(stack.shape)
     elif method == "ivp":
         generator = apply_adjoint_liouvillian if heisenberg else apply_liouvillian
@@ -384,10 +426,12 @@ def _integrate(rhs, y0: np.ndarray, t: float) -> np.ndarray:
 def propagate(model: LindbladModel, state: QuantumState, t: float, method: str = "auto") -> QuantumState:
     """Evolve a state to exp(L t) rho_0.
 
-    ``method`` ``"auto"`` and ``"expm"`` both take the matrix-free
-    ``expm_multiply`` route; ``"ivp"`` integrates the master equation with
-    adaptive Runge-Kutta instead, as an independent cross-check. The result
-    is re-symmetrized and trace-renormalized to suppress drift.
+    ``method`` ``"auto"`` and ``"expm"`` both take the cheaper of the dense
+    exponential of the generator and the ``expm_multiply`` action, as
+    :func:`heisenberg_propagator` describes; ``"ivp"`` integrates the master
+    equation with adaptive Runge-Kutta instead, as an independent
+    cross-check. The result is re-symmetrized and trace-renormalized to
+    suppress drift.
     """
     if t < 0:
         raise ValueError("propagation time must be non-negative")
@@ -402,10 +446,15 @@ def propagate(model: LindbladModel, state: QuantumState, t: float, method: str =
 def heisenberg_propagator(model: LindbladModel, dt: float, method: str = "auto"):
     """Callable applying exp(L^dag dt) to one (d, d) operator or a (B, d, d) stack.
 
-    The generator pieces are built once; each call propagates its whole
-    stack in one ``expm_multiply``, so the cost grows with
-    B x d^3 x the number of Taylor steps, which grows with ||L||_1 dt.
-    ``method`` is as for :func:`propagate`.
+    The generator pieces are built once. Each call propagates its whole
+    stack by the cheaper of two routes. The action route, one
+    ``expm_multiply``, costs about B d^3 ||L||_1 dt, since the number of
+    Taylor steps grows with ||L||_1 dt. The dense route costs about
+    d^6 (log2 ||L||_1 dt + c) once, for ``scipy.linalg.expm`` of the
+    d^2 x d^2 generator, which the callable keeps, and then B d^4 per call.
+    The estimate uses a bound on ||L||_1 dt and no norm estimation, and
+    d^2 > ``DENSE_MAX_SIZE`` always takes the action route. ``method`` is
+    as for :func:`propagate`.
     """
     if dt < 0:
         raise ValueError("propagation time must be non-negative")

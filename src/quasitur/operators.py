@@ -11,7 +11,7 @@ hundred.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,18 +56,18 @@ class ObservableDecomposition:
 
     Attributes
     ----------
-    observable : (d, d) complex array
     eigenvalues : (d,) float array, one per eigenvector column
     eigenvectors : (d, d) complex array, orthonormal columns
     class_values : (m,) float array
     class_members : tuple of index arrays into the eigenvector columns
+    observable : (d, d) complex array, see the property
     """
 
-    observable: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     class_values: np.ndarray
     class_members: tuple
+    _observable: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_operator(cls, x, degeneracy_tol: float | None = None) -> "ObservableDecomposition":
@@ -88,9 +88,9 @@ class ObservableDecomposition:
             if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > degeneracy_tol:
                 members.append(np.arange(start, i))
                 start = i
-        return cls(observable=mat, eigenvalues=eigenvalues, eigenvectors=eigenvectors,
+        return cls(eigenvalues=eigenvalues, eigenvectors=eigenvectors,
                    class_values=np.array([float(np.mean(eigenvalues[m])) for m in members]),
-                   class_members=tuple(members))
+                   class_members=tuple(members), _observable=mat)
 
     @classmethod
     def from_groups(cls, groups) -> "ObservableDecomposition":
@@ -118,8 +118,7 @@ class ObservableDecomposition:
             raise BasisMismatchError("basis vectors are not orthonormal")
         sizes = [vecs.shape[1] for vecs in blocks]
         eigenvalues = np.repeat(values, sizes)
-        return cls(observable=(full * eigenvalues) @ dagger(full), eigenvalues=eigenvalues,
-                   eigenvectors=full, class_values=np.array(values),
+        return cls(eigenvalues=eigenvalues, eigenvectors=full, class_values=np.array(values),
                    class_members=tuple(np.split(np.arange(d), np.cumsum(sizes)[:-1])))
 
     @classmethod
@@ -135,6 +134,14 @@ class ObservableDecomposition:
         if vecs.shape != (len(vals), len(vals)):
             raise DimMismatchError("eigenbasis must be square with one value per column")
         return cls.from_groups((v, vecs[:, i:i + 1]) for i, v in enumerate(vals))
+
+    @property
+    def observable(self) -> np.ndarray:
+        """The operator X: the matrix ``from_operator`` was given, otherwise
+        sum_s x_s sum_j |s,j><s,j|, formed on first access and kept."""
+        if self._observable is None:
+            object.__setattr__(self, "_observable", self.reconstruct())
+        return self._observable
 
     @property
     def dim(self) -> int:

@@ -1,7 +1,9 @@
 """Shared model builders and independent oracles for the test suite."""
 
+import mpmath
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import expm_multiply
 
 from quasitur.lindblad import JumpPair, LindbladModel, QuantumState
 
@@ -125,6 +127,26 @@ def dense_propagate(model: LindbladModel, ops: np.ndarray, t: float, adjoint: bo
     """exp(L^dag t) (or exp(L t)) applied to a (B, d, d) stack through the
     dense exponential of the d^2 x d^2 Kronecker matrix."""
     prop = scipy.linalg.expm(superoperator(model, adjoint) * t)
+    d = model.dim
+    return (ops.reshape(len(ops), d * d) @ prop.T).reshape(ops.shape)
+
+
+def action_propagate(model: LindbladModel, ops: np.ndarray, t: float, adjoint: bool) -> np.ndarray:
+    """As :func:`dense_propagate`, through ``scipy.sparse.linalg.expm_multiply``
+    on the Kronecker matrix: a truncated Taylor action that forms no
+    exponential, so it shares no algorithm with ``scipy.linalg.expm``."""
+    d = model.dim
+    out = expm_multiply(superoperator(model, adjoint) * t, ops.reshape(len(ops), d * d).T)
+    return out.T.reshape(ops.shape)
+
+
+def mpmath_propagate(model: LindbladModel, ops: np.ndarray, t: float, adjoint: bool,
+                     dps: int = 40) -> np.ndarray:
+    """As :func:`dense_propagate`, with the exponential of the same float
+    Kronecker matrix taken by ``mpmath.expm`` at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        prop = mpmath.expm(mpmath.matrix(superoperator(model, adjoint) * t))
+        prop = np.array(prop.tolist(), dtype=complex)
     d = model.dim
     return (ops.reshape(len(ops), d * d) @ prop.T).reshape(ops.shape)
 

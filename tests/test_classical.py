@@ -216,6 +216,7 @@ class TestQuantization:
             while frame is not None:
                 if frame.f_globals.get("__name__") == "quasitur.lindblad":
                     lindblad_expm_calls.append(args)
+                    break
                 frame = frame.f_back
             return dense_expm(*args, **kwargs)
 
@@ -228,9 +229,21 @@ class TestQuantization:
                                       delta_ts=delta_ts)
         assert report.max_residual <= 1e-9
         assert len(builds) == 2 * len(delta_ts)
-        assert lindblad_expm_calls == []
+        # n = 4 takes the dense route: one exp(tL) of the n^2 x n^2 generator per build
+        assert len(lindblad_expm_calls) == len(builds)
+        assert all(args[0].shape == (16, 16) for args in lindblad_expm_calls)
         # the classical side: one exp(R dt) for the table and one for the lambda grid, per lag
-        assert len(expm_calls) == 2 * len(delta_ts)
+        assert len(expm_calls) - len(lindblad_expm_calls) == 2 * len(delta_ts)
+
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_bridge_lags_take_dense_route(self, lindblad_expm, n):
+        rng = np.random.default_rng(70 + n)
+        r = random_reversible_rate_matrix(rng, n)
+        report = quantize_and_compare(r, random_probability(rng, n), rng.normal(size=n))
+        assert report.max_residual <= 1e-9
+        # two propagators per lag, one dense exponential each
+        assert lindblad_expm == [(n * n, n * n)] * 2 * len(report.delta_ts)
 
 
 class TestClassicalModelFiles:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from quasitur import lindblad
 from quasitur.ensembles import (
     random_hermitian,
     random_instance,
@@ -36,10 +37,12 @@ from quasitur.quasiprob import ObservableDecomposition, generating_function
 from oracles import (
     SIGMA_MINUS,
     SIGMA_PLUS,
+    action_propagate,
     decay_qubit,
     dense_propagate,
     excited_state,
     gibbs_state,
+    mpmath_propagate,
     thermal_qubit,
 )
 
@@ -296,8 +299,8 @@ class TestHeisenbergPropagation:
 
 
 class TestMatrixFreeRoute:
-    """The expm_multiply route against the dense exponential of the Kronecker
-    superoperator, the reference oracle."""
+    """Propagation, by whichever route the cost estimate picks, against the
+    dense exponential of the Kronecker superoperator, the reference oracle."""
 
     @pytest.mark.parametrize("dim", [2, 6, 16, 32])
     def test_propagate_matches_dense_expm(self, dim):
@@ -376,22 +379,120 @@ class TestMatrixFreeRoute:
         with pytest.raises(ValueError):
             propagate(thermal_qubit(), excited_state(), 0.1, method="dense")
 
-    def test_reproducible_and_leaves_global_rng_alone(self):
+    def test_reproducible_and_leaves_global_rng_alone(self, lindblad_expm):
         # the norm estimator inside expm_multiply draws from numpy's legacy
-        # global generator; results must not depend on its state
-        model, state, _ = random_instance(np.random.default_rng(44), max_dim=6, max_pairs=3)
-        saved = np.random.get_state()
-        try:
-            np.random.seed(1)
-            expected_draw = np.random.random()
-            np.random.seed(1)
-            first = propagate(model, state, 0.9).rho
-            assert np.random.random() == expected_draw
-            np.random.seed(2)
-            second = propagate(model, state, 0.9).rho
-        finally:
-            np.random.set_state(saved)
-        np.testing.assert_array_equal(first, second)
+        # global generator; results must not depend on its state. The d <= 6
+        # instance takes the dense route, the d = 16 one the action route.
+        rng = np.random.default_rng(44)
+        small = random_instance(rng, max_dim=6, max_pairs=3)[:2]
+        large = (random_model(rng, 16, 2), random_state(rng, 16))
+        for model, state in (small, large):
+            saved = np.random.get_state()
+            try:
+                np.random.seed(1)
+                expected_draw = np.random.random()
+                np.random.seed(1)
+                first = propagate(model, state, 0.9).rho
+                assert np.random.random() == expected_draw
+                np.random.seed(2)
+                second = propagate(model, state, 0.9).rho
+            finally:
+                np.random.set_state(saved)
+            np.testing.assert_array_equal(first, second)
+        # two dense exponentials, both of the small instance's generator
+        assert lindblad_expm == [(small[0].dim ** 2,) * 2] * 2
+
+
+def stiff_instance(dim: int, scale: float):
+    """A random model with its first pair's rates multiplied by ``scale``, a
+    state, and the projectors of a random observable."""
+    rng = np.random.default_rng(500 + dim)
+    model = random_model(rng, dim, 3)
+    first, *rest = model.jump_pairs
+    root = np.sqrt(scale)
+    stiff = JumpPair(root * first.forward, root * first.backward, first.entropy_current)
+    obs = ObservableDecomposition.from_operator(random_observable(rng, dim))
+    return LindbladModel(model.hamiltonian, (stiff, *rest)), random_state(rng, dim), obs.projectors
+
+
+def stiff_tolerance(scale: float, dt: float) -> float:
+    """Absolute tolerance on operators of norm <= 1; at rates x 1e6 over
+    dt = 1 both routes lose digits to the 2^20-fold scaling and squaring."""
+    return 1e-9 if (scale, dt) == (1e6, 1.0) else 1e-12
+
+
+class TestStiffGenerators:
+    """Both propagators with one pair's rates multiplied by 1e4 and 1e6,
+    against oracles that share no exponential algorithm with the dense route.
+
+    Rates x 1e6 over dt = 1 is held against mpmath at d = 3 only: the action
+    oracle needs millions of Taylor steps there, and a 40-digit exponential
+    of the 36 x 36 generator takes seconds.
+    """
+
+    @pytest.mark.parametrize("scale, dt", [(1e4, 0.01), (1e4, 1.0), (1e6, 0.01)])
+    @pytest.mark.parametrize("dim", [3, 6, 8])
+    def test_matches_action_oracle(self, dim, scale, dt):
+        model, state, projectors = stiff_instance(dim, scale)
+        tol = stiff_tolerance(scale, dt)
+        got = heisenberg_propagator(model, dt)(projectors)
+        assert np.max(np.abs(got - action_propagate(model, projectors, dt, adjoint=True))) <= tol
+        rho = propagate(model, state, dt).rho
+        expected = action_propagate(model, state.rho[None], dt, adjoint=False)[0]
+        assert np.max(np.abs(rho - expected)) <= tol
+
+    @pytest.mark.parametrize("dt", [0.01, 1.0])
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_matches_mpmath_at_d3(self, scale, dt):
+        model, state, projectors = stiff_instance(3, scale)
+        tol = stiff_tolerance(scale, dt)
+        ops = np.concatenate([projectors, state.rho[None]])
+        for adjoint in (True, False):
+            expected = mpmath_propagate(model, ops, dt, adjoint)
+            got = lindblad._propagator(model, dt, heisenberg=adjoint, method="auto")(ops)
+            assert np.max(np.abs(got - expected)) <= tol
+
+
+class TestRouteChoice:
+    """Which route the cost estimate picks, seen from the dense exponentials
+    ``quasitur.lindblad`` takes."""
+
+    def test_projector_block_at_d32_takes_action_route(self, lindblad_expm):
+        rng = np.random.default_rng(32)
+        model = random_model(rng, 32, 3)
+        obs = ObservableDecomposition.from_operator(random_observable(rng, 32))
+        assert len(obs.projectors) == 32
+        heisenberg_propagator(model, 0.05)(obs.projectors)
+        assert lindblad_expm == []
+
+    def test_d64_takes_action_route(self, lindblad_expm):
+        assert not lindblad._dense_is_cheaper(64, 1e12, 10**6)
+        rng = np.random.default_rng(64)
+        model = random_model(rng, 64, 1)
+        state = random_state(rng, 64)
+        propagate(model, state, 0.01)
+        assert lindblad_expm == []
+
+    def test_stiff_generator_takes_dense_route(self, lindblad_expm):
+        # every rate x 1e4 at d = 6: the action route took 68,000 generator
+        # column applications over dt = 1
+        rng = np.random.default_rng(46)
+        model = random_model(rng, 6, 3)
+        stiff = LindbladModel(model.hamiltonian, tuple(
+            JumpPair(1e2 * p.forward, 1e2 * p.backward, p.entropy_current)
+            for p in model.jump_pairs))
+        propagate(stiff, random_state(rng, 6), 1.0)
+        assert lindblad_expm == [(36, 36)]
+
+    def test_dense_exponential_formed_once_per_propagator(self, lindblad_expm):
+        rng = np.random.default_rng(45)
+        model = random_model(rng, 4, 2)
+        stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
+        apply = heisenberg_propagator(model, 0.1)
+        assert lindblad_expm == []
+        first = apply(stack)
+        np.testing.assert_array_equal(apply(stack), first)
+        assert lindblad_expm == [(16, 16)]
 
 
 class TestStateValidation:

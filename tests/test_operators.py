@@ -88,6 +88,19 @@ class TestObservableConstructors:
         for ma, mb in zip(a.class_members, b.class_members):
             assert np.array_equal(ma, mb)
 
+    def test_observable_formed_on_first_access(self):
+        rng = np.random.default_rng(23)
+        vecs = random_unitary(rng, 4)
+        groups = ((0.5, vecs[:, :2]), (-1.0, vecs[:, 2:3]), (2.0, vecs[:, 3:]))
+        dec = ObservableDecomposition.from_groups(groups)
+        assert dec._observable is None
+        values = np.array([0.5, 0.5, -1.0, 2.0])
+        expected = (vecs * values) @ vecs.conj().T
+        assert np.array_equal(dec.observable, expected)
+        assert dec.observable is dec.observable
+        x = random_hermitian(rng, 4)
+        assert np.array_equal(ObservableDecomposition.from_operator(x).observable, x)
+
     def test_one_dimensional_group_rejected(self):
         eye = np.eye(2, dtype=complex)
         with pytest.raises(BasisMismatchError) as info:
