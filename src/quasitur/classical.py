@@ -17,8 +17,8 @@ import scipy.linalg
 
 from .errors import DimMismatchError
 from .fcs import default_lambda_grid
-from .lindblad import JumpPair, LindbladModel, QuantumState
-from .quasiprob import ObservableDecomposition, flux_matrix, generating_function, short_time_moment, tmh_table
+from .lindblad import JumpPair, LindbladModel, QuantumState, heisenberg_propagator
+from .quasiprob import ObservableDecomposition, _phase_generating, _table, flux_matrix, short_time_moment
 from .thermo import currents, entropy_production_rate, tur_bound
 from .util import change_moment, per_lambda, read_json, write_json
 
@@ -77,10 +77,15 @@ def classical_generating_function(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     r = validate_rate_matrix(r)
     p = validate_probability(p)
     f = np.asarray(f, dtype=float).reshape(-1)
-    centered = f - 0.5 * (f.max() + f.min())
-    # row b of phases @ exp(R dt) is exp(R^T dt) applied to e^{i lam_b f}
-    prop = scipy.linalg.expm(r * float(delta_t))
+    return _generating(scipy.linalg.expm(r * float(delta_t)), p, f, lam)
 
+
+def _generating(prop: np.ndarray, p: np.ndarray, f: np.ndarray, lam):
+    """The generating function of :func:`classical_generating_function`,
+    with ``prop`` = exp(R dt) and validated ``p`` and ``f``."""
+    centered = f - 0.5 * (f.max() + f.min())
+
+    # row b of phases @ exp(R dt) is exp(R^T dt) applied to e^{i lam_b f}
     def values_at(lams):
         return ((np.exp(1j * np.outer(lams, centered)) @ prop)
                 * np.exp(-1j * np.outer(lams, centered))) @ p
@@ -219,20 +224,20 @@ def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     m_classical = classical_short_time_second_moment(r, p, f)
     m_residual = abs(m_quantum - m_classical)
 
-    table_residuals = []
-    for dt in delta_ts:
-        table = tmh_table(model, state, obs, dt)
-        prop = scipy.linalg.expm(r * float(dt))
-        classical_joint = prop * p[None, :]
-        table_residuals.append(float(np.max(np.abs(table.values - classical_joint))))
-
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(obs, 21)
     lams = np.asarray(lambda_grid, dtype=float).reshape(-1)
+    # one quantum and one classical propagator per lag, shared by the table
+    # and the generating function
+    table_residuals = []
     gen_residual = 0.0
     for dt in delta_ts:
-        g_quantum = generating_function(model, state, obs, lams, dt)
-        g_classical = classical_generating_function(r, p, f, lams, dt)
+        heisenberg = heisenberg_propagator(model, float(dt))
+        prop = scipy.linalg.expm(r * float(dt))
+        table = _table(heisenberg, obs, state, dt)
+        table_residuals.append(float(np.max(np.abs(table.values - prop * p[None, :]))))
+        g_quantum = _phase_generating(heisenberg, obs, state, lams)
+        g_classical = _generating(prop, p, f, lams)
         gen_residual = max(gen_residual, float(np.max(np.abs(g_quantum - g_classical), initial=0.0)))
 
     epr = bound = slack = None

@@ -249,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", type=float, required=True, help="evolution time")
     p.add_argument("--method", choices=["auto", "expm", "ivp"], default="auto",
                    help="propagation backend: auto and expm (an alias) take the "
-                        "cheaper of the dense exponential and expm_multiply; ivp "
-                        "integrates with adaptive Runge-Kutta as a cross-check")
+                        "dense exponential when it is cheaper, else one Taylor "
+                        "segment at short lags and expm_multiply at longer ones; "
+                        "ivp integrates with adaptive Runge-Kutta as a cross-check")
     p.add_argument("--output", required=True, help="output state JSON path")
 
     p = add("tur", cmd_tur, "evaluate the uncertainty-relation report")

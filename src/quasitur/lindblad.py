@@ -9,12 +9,18 @@ current per jump (k_B = 1). The module applies the generator
 
 its adjoint, and the corresponding finite-time propagators. The four
 ``apply_*`` functions take a state, one operator or a (B, d, d) stack.
-Propagators apply exp(tL) to a whole stack at once by one of two exact
-routes, whichever a cost estimate finds cheaper for the stack: the action
-route, ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci.
-Comput. 33(2), 2011) through batched d x d matrix products, or the dense
-route, ``scipy.linalg.expm`` of the d^2 x d^2 generator, formed column by
-column through the same generator kernel, for small or stiff generators.
+Propagators apply exp(tL) to a whole stack at once, in the first of three
+exact ways that applies:
+
+- dense: ``scipy.linalg.expm`` of the d^2 x d^2 generator, formed column by
+  column through the generator kernel, when a cost estimate finds it
+  cheaper than acting on the stack (small or stiff generators);
+- one Taylor segment of tL - mu I through batched d x d matrix products,
+  when a bound on its 1-norm shows that one segment suffices (short lags);
+- ``scipy.sparse.linalg.expm_multiply`` otherwise, which estimates norms of
+  powers of tL to split the lag into as many segments as it needs.
+
+The last two follow Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011).
 """
 
 from __future__ import annotations
@@ -51,6 +57,11 @@ NEGLIGIBLE_GENERATOR_NORM = np.finfo(float).tiny / np.finfo(float).eps
 #: (16 MiB per complex work array at the cap); larger d always take the
 #: action route
 DENSE_MAX_SIZE = 1024
+#: theta_55 of Al-Mohy & Higham (2011, table 3.1): when ||tL - mu I||_1 is at
+#: most this, one Taylor segment of at most ``TAYLOR_MAX_TERMS`` terms of
+#: tL - mu I (mu = tr(tL) / d^2) reaches double-precision unit roundoff
+TAYLOR_SEGMENT_NORM = 9.9
+TAYLOR_MAX_TERMS = 55
 #: constants of the route cost estimate in :func:`_dense_is_cheaper`, fitted
 #: to best-of-k timings of both routes at d = 2..32, ||tL||_1 = 1..1e4 and
 #: B in {1, 9, d} on a 2-core Xeon
@@ -283,8 +294,10 @@ class _Generator(LinearOperator):
     them with batched matrix products. The adjoint swaps the roles
     (G -> G^dag, outer <-> inner), which ``onenormest`` inside
     ``expm_multiply`` needs. ``trace`` is the exact trace of the
-    d^2 x d^2 matrix, so ``expm_multiply`` does not estimate it;
-    ``norm_bound`` bounds its 1-norm and that of its adjoint.
+    d^2 x d^2 matrix, so ``expm_multiply`` does not estimate it, and gives
+    the shift mu = trace / d^2 of the Taylor series; ``norm_bound`` bounds
+    its 1-norm and that of its adjoint, and picks the route: dense, one
+    Taylor segment, or ``expm_multiply``.
     """
 
     def __init__(self, g: np.ndarray, outer: np.ndarray, inner: np.ndarray, trace: float,
@@ -373,17 +386,47 @@ def _dense_is_cheaper(d: int, norm_bound: float, batch: int) -> bool:
     return dense < ACTION_STEP_WEIGHT * batch * d**3 * norm + ACTION_OVERHEAD
 
 
+def _taylor_segment(gen: _Generator, stack: np.ndarray, mu: float) -> np.ndarray:
+    """exp(tL) on a (B, d, d) stack as e^mu times one truncated Taylor series
+    of tL - mu I.
+
+    This is the core loop of ``expm_multiply`` (Al-Mohy & Higham, 2011,
+    algorithm 3.2) with one segment (s = 1) and at most
+    ``TAYLOR_MAX_TERMS`` terms, in scipy's order of operations: the series
+    stops once two successive terms are below unit roundoff relative to the
+    sum, in the inf-norm of the (d^2, B) block.
+    """
+    def inf_norm(ops):
+        return np.abs(ops).reshape(len(ops), -1).sum(axis=0).max()
+
+    out = term = stack
+    c1 = inf_norm(term)
+    for j in range(TAYLOR_MAX_TERMS):
+        term = 1.0 / (j + 1) * (_sandwich(term, gen.g, gen.g_dag, gen.outer, gen.inner)
+                                + (-mu) * term)
+        c2 = inf_norm(term)
+        out = out + term
+        if c1 + c2 <= 2.0**-53 * inf_norm(out):
+            break
+        c1 = c2
+    return np.exp(mu) * out
+
+
 def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
     """Callable applying exp(L^dag t) or exp(L t) to an operator or a stack.
 
-    For ``"auto"`` and ``"expm"`` each call takes the cheaper of two exact
-    routes for its block, by :func:`_dense_is_cheaper`: the dense
-    exponential of the generator, formed on first use through the one
-    generator kernel and kept by the callable, or ``expm_multiply``.
+    For ``"auto"`` and ``"expm"`` each call takes the dense exponential of
+    the generator, formed on first use and kept by the callable, when
+    :func:`_dense_is_cheaper` says so for its block. Otherwise it acts on
+    the block: by :func:`_taylor_segment` when ``norm_bound + |mu|``, a bound
+    on ||tL - mu I||_1, is at most ``TAYLOR_SEGMENT_NORM``, and else by
+    ``expm_multiply``, whose norm estimates pick the number of segments.
     """
     d = model.dim
     gen = _generator(model, t, heisenberg)
     if method in ("auto", "expm"):
+        mu = gen.trace / (d * d)
+
         @functools.cache
         def dense_transpose():
             return scipy.linalg.expm(gen.matmat(np.eye(d * d))).T
@@ -392,6 +435,8 @@ def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
             flat = stack.reshape(len(stack), d * d)
             if _dense_is_cheaper(d, gen.norm_bound, len(stack)):
                 return (flat @ dense_transpose()).reshape(stack.shape)
+            if gen.norm_bound + abs(mu) <= TAYLOR_SEGMENT_NORM:
+                return _taylor_segment(gen, stack, mu)
             with _pinned_legacy_rng():
                 out = expm_multiply(gen, flat.T, traceA=gen.trace)
             return out.T.reshape(stack.shape)
@@ -426,8 +471,8 @@ def _integrate(rhs, y0: np.ndarray, t: float) -> np.ndarray:
 def propagate(model: LindbladModel, state: QuantumState, t: float, method: str = "auto") -> QuantumState:
     """Evolve a state to exp(L t) rho_0.
 
-    ``method`` ``"auto"`` and ``"expm"`` both take the cheaper of the dense
-    exponential of the generator and the ``expm_multiply`` action, as
+    ``method`` ``"auto"`` and ``"expm"`` both take the dense exponential of
+    the generator, one Taylor segment or ``expm_multiply``, as
     :func:`heisenberg_propagator` describes; ``"ivp"`` integrates the master
     equation with adaptive Runge-Kutta instead, as an independent
     cross-check. The result is re-symmetrized and trace-renormalized to
@@ -447,14 +492,21 @@ def heisenberg_propagator(model: LindbladModel, dt: float, method: str = "auto")
     """Callable applying exp(L^dag dt) to one (d, d) operator or a (B, d, d) stack.
 
     The generator pieces are built once. Each call propagates its whole
-    stack by the cheaper of two routes. The action route, one
-    ``expm_multiply``, costs about B d^3 ||L||_1 dt, since the number of
-    Taylor steps grows with ||L||_1 dt. The dense route costs about
-    d^6 (log2 ||L||_1 dt + c) once, for ``scipy.linalg.expm`` of the
-    d^2 x d^2 generator, which the callable keeps, and then B d^4 per call.
-    The estimate uses a bound on ||L||_1 dt and no norm estimation, and
-    d^2 > ``DENSE_MAX_SIZE`` always takes the action route. ``method`` is
-    as for :func:`propagate`.
+    stack in one of three ways:
+
+    - Dense: ``scipy.linalg.expm`` of the d^2 x d^2 generator, which the
+      callable keeps, costs about d^6 (log2 ||L||_1 dt + c) once and then
+      B d^4 per call. It is taken when a cost estimate, from a bound on
+      ||L||_1 dt and no norm estimation, finds it cheaper than the action;
+      d^2 > ``DENSE_MAX_SIZE`` never takes it.
+    - One Taylor segment, when the bound on ||L dt - mu I||_1 is at most
+      ``TAYLOR_SEGMENT_NORM``: at most ``TAYLOR_MAX_TERMS`` steps of
+      B d^3 each, and no norm estimates.
+    - ``expm_multiply`` otherwise: about B d^3 ||L||_1 dt in Taylor steps
+      over as many segments as it needs, plus norm estimates of powers of
+      the generator.
+
+    ``method`` is as for :func:`propagate`.
     """
     if dt < 0:
         raise ValueError("propagation time must be non-negative")

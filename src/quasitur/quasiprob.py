@@ -117,8 +117,15 @@ def tmh_table(model: LindbladModel, state: QuantumState, observable, delta_t: fl
     obs = _coerce_observable(observable)
     if obs.dim != model.dim:
         raise DimMismatchError("observable dimension differs from model")
+    return _table(heisenberg_propagator(model, float(delta_t)), obs, state, delta_t)
+
+
+def _table(heisenberg, obs: ObservableDecomposition, state: QuantumState,
+           delta_t: float) -> QuasiprobTable:
+    """The table of :func:`tmh_table`, with ``heisenberg`` the propagator
+    over ``delta_t`` on a (B, d, d) stack."""
     projectors = obs.projectors
-    evolved = heisenberg_propagator(model, float(delta_t))(projectors)
+    evolved = heisenberg(projectors)
     # q_yx = tr(E_y {P_x, rho}) / 2 with E_y = exp(L^dag dt) P_y
     sym = projectors @ state.rho + state.rho @ projectors
     values = real_part(0.5 * np.einsum("yij,xji->yx", evolved, sym), "quasiprobability table")

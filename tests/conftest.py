@@ -3,6 +3,8 @@ import sys
 import pytest
 import scipy.linalg
 
+from quasitur import lindblad
+
 
 @pytest.fixture
 def lindblad_expm(monkeypatch):
@@ -16,4 +18,18 @@ def lindblad_expm(monkeypatch):
         return dense_expm(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "expm", watched_expm)
+    return shapes
+
+
+@pytest.fixture
+def lindblad_expm_multiply(monkeypatch):
+    """Block shapes of the ``expm_multiply`` calls made by ``quasitur.lindblad``."""
+    shapes = []
+    action = lindblad.expm_multiply
+
+    def watched_expm_multiply(a, b, *args, **kwargs):
+        shapes.append(b.shape)
+        return action(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "expm_multiply", watched_expm_multiply)
     return shapes

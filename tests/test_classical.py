@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import quasitur.classical
 import quasitur.lindblad
 import quasitur.quasiprob
 from quasitur.classical import (
@@ -220,6 +221,7 @@ class TestQuantization:
                 frame = frame.f_back
             return dense_expm(*args, **kwargs)
 
+        monkeypatch.setattr(quasitur.classical, "heisenberg_propagator", counting)
         monkeypatch.setattr(quasitur.quasiprob, "heisenberg_propagator", counting)
         monkeypatch.setattr(quasitur.lindblad, "heisenberg_propagator", counting)
         monkeypatch.setattr(scipy.linalg, "expm", watched_expm)
@@ -228,12 +230,13 @@ class TestQuantization:
         report = quantize_and_compare(r, random_probability(rng, 4), rng.normal(size=4),
                                       delta_ts=delta_ts)
         assert report.max_residual <= 1e-9
-        assert len(builds) == 2 * len(delta_ts)
+        # one propagator per lag, shared by the table and the lambda grid
+        assert len(builds) == len(delta_ts)
         # n = 4 takes the dense route: one exp(tL) of the n^2 x n^2 generator per build
         assert len(lindblad_expm_calls) == len(builds)
         assert all(args[0].shape == (16, 16) for args in lindblad_expm_calls)
-        # the classical side: one exp(R dt) for the table and one for the lambda grid, per lag
-        assert len(expm_calls) - len(lindblad_expm_calls) == 2 * len(delta_ts)
+        # the classical side: one exp(R dt) per lag, likewise shared
+        assert len(expm_calls) - len(lindblad_expm_calls) == len(delta_ts)
 
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -242,8 +245,8 @@ class TestQuantization:
         r = random_reversible_rate_matrix(rng, n)
         report = quantize_and_compare(r, random_probability(rng, n), rng.normal(size=n))
         assert report.max_residual <= 1e-9
-        # two propagators per lag, one dense exponential each
-        assert lindblad_expm == [(n * n, n * n)] * 2 * len(report.delta_ts)
+        # one propagator per lag, one dense exponential each
+        assert lindblad_expm == [(n * n, n * n)] * len(report.delta_ts)
 
 
 class TestClassicalModelFiles:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import expm_multiply
 
 from quasitur import lindblad
 from quasitur.ensembles import (
@@ -379,13 +380,15 @@ class TestMatrixFreeRoute:
         with pytest.raises(ValueError):
             propagate(thermal_qubit(), excited_state(), 0.1, method="dense")
 
-    def test_reproducible_and_leaves_global_rng_alone(self, lindblad_expm):
+    def test_reproducible_and_leaves_global_rng_alone(self, lindblad_expm, lindblad_expm_multiply):
         # the norm estimator inside expm_multiply draws from numpy's legacy
         # global generator; results must not depend on its state. The d <= 6
-        # instance takes the dense route, the d = 16 one the action route.
+        # instance takes the dense route, the d = 16 one expm_multiply, as
+        # its generator is too large for one Taylor segment.
         rng = np.random.default_rng(44)
         small = random_instance(rng, max_dim=6, max_pairs=3)[:2]
         large = (random_model(rng, 16, 2), random_state(rng, 16))
+        assert taylor_bound(large[0], 0.9) > lindblad.TAYLOR_SEGMENT_NORM
         for model, state in (small, large):
             saved = np.random.get_state()
             try:
@@ -401,6 +404,22 @@ class TestMatrixFreeRoute:
             np.testing.assert_array_equal(first, second)
         # two dense exponentials, both of the small instance's generator
         assert lindblad_expm == [(small[0].dim ** 2,) * 2] * 2
+        assert lindblad_expm_multiply == [(256, 1)] * 2
+
+
+def d32_projector_block():
+    """A random d = 32 model with 3 pairs and the 32 projectors of a random
+    observable."""
+    rng = np.random.default_rng(32)
+    model = random_model(rng, 32, 3)
+    return model, ObservableDecomposition.from_operator(random_observable(rng, 32)).projectors
+
+
+def taylor_bound(model: LindbladModel, dt: float) -> float:
+    """The bound on ||dt L - mu I||_1 that decides whether one Taylor
+    segment suffices."""
+    gen = lindblad._generator(model, dt, heisenberg=True)
+    return gen.norm_bound + abs(gen.trace) / model.dim**2
 
 
 def stiff_instance(dim: int, scale: float):
@@ -454,16 +473,31 @@ class TestStiffGenerators:
 
 
 class TestRouteChoice:
-    """Which route the cost estimate picks, seen from the dense exponentials
-    ``quasitur.lindblad`` takes."""
+    """Which route a propagator takes, seen from the dense exponentials and
+    the ``expm_multiply`` calls ``quasitur.lindblad`` makes."""
 
-    def test_projector_block_at_d32_takes_action_route(self, lindblad_expm):
-        rng = np.random.default_rng(32)
-        model = random_model(rng, 32, 3)
-        obs = ObservableDecomposition.from_operator(random_observable(rng, 32))
-        assert len(obs.projectors) == 32
-        heisenberg_propagator(model, 0.05)(obs.projectors)
+    def test_projector_block_at_d32_takes_action_route(self, lindblad_expm, lindblad_expm_multiply):
+        # at dt = 0.05 one Taylor segment suffices: no dense exponential and
+        # no expm_multiply, with expm_multiply's result to rounding
+        model, projectors = d32_projector_block()
+        assert len(projectors) == 32
+        got = heisenberg_propagator(model, 0.05)(projectors)
         assert lindblad_expm == []
+        assert lindblad_expm_multiply == []
+        assert np.max(np.abs(got - action_propagate(model, projectors, 0.05, adjoint=True))) <= 1e-13
+        gen = lindblad._generator(model, 0.05, heisenberg=True)
+        with lindblad._pinned_legacy_rng():
+            scipy_action = expm_multiply(gen, projectors.reshape(32, -1).T, traceA=gen.trace)
+        scipy_action = scipy_action.T.reshape(projectors.shape)
+        assert np.linalg.norm(got - scipy_action) <= 1e-15 * np.linalg.norm(scipy_action)
+
+    @pytest.mark.parametrize("dt, one_segment", [(0.1, True), (0.2, False)])
+    def test_lags_either_side_of_one_segment(self, lindblad_expm_multiply, dt, one_segment):
+        model, projectors = d32_projector_block()
+        assert (taylor_bound(model, dt) <= lindblad.TAYLOR_SEGMENT_NORM) == one_segment
+        got = heisenberg_propagator(model, dt)(projectors)
+        assert lindblad_expm_multiply == ([] if one_segment else [(1024, 32)])
+        assert np.max(np.abs(got - action_propagate(model, projectors, dt, adjoint=True))) <= 1e-12
 
     def test_d64_takes_action_route(self, lindblad_expm):
         assert not lindblad._dense_is_cheaper(64, 1e12, 10**6)
