@@ -59,14 +59,14 @@ for i, n in enumerate(sweep.n_values):
 print(f"fitted exponents: m_H {sweep.exponents['m_x'].slope:.3f}, "
       f"|J| {sweep.exponents['current'].slope:.3f}")
 cond = q1_q2_diagnostics(sweep)
-print(f"flux-negativity condition satisfied: {cond.q1_satisfied} "
-      f"(exponent {cond.q1_exponent:.2f})")
-print(f"escape-rate condition satisfied: {cond.q2_satisfied} "
-      f"(exponent {cond.q2_exponent:.2f})")
+print(f"flux-negativity condition satisfied: {cond.q1.satisfied} "
+      f"(exponent {cond.q1.exponent:.2f})")
+print(f"escape-rate condition satisfied: {cond.q2.satisfied} "
+      f"(exponent {cond.q2.exponent:.2f})")
 
 print("\nsame sweep with the alternating superposition:")
 sweep_minus = scaling_sweep(params, n_list, "-")
 print("  m_H per N:", [f"{m:.2e}" for m in sweep_minus.m_x])
 cond_minus = q1_q2_diagnostics(sweep_minus)
-print(f"  conditions: ({cond_minus.q1_satisfied}, {cond_minus.q2_satisfied}) "
+print(f"  conditions: ({cond_minus.q1.satisfied}, {cond_minus.q2.satisfied}) "
       "- no anomalous scaling despite equal coherence")

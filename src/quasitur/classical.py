@@ -20,35 +20,34 @@ from .fcs import default_lambda_grid
 from .lindblad import JumpPair, LindbladModel, QuantumState, heisenberg_propagator
 from .quasiprob import ObservableDecomposition, _phase_generating, _table, flux_matrix, short_time_moment
 from .thermo import currents, entropy_production_rate, tur_bound
-from .util import change_moment, per_lambda, read_json, write_json
+from .util import CLASSICAL_TOL, change_moment, lag, per_lambda, read_json, write_json
 
 
-def validate_rate_matrix(r: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def validate_rate_matrix(r: np.ndarray) -> np.ndarray:
     mat = np.asarray(r, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimMismatchError("rate matrix must be square")
     off = mat - np.diag(np.diag(mat))
-    if off.min() < -tol:
+    if off.min() < -CLASSICAL_TOL:
         raise ValueError(f"negative off-diagonal rate {off.min():.3e}")
     colsum = np.abs(mat.sum(axis=0)).max()
-    if colsum > tol * max(np.abs(mat).max(), 1.0):
+    if colsum > CLASSICAL_TOL * max(np.abs(mat).max(), 1.0):
         raise ValueError(f"rate matrix columns do not sum to zero (max {colsum:.3e})")
     return mat
 
 
-def validate_probability(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def validate_probability(p: np.ndarray) -> np.ndarray:
     vec = np.asarray(p, dtype=float).reshape(-1)
-    if vec.min() < -tol:
+    if vec.min() < -CLASSICAL_TOL:
         raise ValueError(f"negative probability {vec.min():.3e}")
-    if abs(vec.sum() - 1.0) > tol:
+    if abs(vec.sum() - 1.0) > CLASSICAL_TOL:
         raise ValueError(f"probabilities sum to {vec.sum()!r}")
     return vec
 
 
 def classical_propagate(r: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
-    """p(t) = exp(R t) p0."""
-    if t < 0:
-        raise ValueError("propagation time must be non-negative")
+    """p(t) = exp(R t) p0; raises ``ValueError`` unless 0 <= t < inf."""
+    t = lag(t)
     r = validate_rate_matrix(r)
     p0 = validate_probability(p0)
     if t == 0.0:
@@ -58,11 +57,13 @@ def classical_propagate(r: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
 
 def classical_joint_moment(r: np.ndarray, p: np.ndarray, f: np.ndarray,
                            n: int, delta_t: float) -> float:
-    """sum_{i,j} (f_j - f_i)^n [exp(R dt)]_{ji} p_i."""
+    """sum_{i,j} (f_j - f_i)^n [exp(R dt)]_{ji} p_i; raises ``ValueError``
+    unless 0 <= dt < inf."""
+    delta_t = lag(delta_t)
     r = validate_rate_matrix(r)
     p = validate_probability(p)
     f = np.asarray(f, dtype=float).reshape(-1)
-    prop = scipy.linalg.expm(r * float(delta_t))
+    prop = scipy.linalg.expm(r * delta_t)
     return change_moment(f, f, prop * p[None, :], n)
 
 
@@ -73,11 +74,13 @@ def classical_generating_function(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     A scalar ``lam`` gives a complex number. A 1-D array of ``lam`` gives a
     complex array, all of it from one propagator. Phases are of f minus its
     midpoint, which cancels and keeps them bounded at complex ``lam``.
+    Raises ``ValueError`` unless 0 <= dt < inf.
     """
+    delta_t = lag(delta_t)
     r = validate_rate_matrix(r)
     p = validate_probability(p)
     f = np.asarray(f, dtype=float).reshape(-1)
-    return _generating(scipy.linalg.expm(r * float(delta_t)), p, f, lam)
+    return _generating(scipy.linalg.expm(r * delta_t), p, f, lam)
 
 
 def _generating(prop: np.ndarray, p: np.ndarray, f: np.ndarray, lam):

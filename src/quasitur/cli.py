@@ -40,10 +40,8 @@ from .lindblad import (
 )
 from .quasiprob import ObservableDecomposition
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, tur_check, tur_report_dict
-from .util import float_repr, matrix_from_json, read_json, write_json
-
-TUR_SLACK_TOL = 1e-9
-CLOSED_FORM_RTOL = 1e-10
+from .util import (CLOSED_FORM_TOL, COMMUTATION_TOL, DETAILED_BALANCE_TOL, EMBEDDING_TOL,
+                   TUR_SLACK_TOL, float_repr, matrix_from_json, read_json, write_json)
 
 
 def _load_observable(path) -> ObservableDecomposition:
@@ -59,7 +57,10 @@ def _config_dict(args, keys) -> dict:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    values = [int(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
 
 
 def _float_pair(text: str) -> tuple[float, float]:
@@ -141,7 +142,7 @@ def cmd_sweep(args) -> int:
     for name, fit in report.exponents.items():
         print(f"  {name}: exponent {fit.slope:.4f} (R^2 {fit.r_squared:.5f})")
     if conditions is not None:
-        print(f"  Q1 satisfied: {conditions.q1_satisfied}  Q2 satisfied: {conditions.q2_satisfied}")
+        print(f"  Q1 satisfied: {conditions.q1.satisfied}  Q2 satisfied: {conditions.q2.satisfied}")
     return 0
 
 
@@ -185,7 +186,7 @@ def cmd_example(args) -> int:
             ]
             cells.append(float_repr(row["residual"]) if "residual" in row else "")
             fh.write(",".join(cells) + "\n")
-    ok = worst <= CLOSED_FORM_RTOL
+    ok = worst <= CLOSED_FORM_TOL
     print(f"closed forms written to {args.output}; worst residual {worst:.3e} "
           f"-> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -240,18 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("validate", cmd_validate, "check local detailed balance of a model file")
     p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
+    p.add_argument("--tol", type=float, default=DETAILED_BALANCE_TOL, help="residual tolerance")
     p.add_argument("--output", default=None, help="optional JSON report path")
 
     p = add("propagate", cmd_propagate, "evolve a state file for a given time")
     p.add_argument("--model", required=True)
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--time", type=float, required=True, help="evolution time")
-    p.add_argument("--method", choices=["auto", "expm", "ivp"], default="auto",
-                   help="propagation backend: auto and expm (an alias) take the "
-                        "dense exponential when it is cheaper, else one Taylor "
-                        "segment at short lags and expm_multiply at longer ones; "
-                        "ivp integrates with adaptive Runge-Kutta as a cross-check")
+    p.add_argument("--method", choices=["auto", "ivp"], default="auto",
+                   help="propagation backend: auto picks a route per call (see "
+                        "README, Cost of propagation); ivp integrates with "
+                        "adaptive Runge-Kutta as a cross-check")
     p.add_argument("--output", required=True, help="output state JSON path")
 
     p = add("tur", cmd_tur, "evaluate the uncertainty-relation report")
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--observable", required=True)
-    p.add_argument("--commutation-tol", type=float, default=1e-9,
+    p.add_argument("--commutation-tol", type=float, default=COMMUTATION_TOL,
                    help="tolerance for the jump-weight fit")
     p.add_argument("--output", required=True, help="output CSV path")
 
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
             "verify the diagonal embedding of a classical model file")
     p.add_argument("--model", required=True, help="classical model JSON file")
     p.add_argument("--delta-ts", default="0.01,0.1", help="comparison lags")
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
+    p.add_argument("--tol", type=float, default=EMBEDDING_TOL, help="residual tolerance")
     p.add_argument("--output", default=None, help="optional JSON report path")
 
     return parser

@@ -11,7 +11,7 @@ required for the short-time fluctuation to grow faster than the degeneracy.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .errors import BasisMismatchError, InsufficientPointsError
 from .lindblad import JumpPair, LindbladModel, QuantumState, resolved_fluxes
 from .operators import ObservableDecomposition
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, entropy_production_rate, tur_bound
-from .util import change_moment, dagger, float_repr, group_sums
+from .util import (Q_R2_THRESHOLD, Q_SLOPE_THRESHOLD, ZERO_ELEMENT_TOL, change_moment, dagger,
+                   float_repr, group_sums)
 
 #: floor used when taking logs of series that may contain exact zeros
 LOG_CLIP = 1e-30
@@ -92,11 +93,10 @@ class ClassicalityReport:
 
 
 def classify_basis_classicality(model: LindbladModel, basis: ObservableDecomposition,
-                                magnitude_bound: float, count_bound: int,
-                                zero_tol: float = 1e-12) -> ClassicalityReport:
+                                magnitude_bound: float, count_bound: int) -> ClassicalityReport:
     """Classify a basis as classical if every transition is touched by at
-    most ``count_bound`` jumps, each with matrix element at most
-    ``magnitude_bound`` in magnitude."""
+    most ``count_bound`` jumps (elements above ``ZERO_ELEMENT_TOL``), each
+    with matrix element at most ``magnitude_bound`` in magnitude."""
     if basis.dim != model.dim:
         raise BasisMismatchError("basis dimension differs from model")
     v = basis.eigenvectors
@@ -106,7 +106,7 @@ def classify_basis_classicality(model: LindbladModel, basis: ObservableDecomposi
     for op in model.jump_operators:
         mags = np.abs(dagger(v) @ op @ v)
         max_mag = np.maximum(max_mag, mags)
-        counts += mags > zero_tol
+        counts += mags > ZERO_ELEMENT_TOL
     classical = bool(np.all(max_mag <= magnitude_bound) and np.all(counts <= count_bound))
     return ClassicalityReport(
         max_magnitude=max_mag,
@@ -290,18 +290,15 @@ class ExponentFit:
     slope: float
     r_squared: float
 
-    def reliable(self, r2_threshold: float = 0.99) -> bool:
-        return self.r_squared >= r2_threshold
 
-
-def fit_loglog(n_values, series, clip: float = 1e-300) -> ExponentFit:
+def fit_loglog(n_values, series) -> ExponentFit:
     """Least-squares slope of log(series) against log(N).
 
-    Values are clipped at ``clip`` so identically vanishing series produce
+    Values are clipped at 1e-300 so identically vanishing series produce
     a flat, fully determined fit instead of log(0).
     """
     n_values = np.asarray(n_values, dtype=float)
-    series = np.maximum(np.abs(np.asarray(series, dtype=float)), clip)
+    series = np.maximum(np.abs(np.asarray(series, dtype=float)), 1e-300)
     if len(n_values) < 2:
         raise InsufficientPointsError("need at least two points to fit an exponent")
     x = np.log(n_values)
@@ -417,6 +414,15 @@ def scaling_sweep(params_template: CollectiveModelParams, n_list, state_kind: st
 
 
 @dataclass(frozen=True)
+class QCondition:
+    """One condition's log-log fit and its verdict."""
+
+    exponent: float
+    r_squared: float
+    satisfied: bool
+
+
+@dataclass(frozen=True)
 class QConditionReport:
     """Operationalized anomalous-scaling conditions over a finite sweep.
 
@@ -425,38 +431,33 @@ class QConditionReport:
     log-log slopes of the per-N series divided by N.
     """
 
-    q1_exponent: float
-    q1_r_squared: float
-    q1_satisfied: bool
-    q2_exponent: float
-    q2_r_squared: float
-    q2_satisfied: bool
+    q1: QCondition
+    q2: QCondition
     slope_threshold: float
     r2_threshold: float
 
 
-def q1_q2_diagnostics(sweep: ScalingSweepReport, slope_threshold: float = 0.5,
-                      r2_threshold: float = 0.99) -> QConditionReport:
+def _q_condition(n: np.ndarray, series: np.ndarray) -> QCondition:
+    fit = fit_loglog(n, series)
+    satisfied = fit.slope > Q_SLOPE_THRESHOLD and fit.r_squared >= Q_R2_THRESHOLD
+    return QCondition(exponent=fit.slope, r_squared=fit.r_squared, satisfied=bool(satisfied))
+
+
+def q1_q2_diagnostics(sweep: ScalingSweepReport) -> QConditionReport:
     """Fit the Q1/Q2 series and report per-condition verdicts.
 
-    A condition is satisfied when its slope exceeds ``slope_threshold``
-    with a fit quality of at least ``r2_threshold``.
+    A condition is satisfied when its slope exceeds ``Q_SLOPE_THRESHOLD``
+    with a fit quality of at least ``Q_R2_THRESHOLD``.
     """
     if len(sweep.n_values) < 4:
         raise InsufficientPointsError("Q1/Q2 diagnostics need at least four sweep points")
     n = np.asarray(sweep.n_values, dtype=float)
     negativity = np.maximum(-np.asarray(sweep.min_integrated_flux), LOG_CLIP)
-    q1 = fit_loglog(n, negativity / n)
-    q2 = fit_loglog(n, np.asarray(sweep.escape_rates) / n)
     return QConditionReport(
-        q1_exponent=q1.slope,
-        q1_r_squared=q1.r_squared,
-        q1_satisfied=bool(q1.slope > slope_threshold and q1.reliable(r2_threshold)),
-        q2_exponent=q2.slope,
-        q2_r_squared=q2.r_squared,
-        q2_satisfied=bool(q2.slope > slope_threshold and q2.reliable(r2_threshold)),
-        slope_threshold=float(slope_threshold),
-        r2_threshold=float(r2_threshold),
+        q1=_q_condition(n, negativity / n),
+        q2=_q_condition(n, np.asarray(sweep.escape_rates) / n),
+        slope_threshold=Q_SLOPE_THRESHOLD,
+        r2_threshold=Q_R2_THRESHOLD,
     )
 
 
@@ -477,24 +478,8 @@ def sweep_summary(report: ScalingSweepReport, conditions: QConditionReport | Non
         "state_kind": report.state_kind,
         "eigenvalue_floor": report.eigenvalue_floor,
         "balance_scale": report.balance_scale,
-        "exponents": {
-            name: {"slope": fit.slope, "r_squared": fit.r_squared}
-            for name, fit in report.exponents.items()
-        },
+        "exponents": {name: asdict(fit) for name, fit in report.exponents.items()},
     }
     if conditions is not None:
-        out["conditions"] = {
-            "q1": {
-                "exponent": conditions.q1_exponent,
-                "r_squared": conditions.q1_r_squared,
-                "satisfied": conditions.q1_satisfied,
-            },
-            "q2": {
-                "exponent": conditions.q2_exponent,
-                "r_squared": conditions.q2_r_squared,
-                "satisfied": conditions.q2_satisfied,
-            },
-            "slope_threshold": conditions.slope_threshold,
-            "r2_threshold": conditions.r2_threshold,
-        }
+        out["conditions"] = asdict(conditions)
     return out

@@ -22,7 +22,7 @@ from .errors import CommutationViolatedError, DimMismatchError
 from .lindblad import LindbladModel, QuantumState, apply_adjoint_liouvillian
 from .numdiff import derivative_moment
 from .quasiprob import _coerce_observable, _observable_matrix, _phase_generating
-from .util import commutator, dagger, float_repr, per_lambda
+from .util import COMMUTATION_TOL, commutator, dagger, float_repr, per_lambda
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,8 @@ class CommutationCheckResult:
         return CurrentObservableSpec(weights=self.weights)
 
 
-def commutation_check(model: LindbladModel, observable, tol: float = 1e-9) -> CommutationCheckResult:
+def commutation_check(model: LindbladModel, observable,
+                      tol: float = COMMUTATION_TOL) -> CommutationCheckResult:
     """Fit w_k = tr(L_k^dag [X, L_k]) / tr(L_k^dag L_k) and verify the relation.
 
     Failure is a result, not an exception; the first violating jump index is
@@ -170,7 +171,8 @@ def predicted_rate_difference(model: LindbladModel, state: QuantumState, observa
 
 
 def compare_rates(model: LindbladModel, state: QuantumState, observable,
-                  lambda_grid=None, commutation_tol: float = 1e-9) -> GeneratingRateComparison:
+                  lambda_grid=None,
+                  commutation_tol: float = COMMUTATION_TOL) -> GeneratingRateComparison:
     """Evaluate both generating rates and the sine-series difference formula.
 
     Raises ``CommutationViolatedError`` when no jump weights exist. The

@@ -13,14 +13,16 @@ Propagators apply exp(tL) to a whole stack at once, in the first of three
 exact ways that applies:
 
 - dense: ``scipy.linalg.expm`` of the d^2 x d^2 generator, formed column by
-  column through the generator kernel, when a cost estimate finds it
-  cheaper than acting on the stack (small or stiff generators);
+  column through the generator kernel, when :func:`_dense_is_cheaper` finds
+  it cheaper than acting on the stack (small or stiff generators; never for
+  d^2 > ``DENSE_MAX_SIZE``);
 - one Taylor segment of tL - mu I through batched d x d matrix products,
-  when a bound on its 1-norm shows that one segment suffices (short lags);
+  when a bound on its 1-norm is at most ``TAYLOR_SEGMENT_NORM`` (short lags);
 - ``scipy.sparse.linalg.expm_multiply`` otherwise, which estimates norms of
   powers of tL to split the lag into as many segments as it needs.
 
 The last two follow Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011).
+README "Cost of propagation" gives the cost of each route.
 """
 
 from __future__ import annotations
@@ -37,15 +39,8 @@ from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from .errors import DegeneratePairError, DimMismatchError, NonConvergenceError
 from .operators import require_hermitian
-from .util import (
-    as_operator,
-    dagger,
-    matrix_from_json,
-    matrix_to_json,
-    operator_hash,
-    read_json,
-    write_json,
-)
+from .util import (DENSITY_TOL, DETAILED_BALANCE_TOL, PROPAGATED_PSD_TOL, as_operator, dagger, lag,
+                   matrix_from_json, matrix_to_json, operator_hash, read_json, write_json)
 
 #: tolerances of the opt-in ``method="ivp"`` Runge-Kutta cross-check
 IVP_RTOL = 1e-10
@@ -148,14 +143,14 @@ class QuantumState:
 
     __slots__ = ("rho",)
 
-    def __init__(self, rho, *, hermitian_tol=1e-10, psd_tol=1e-10, trace_tol=1e-10):
-        mat = require_hermitian(rho, hermitian_tol)
+    def __init__(self, rho, *, psd_tol=DENSITY_TOL):
+        mat = require_hermitian(rho)
         mat = (mat + dagger(mat)) / 2
         eigs = np.linalg.eigvalsh(mat)
         if eigs[0] < -psd_tol:
             raise ValueError(f"density matrix has eigenvalue {eigs[0]:.3e} < -{psd_tol:.1e}")
         trace = float(np.trace(mat).real)
-        if abs(trace - 1.0) > trace_tol:
+        if abs(trace - 1.0) > DENSITY_TOL:
             raise ValueError(f"density matrix trace {trace!r} differs from 1")
         self.rho = mat
 
@@ -187,7 +182,8 @@ class DetailedBalanceReport:
         return max(self.residuals) if self.residuals else 0.0
 
 
-def validate_local_detailed_balance(model: LindbladModel, tol: float = 1e-8) -> DetailedBalanceReport:
+def validate_local_detailed_balance(model: LindbladModel,
+                                    tol: float = DETAILED_BALANCE_TOL) -> DetailedBalanceReport:
     """Report || L_k - exp(s_k/2) L_-k^dag || per pair; passes iff all <= tol."""
     residuals = tuple(pair.detailed_balance_residual() for pair in model.jump_pairs)
     return DetailedBalanceReport(residuals=residuals, tolerance=float(tol))
@@ -197,14 +193,14 @@ def decompose_pair(pair: JumpPair) -> tuple[float, float, np.ndarray]:
     """Split a pair as L_k = sqrt(g_k) Lt, L_-k = sqrt(g_-k) Lt^dag.
 
     The split is fixed by normalizing ||Lt||_HS = 1, so g_k = ||L_k||_HS^2.
-    Requires the pair to satisfy local detailed balance (residual <= 1e-8
-    relative), which guarantees g_k / g_-k = exp(s_k).
+    Requires the pair to satisfy local detailed balance (residual at most
+    ``DETAILED_BALANCE_TOL`` relative), which guarantees g_k / g_-k = exp(s_k).
     """
     norm_f = float(np.linalg.norm(pair.forward))
     norm_b = float(np.linalg.norm(pair.backward))
     if norm_f == 0.0 or norm_b == 0.0:
         raise DegeneratePairError("jump pair contains a zero operator")
-    if pair.detailed_balance_residual() > 1e-8 * max(norm_f, 1.0):
+    if pair.detailed_balance_residual() > DETAILED_BALANCE_TOL * max(norm_f, 1.0):
         raise ValueError("pair violates local detailed balance; cannot decompose")
     gamma_f = norm_f**2
     gamma_b = norm_b**2
@@ -291,13 +287,10 @@ class _Generator(LinearOperator):
 
     A block of B operators is a (d*d, B) array whose columns are the
     flattened operators; ``matmat`` applies :func:`_sandwich` to all of
-    them with batched matrix products. The adjoint swaps the roles
-    (G -> G^dag, outer <-> inner), which ``onenormest`` inside
-    ``expm_multiply`` needs. ``trace`` is the exact trace of the
-    d^2 x d^2 matrix, so ``expm_multiply`` does not estimate it, and gives
-    the shift mu = trace / d^2 of the Taylor series; ``norm_bound`` bounds
-    its 1-norm and that of its adjoint, and picks the route: dense, one
-    Taylor segment, or ``expm_multiply``.
+    them with batched matrix products, and the adjoint swaps G -> G^dag and
+    outer <-> inner. ``trace`` is the exact trace of the d^2 x d^2 matrix
+    and ``norm_bound`` bounds its 1-norm and that of its adjoint; both
+    pick the route of the module docstring.
     """
 
     def __init__(self, g: np.ndarray, outer: np.ndarray, inner: np.ndarray, trace: float,
@@ -415,16 +408,13 @@ def _taylor_segment(gen: _Generator, stack: np.ndarray, mu: float) -> np.ndarray
 def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
     """Callable applying exp(L^dag t) or exp(L t) to an operator or a stack.
 
-    For ``"auto"`` and ``"expm"`` each call takes the dense exponential of
-    the generator, formed on first use and kept by the callable, when
-    :func:`_dense_is_cheaper` says so for its block. Otherwise it acts on
-    the block: by :func:`_taylor_segment` when ``norm_bound + |mu|``, a bound
-    on ||tL - mu I||_1, is at most ``TAYLOR_SEGMENT_NORM``, and else by
-    ``expm_multiply``, whose norm estimates pick the number of segments.
+    For ``"auto"`` each call takes the first route of the module docstring
+    that applies to its block; the dense exponential is formed on first use
+    and kept by the callable.
     """
     d = model.dim
     gen = _generator(model, t, heisenberg)
-    if method in ("auto", "expm"):
+    if method == "auto":
         mu = gen.trace / (d * d)
 
         @functools.cache
@@ -471,46 +461,29 @@ def _integrate(rhs, y0: np.ndarray, t: float) -> np.ndarray:
 def propagate(model: LindbladModel, state: QuantumState, t: float, method: str = "auto") -> QuantumState:
     """Evolve a state to exp(L t) rho_0.
 
-    ``method`` ``"auto"`` and ``"expm"`` both take the dense exponential of
-    the generator, one Taylor segment or ``expm_multiply``, as
-    :func:`heisenberg_propagator` describes; ``"ivp"`` integrates the master
-    equation with adaptive Runge-Kutta instead, as an independent
-    cross-check. The result is re-symmetrized and trace-renormalized to
-    suppress drift.
+    ``method="auto"`` picks a route per call, as the module docstring
+    describes; ``"ivp"`` integrates the master equation with adaptive
+    Runge-Kutta instead, as an independent cross-check. The result is
+    re-symmetrized and trace-renormalized to suppress drift. Raises
+    ``ValueError`` unless 0 <= t < inf.
     """
-    if t < 0:
-        raise ValueError("propagation time must be non-negative")
+    t = lag(t)
     if t == 0.0:
         return state
-    rho = _propagator(model, float(t), heisenberg=False, method=method)(state.rho)
+    rho = _propagator(model, t, heisenberg=False, method=method)(state.rho)
     rho = (rho + dagger(rho)) / 2
     rho = rho / float(np.trace(rho).real)
-    return QuantumState(rho, hermitian_tol=1e-9, psd_tol=1e-8, trace_tol=1e-9)
+    return QuantumState(rho, psd_tol=PROPAGATED_PSD_TOL)
 
 
 def heisenberg_propagator(model: LindbladModel, dt: float, method: str = "auto"):
     """Callable applying exp(L^dag dt) to one (d, d) operator or a (B, d, d) stack.
 
     The generator pieces are built once. Each call propagates its whole
-    stack in one of three ways:
-
-    - Dense: ``scipy.linalg.expm`` of the d^2 x d^2 generator, which the
-      callable keeps, costs about d^6 (log2 ||L||_1 dt + c) once and then
-      B d^4 per call. It is taken when a cost estimate, from a bound on
-      ||L||_1 dt and no norm estimation, finds it cheaper than the action;
-      d^2 > ``DENSE_MAX_SIZE`` never takes it.
-    - One Taylor segment, when the bound on ||L dt - mu I||_1 is at most
-      ``TAYLOR_SEGMENT_NORM``: at most ``TAYLOR_MAX_TERMS`` steps of
-      B d^3 each, and no norm estimates.
-    - ``expm_multiply`` otherwise: about B d^3 ||L||_1 dt in Taylor steps
-      over as many segments as it needs, plus norm estimates of powers of
-      the generator.
-
-    ``method`` is as for :func:`propagate`.
+    stack by the routes of the module docstring. ``method`` and the lag
+    check are as for :func:`propagate`.
     """
-    if dt < 0:
-        raise ValueError("propagation time must be non-negative")
-    return _propagator(model, float(dt), heisenberg=True, method=method)
+    return _propagator(model, lag(dt), heisenberg=True, method=method)
 
 
 # --- model and state files -------------------------------------------------

@@ -16,24 +16,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BasisMismatchError, DimMismatchError, NotHermitianError, SingularOperatorError
-from .util import as_operator, dagger
-
-HERMITICITY_RTOL = 1e-10
-
-
-def hermiticity_error(a: np.ndarray) -> float:
-    """Frobenius norm of the anti-Hermitian part of ``a``."""
-    return float(np.linalg.norm(a - dagger(a)))
+from .util import (DEGENERACY_TOL, EIGEN_RELATION_TOL, HERMITICITY_TOL, ORTHONORMALITY_TOL,
+                   as_operator, dagger)
 
 
-def require_hermitian(a: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Return ``a`` coerced to a matrix, raising if not Hermitian to ``rtol``."""
+def require_hermitian(a) -> np.ndarray:
+    """Return ``a`` coerced to a matrix, raising ``NotHermitianError`` unless
+    ||a - a^dag||_F <= ``HERMITICITY_TOL`` ||a||_F."""
     mat = as_operator(a)
     norm = float(np.linalg.norm(mat))
-    if hermiticity_error(mat) > rtol * max(norm, 1e-300):
+    error = float(np.linalg.norm(mat - dagger(mat)))
+    if error > HERMITICITY_TOL * max(norm, 1e-300):
         raise NotHermitianError(
-            f"operator deviates from Hermiticity by {hermiticity_error(mat):.3e} "
-            f"(norm {norm:.3e}, rtol {rtol:.1e})"
+            f"operator deviates from Hermiticity by {error:.3e} "
+            f"(norm {norm:.3e}, rtol {HERMITICITY_TOL:.1e})"
         )
     return mat
 
@@ -70,17 +66,15 @@ class ObservableDecomposition:
     _observable: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_operator(cls, x, degeneracy_tol: float | None = None) -> "ObservableDecomposition":
+    def from_operator(cls, x) -> "ObservableDecomposition":
         """Diagonalize a Hermitian operator, merging near-degenerate eigenvalues.
 
-        ``degeneracy_tol`` is the absolute gap below which neighbouring
-        (ascending) eigenvalues share a class; it defaults to
-        ``1e-9 * max(||x||, 1)``. Raises ``NotHermitianError`` if ``x`` fails
-        the Hermiticity check.
+        Neighbouring (ascending) eigenvalues share a class when their gap is
+        at most ``DEGENERACY_TOL * max(||x||, 1)``. Raises
+        ``NotHermitianError`` if ``x`` fails the Hermiticity check.
         """
         mat = require_hermitian(x)
-        if degeneracy_tol is None:
-            degeneracy_tol = 1e-9 * max(float(np.linalg.norm(mat)), 1.0)
+        degeneracy_tol = DEGENERACY_TOL * max(float(np.linalg.norm(mat)), 1.0)
         eigenvalues, eigenvectors = np.linalg.eigh(mat)
         members: list[np.ndarray] = []
         start = 0
@@ -114,7 +108,7 @@ class ObservableDecomposition:
             raise BasisMismatchError(
                 f"basis has {full.shape[1]} vectors for dimension {d}; must be complete"
             )
-        if np.linalg.norm(dagger(full) @ full - np.eye(d)) > 1e-9:
+        if np.linalg.norm(dagger(full) @ full - np.eye(d)) > ORTHONORMALITY_TOL:
             raise BasisMismatchError("basis vectors are not orthonormal")
         sizes = [vecs.shape[1] for vecs in blocks]
         eigenvalues = np.repeat(values, sizes)
@@ -163,12 +157,12 @@ class ObservableDecomposition:
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
 
-    def validate_against(self, x: np.ndarray, tol: float = 1e-9) -> None:
+    def validate_against(self, x: np.ndarray) -> None:
         """Check X|s,j> = x_s|s,j> for every class vector."""
         for value, members in zip(self.class_values, self.class_members):
             vecs = self.eigenvectors[:, members]
             residual = float(np.linalg.norm(x @ vecs - value * vecs))
-            if residual > tol * max(float(np.linalg.norm(x)), 1.0):
+            if residual > EIGEN_RELATION_TOL * max(float(np.linalg.norm(x)), 1.0):
                 raise BasisMismatchError(
                     f"vectors of class {float(value)!r} fail the eigenvalue relation ({residual:.3e})"
                 )

@@ -25,15 +25,8 @@ from .lindblad import (
 )
 from .numdiff import derivative_moment
 from .operators import ObservableDecomposition
-from .util import (
-    anticommutator,
-    as_operator,
-    change_moment,
-    float_repr,
-    group_sums,
-    per_lambda,
-    real_part,
-)
+from .util import (FLUX_COLUMN_SUM_TOL, anticommutator, as_operator, change_moment, float_repr,
+                   group_sums, per_lambda, real_part)
 
 FLUX_SUM = "flux_sum"
 OPERATOR_EXPRESSION = "operator_expression"
@@ -94,7 +87,7 @@ class FluxMatrix:
     def __post_init__(self):
         scale = max(float(np.max(np.abs(self.values))), 1.0)
         colsums = np.abs(self.values.sum(axis=0))
-        if colsums.size and float(colsums.max()) > 1e-10 * scale:
+        if colsums.size and float(colsums.max()) > FLUX_COLUMN_SUM_TOL * scale:
             raise TracePreservationError(
                 f"flux columns do not sum to zero (max {float(colsums.max()):.3e}); "
                 "the generator is not trace preserving"

@@ -33,7 +33,8 @@ from .quasiprob import (
     short_time_fluctuation_operator_form,
     short_time_moment,
 )
-from .util import as_operator, commutator, dagger, operator_hash, real_part
+from .util import (DIFFUSIVITY_IDENTITY_TOL, HERMITICITY_TOL, ZERO_CURRENT_TOL,
+                   ZERO_FLUCTUATION_TOL, as_operator, commutator, dagger, operator_hash, real_part)
 
 DEFAULT_EIGENVALUE_FLOOR = 1e-12
 
@@ -150,11 +151,12 @@ def quantum_diffusivity(model: LindbladModel, state: QuantumState, observable) -
 def tur_bound(current: float, fluctuation: float) -> float:
     """The bound 2 J^2 / m on the entropy production rate.
 
-    A vanishing fluctuation (m <= 1e-14) gives 0 when the current vanishes
-    too (|J| <= 1e-10) and raises ``ZeroFluctuationError`` otherwise.
+    A vanishing fluctuation (m <= ``ZERO_FLUCTUATION_TOL``) gives 0 when the
+    current vanishes too (|J| <= ``ZERO_CURRENT_TOL``) and raises
+    ``ZeroFluctuationError`` otherwise.
     """
-    if fluctuation <= 1e-14:
-        if abs(current) > 1e-10:
+    if fluctuation <= ZERO_FLUCTUATION_TOL:
+        if abs(current) > ZERO_CURRENT_TOL:
             raise ZeroFluctuationError(
                 f"fluctuation {fluctuation:.3e} vanishes while current {current:.3e} does not"
             )
@@ -178,12 +180,12 @@ class TURReport:
     slack: float
     diffusivity: float
     diffusivity_bound: float
-    eigenvalue_floor: float
+    eigenvalue_floor: float | None
     floor_applied: bool
 
 
 def tur_check(model: LindbladModel, state: QuantumState, observable,
-              eigenvalue_floor: float = DEFAULT_EIGENVALUE_FLOOR) -> TURReport:
+              eigenvalue_floor: float | None = DEFAULT_EIGENVALUE_FLOOR) -> TURReport:
     """Evaluate the uncertainty relation for one (model, state, observable).
 
     All quantities are evaluated on the same (floored, if necessary) state
@@ -191,7 +193,8 @@ def tur_check(model: LindbladModel, state: QuantumState, observable,
     once, for the floor decision and the entropy production rate. The
     fluctuation is computed from the flux sum; the diffusivity from its own
     operator expression, making the reported D_X = m_X / 2 identity a live
-    check.
+    check. ``eigenvalue_floor=None`` disables flooring, as for
+    :func:`entropy_production_rate`.
     """
     obs = _coerce_observable(observable)
     p, u, use, applied = _floored(state, eigenvalue_floor)
@@ -201,7 +204,7 @@ def tur_check(model: LindbladModel, state: QuantumState, observable,
     d_x = quantum_diffusivity(model, use, obs)
     bound = tur_bound(j_d, m_x)
     diff_bound = j_d**2 / d_x if bound > 0.0 and d_x > 0 else 0.0
-    if abs(diff_bound - bound) > 1e-10 * max(bound, 1.0):
+    if abs(diff_bound - bound) > DIFFUSIVITY_IDENTITY_TOL * max(bound, 1.0):
         raise ValueError(
             f"diffusivity bound {diff_bound!r} deviates from fluctuation bound {bound!r}"
         )
@@ -213,7 +216,7 @@ def tur_check(model: LindbladModel, state: QuantumState, observable,
         slack=epr - bound,
         diffusivity=d_x,
         diffusivity_bound=diff_bound,
-        eigenvalue_floor=float(eigenvalue_floor),
+        eigenvalue_floor=None if eigenvalue_floor is None else float(eigenvalue_floor),
         floor_applied=applied,
     )
 
@@ -307,7 +310,7 @@ def geometric_representation(model: LindbladModel, state: QuantumState) -> Geome
     current, force, weight, strc = blocks.reshape(4, n * d, n * d)
     for name, op in (("current", current), ("force", force)):
         norm = max(float(np.linalg.norm(op)), 1e-300)
-        if float(np.linalg.norm(op + dagger(op))) > 1e-10 * norm:
+        if float(np.linalg.norm(op + dagger(op))) > HERMITICITY_TOL * norm:
             raise ValueError(f"{name} operator is not anti-Hermitian; inputs are inconsistent")
     epr_inner = real_part(hs_inner_product(current, force), "entropy production")
     epr_norm = real_part(hs_inner_product(force, kubo_integral(weight, force)), "entropy production")

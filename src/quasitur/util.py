@@ -1,4 +1,5 @@
-"""Small shared helpers: array coercion, hashing, report formatting."""
+"""Small shared helpers: the tolerance table, array coercion, the lag and
+real-part checks, hashing, report formatting."""
 
 from __future__ import annotations
 
@@ -9,9 +10,30 @@ import numpy as np
 
 from .errors import DimMismatchError, ImaginaryResidueError
 
-#: largest imaginary part, relative to max(|value|, 1), that a real quantity
-#: may carry before it is reported as broken Hermiticity
-IMAG_RESIDUE_TOL = 1e-10
+# --- tolerance table ---------------------------------------------------------
+# Every threshold at which quasitur rejects an input or a result, or flips a
+# verdict. "rel." scales by max(that quantity, 1).
+
+HERMITICITY_TOL = 1e-10  # ||A - A^dag||_F over ||A||_F itself
+IMAG_RESIDUE_TOL = 1e-10  # imaginary part of a real quantity, rel. its modulus
+FLUX_COLUMN_SUM_TOL = 1e-10  # flux column sums, rel. the largest flux
+DIFFUSIVITY_IDENTITY_TOL = 1e-10  # D_X = m_X / 2 as |J^2/D_X - 2J^2/m_X|, rel. the bound
+DENSITY_TOL = 1e-10  # |tr rho - 1| and the most negative eigenvalue of rho
+ZERO_CURRENT_TOL = 1e-10  # |J| at most this is zero when m_X vanishes
+CLOSED_FORM_TOL = 1e-10  # closed-form collective fluxes against summed ones, rel.
+DETAILED_BALANCE_TOL = 1e-8  # ||L_k - exp(s_k/2) L_-k^dag||_F (rel. ||L_k||_F to decompose)
+PROPAGATED_PSD_TOL = 1e-8  # most negative eigenvalue of a propagated rho
+DEGENERACY_TOL = 1e-9  # eigenvalue gap that merges classes, rel. ||X||_F
+ORTHONORMALITY_TOL = 1e-9  # ||V^dag V - I||_F of a supplied basis
+EIGEN_RELATION_TOL = 1e-9  # ||X v - x v||_F of class vectors, rel. ||X||_F
+COMMUTATION_TOL = 1e-9  # ||[X, L_k] - w_k L_k||_F of the fitted weight, rel. ||L_k||_F
+TUR_SLACK_TOL = 1e-9  # most negative TUR slack that passes, rel. sigma
+EMBEDDING_TOL = 1e-9  # largest residual of a classical model's diagonal embedding
+CLASSICAL_TOL = 1e-12  # classical rates and probabilities: signs, sums (rel. largest rate)
+ZERO_ELEMENT_TOL = 1e-12  # smallest jump matrix element that counts as a transition
+ZERO_FLUCTUATION_TOL = 1e-14  # m_X at most this vanishes
+Q_SLOPE_THRESHOLD = 0.5  # Q1/Q2 hold for a log-log slope above this ...
+Q_R2_THRESHOLD = 0.99  # ... with R^2 at least this
 
 
 def as_operator(a) -> np.ndarray:
@@ -22,6 +44,14 @@ def as_operator(a) -> np.ndarray:
     if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
         raise ValueError("operator contains non-finite entries")
     return mat
+
+
+def lag(t) -> float:
+    """``t`` as a float, raising ``ValueError`` unless 0 <= t < inf."""
+    t = float(t)
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"lag must be finite and non-negative, got {t!r}")
+    return t
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -195,11 +195,11 @@ def test_criterion_07_q_condition_verdicts():
     minus = q1_q2_diagnostics(scaling_sweep(params, n_list, "-"))
     diagonal = scaling_sweep(params, n_list, "diagonal")
     diag_slope = diagonal.exponents["m_x"].slope
-    ok = (plus.q1_satisfied and plus.q2_satisfied
-          and not minus.q1_satisfied and not minus.q2_satisfied
+    ok = (plus.q1.satisfied and plus.q2.satisfied
+          and not minus.q1.satisfied and not minus.q2.satisfied
           and diag_slope <= 1.05)
-    verdict(7, ok, f"plus (Q1,Q2)=({plus.q1_satisfied},{plus.q2_satisfied}), "
-                   f"minus ({minus.q1_satisfied},{minus.q2_satisfied}), "
+    verdict(7, ok, f"plus (Q1,Q2)=({plus.q1.satisfied},{plus.q2.satisfied}), "
+                   f"minus ({minus.q1.satisfied},{minus.q2.satisfied}), "
                    f"diagonal m_H exponent {diag_slope:.3f}")
 
 

@@ -230,3 +230,13 @@ class TestErrorPaths:
         bad = workdir / "schema.json"
         bad.write_text(json.dumps({"dim": 2}))
         assert run(["validate", "--model", str(bad)]) == 2
+
+    @pytest.mark.parametrize("outputs", [["sweep", "--output-csv", "s.csv", "--output-json", "s.json"],
+                                         ["example", "--output", "e.csv"]])
+    def test_empty_n_list_exit_two(self, workdir, outputs, capsys):
+        command, *paths = outputs
+        paths = [str(workdir / p) if p.endswith(("csv", "json")) else p for p in paths]
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--n", "", *paths])
+        assert exc.value.code == 2
+        assert "expected at least one integer" in capsys.readouterr().err

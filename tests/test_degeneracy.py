@@ -365,18 +365,18 @@ class TestQConditions:
         params = CollectiveModelParams(n_levels=4, **STANDARD)
         sweep = scaling_sweep(params, [4, 8, 16, 32, 64], "+")
         report = q1_q2_diagnostics(sweep)
-        assert report.q1_satisfied
-        assert report.q2_satisfied
+        assert report.q1.satisfied
+        assert report.q2.satisfied
 
     def test_minus_state_satisfies_neither(self):
         params = CollectiveModelParams(n_levels=4, **STANDARD)
         sweep = scaling_sweep(params, [4, 8, 16, 32, 64], "-")
         report = q1_q2_diagnostics(sweep)
-        assert not report.q1_satisfied
-        assert not report.q2_satisfied
+        assert not report.q1.satisfied
+        assert not report.q2.satisfied
         # positive fluxes leave the negativity series at the clip: slope -1
-        assert report.q1_exponent == pytest.approx(-1.0, abs=1e-6)
-        assert report.q2_exponent == pytest.approx(0.0, abs=1e-6)
+        assert report.q1.exponent == pytest.approx(-1.0, abs=1e-6)
+        assert report.q2.exponent == pytest.approx(0.0, abs=1e-6)
 
     def test_requires_four_points(self):
         params = CollectiveModelParams(n_levels=4, **STANDARD)
@@ -390,7 +390,7 @@ class TestQConditions:
         params = CollectiveModelParams(n_levels=4, **STANDARD)
         sweep = scaling_sweep(params, [4, 8, 16, 32, 64], state_kind)
         report = q1_q2_diagnostics(sweep)
-        assert not report.q1_satisfied and not report.q2_satisfied
+        assert not report.q1.satisfied and not report.q2.satisfied
         assert sweep.exponents["m_x"].slope <= 1.05
 
 

@@ -208,7 +208,7 @@ class TestPropagation:
     def test_integrator_matches_exponential(self):
         rng = np.random.default_rng(10)
         model, state, _ = random_instance(rng)
-        via_expm = propagate(model, state, 0.7, method="expm")
+        via_expm = propagate(model, state, 0.7, method="auto")
         via_ivp = propagate(model, state, 0.7, method="ivp")
         assert np.linalg.norm(via_expm.rho - via_ivp.rho) <= 1e-8
 

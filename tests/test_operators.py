@@ -23,7 +23,7 @@ from oracles import kubo_quadrature
 
 class TestSpectralDecompose:
     def test_identity(self):
-        dec = ObservableDecomposition.from_operator(np.eye(2, dtype=complex), degeneracy_tol=1e-9)
+        dec = ObservableDecomposition.from_operator(np.eye(2, dtype=complex))
         assert dec.n_classes == 1
         assert dec.class_values[0] == pytest.approx(1.0)
         np.testing.assert_allclose(dec.projector(0), np.eye(2), atol=1e-12)
@@ -50,7 +50,7 @@ class TestSpectralDecompose:
 
     def test_degeneracy_merging(self):
         a = np.diag([0.0, 1e-12, 1.0]).astype(complex)
-        dec = ObservableDecomposition.from_operator(a, degeneracy_tol=1e-9)
+        dec = ObservableDecomposition.from_operator(a)
         assert dec.n_classes == 2
         assert dec.class_members[0].size == 2
 

@@ -242,6 +242,16 @@ class TestEntropyProductionOracles:
             for rho in (state, rank_deficient):
                 assert tur_check(model, rho, x).epr == entropy_production_rate(model, rho)
 
+    def test_tur_check_without_floor(self):
+        # eigenvalue_floor=None: no flooring, as in entropy_production_rate
+        rng = np.random.default_rng(22)
+        model, state, x = random_instance(rng)
+        floored, unfloored = tur_check(model, state, x), tur_check(model, state, x, None)
+        assert (unfloored.epr, unfloored.bound) == (floored.epr, floored.bound)
+        assert unfloored.eigenvalue_floor is None and not unfloored.floor_applied
+        with pytest.raises(SingularStateError):
+            tur_check(model, _rank_deficient_state(rng, model.dim, 1), x, eigenvalue_floor=None)
+
 
 class TestDiffusivity:
     def test_no_jumps(self):
