@@ -23,10 +23,11 @@ from quasitur import (
     classify_basis_classicality,
     closed_form_reference,
     collective_basis,
-    integrated_fluxes,
+    flux_matrix,
     l1_coherence,
     q1_q2_diagnostics,
     scaling_sweep,
+    short_time_moment,
     superposition_basis,
 )
 
@@ -38,10 +39,10 @@ model = build_collective_model(params)
 print(f"N = {params.n_levels}: closed forms vs summed fluxes")
 for sign in ("+", "-"):
     state = build_plus_minus_state(params, sign)
-    fluxes = integrated_fluxes(model, state, basis)
+    flux = flux_matrix(model, state, basis)
     ref = closed_form_reference(params, sign)
-    print(f"  sign {sign}: T_eg = {fluxes.values[1, 0]:.6f} (closed {ref.t_eg:.6f}), "
-          f"m_H = {fluxes.second_moment():.6f} (closed {ref.m_h:.6f}), "
+    print(f"  sign {sign}: T_eg = {flux.integrated[1, 0]:.6f} (closed {ref.t_eg:.6f}), "
+          f"m_H = {short_time_moment(flux, 2).value:.6f} (closed {ref.m_h:.6f}), "
           f"coherence = {l1_coherence(state, basis):.3f}")
 
 print("\nbasis classicality (magnitude bound 2, count bound 2):")

@@ -13,7 +13,6 @@ from .classical import (
 from .degeneracy import (
     ClosedFormFluxes,
     CollectiveModelParams,
-    IntegratedFluxMatrix,
     ScalingSweepReport,
     build_collective_model,
     build_diagonal_state,
@@ -21,7 +20,6 @@ from .degeneracy import (
     classify_basis_classicality,
     closed_form_reference,
     collective_basis,
-    integrated_fluxes,
     l1_coherence,
     q1_q2_diagnostics,
     scaling_sweep,
@@ -79,7 +77,6 @@ from .quasiprob import (
     FluxMatrix,
     MomentReport,
     QuasiprobTable,
-    escape_rate,
     flux_matrix,
     generating_function,
     moment_from_generating_function,

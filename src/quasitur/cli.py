@@ -23,7 +23,6 @@ from .degeneracy import (
     build_plus_minus_state,
     closed_form_reference,
     collective_basis,
-    integrated_fluxes,
     q1_q2_diagnostics,
     scaling_sweep,
     sweep_summary,
@@ -38,7 +37,7 @@ from .lindblad import (
     save_state,
     validate_local_detailed_balance,
 )
-from .quasiprob import ObservableDecomposition
+from .quasiprob import ObservableDecomposition, flux_matrix, short_time_moment
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, tur_check, tur_report_dict
 from .util import (CLOSED_FORM_TOL, COMMUTATION_TOL, DETAILED_BALANCE_TOL, EMBEDDING_TOL,
                    TUR_SLACK_TOL, float_repr, matrix_from_json, read_json, write_json)
@@ -157,14 +156,15 @@ def cmd_example(args) -> int:
         if args.verify and n <= args.verify_max_n:
             model = build_collective_model(params)
             state = build_plus_minus_state(params, args.sign)
-            fluxes = integrated_fluxes(model, state, collective_basis(params))
+            flux = flux_matrix(model, state, collective_basis(params))
+            integrated = flux.integrated
             got = ClosedFormFluxes(
-                t_eg=fluxes.values[1, 0],
-                t_gg=fluxes.values[0, 0],
-                t_ge=fluxes.values[0, 1],
-                t_ee=fluxes.values[1, 1],
-                escape_rate=fluxes.escape_rate,
-                m_h=fluxes.second_moment(),
+                t_eg=integrated[1, 0],
+                t_gg=integrated[0, 0],
+                t_ge=integrated[0, 1],
+                t_ee=integrated[1, 1],
+                escape_rate=flux.escape_rate,
+                m_h=short_time_moment(flux, 2).value,
             )
             residual = max(
                 abs(getattr(got, name) - getattr(ref, name)) / max(abs(getattr(ref, name)), 1.0)

@@ -16,61 +16,14 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import BasisMismatchError, InsufficientPointsError
-from .lindblad import JumpPair, LindbladModel, QuantumState, resolved_fluxes
+from .lindblad import JumpPair, LindbladModel, QuantumState
 from .operators import ObservableDecomposition
+from .quasiprob import flux_matrix, short_time_moment
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, entropy_production_rate, tur_bound
-from .util import (Q_R2_THRESHOLD, Q_SLOPE_THRESHOLD, ZERO_ELEMENT_TOL, change_moment, dagger,
-                   float_repr, group_sums)
+from .util import Q_R2_THRESHOLD, Q_SLOPE_THRESHOLD, ZERO_ELEMENT_TOL, dagger, float_repr
 
 #: floor used when taking logs of series that may contain exact zeros
 LOG_CLIP = 1e-30
-
-
-@dataclass(frozen=True)
-class IntegratedFluxMatrix:
-    """Group-to-group integrated fluxes and the average escape rate.
-
-    ``values[s', s]`` sums the basis-resolved fluxes from group s to s',
-    excluding the self-transitions (s, j) -> (s, j) on the diagonal. The
-    escape rate is minus the sum of exactly those excluded self-terms, so
-    the grand sum of ``values`` equals ``escape_rate``. ``resolved`` keeps
-    the per-state matrix, indexed [final, initial] like the group table.
-    """
-
-    group_values: np.ndarray
-    values: np.ndarray
-    escape_rate: float
-    resolved: np.ndarray
-
-    def second_moment(self) -> float:
-        """m_X = sum (x_s - x_s')^2 T_{s's}."""
-        return change_moment(self.group_values, self.group_values, self.values, 2)
-
-    @property
-    def min_flux(self) -> float:
-        return float(self.values.min())
-
-
-def integrated_fluxes(model: LindbladModel, state: QuantumState,
-                      basis: ObservableDecomposition) -> IntegratedFluxMatrix:
-    """Basis-resolved fluxes T_{s'j',sj} summed into group fluxes.
-
-    Each flux is tr({L^dag P_{s'j'}, P_{sj}} rho) / 2 with rank-one
-    projectors, taken from :func:`quasitur.lindblad.resolved_fluxes` in one
-    O(d^3) closed form. The group fluxes sum them with the self-terms
-    (s, j) -> (s, j) removed; the escape rate is minus those self-terms.
-    """
-    if basis.dim != model.dim:
-        raise BasisMismatchError("basis dimension differs from model")
-    resolved = resolved_fluxes(model, state, basis.eigenvectors)
-    self_terms = np.diag(resolved)
-    values = group_sums(resolved - np.diag(self_terms), basis.class_members)
-    return IntegratedFluxMatrix(
-        group_values=basis.class_values,
-        values=values,
-        escape_rate=-float(self_terms.sum()),
-        resolved=resolved,
-    )
 
 
 @dataclass(frozen=True)
@@ -352,13 +305,12 @@ def _sweep_point(params: CollectiveModelParams, state_kind: str,
         state = build_diagonal_state(params)
     else:
         state = build_plus_minus_state(params, state_kind)
-    basis = collective_basis(params)
-    fluxes = integrated_fluxes(model, state, basis)
-    m_x = fluxes.second_moment()
+    flux = flux_matrix(model, state, collective_basis(params))
+    m_x = short_time_moment(flux, 2).value
     # X = H has no Hamiltonian current, so J_d = tr(L^dag(H) rho), the first moment
-    j_d = change_moment(fluxes.group_values, fluxes.group_values, fluxes.values, 1)
+    j_d = short_time_moment(flux, 1).value
     epr = entropy_production_rate(model, state, epr_floor)
-    return m_x, fluxes.escape_rate, fluxes.min_flux, j_d, epr, tur_bound(j_d, m_x)
+    return m_x, flux.escape_rate, float(flux.integrated.min()), j_d, epr, tur_bound(j_d, m_x)
 
 
 def scaling_sweep(params_template: CollectiveModelParams, n_list, state_kind: str = "+",

@@ -4,14 +4,15 @@ The central objects are the real two-time quasiprobability table
 
     q(y, t+dt; x, t) = tr({exp(L^dag dt) P_y, P_x} rho) / 2,
 
-its short-time flux matrix T_yx(rho) = tr({L^dag P_y, P_x} rho) / 2, the
-moment generating function, and the short-time moments built from them.
+its short-time flux matrix T_yx(rho) = tr({L^dag P_y, P_x} rho) / 2 with
+the escape rate and integrated fluxes read from it, the moment generating
+function, and the short-time moments built from them.
 Entries reproduce the correct single-time marginals but may be negative.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,19 +80,40 @@ class QuasiprobTable:
 
 @dataclass(frozen=True)
 class FluxMatrix:
-    """Short-time fluxes T_yx indexed as values[final, initial] (1/time)."""
+    """Short-time fluxes in an observable's eigenbasis (1/time).
+
+    ``resolved[b, a]`` is the rank-one flux tr({L^dag P_b, P_a} rho) / 2
+    from eigenvector a to b. ``values`` sums it over the classes
+    ``class_members`` into T_yx, indexed [final, initial] like ``labels``.
+    """
 
     labels: np.ndarray
-    values: np.ndarray
+    resolved: np.ndarray
+    class_members: tuple
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        scale = max(float(np.max(np.abs(self.values))), 1.0)
-        colsums = np.abs(self.values.sum(axis=0))
+        values = group_sums(self.resolved, self.class_members)
+        scale = max(float(np.max(np.abs(values))), 1.0)
+        colsums = np.abs(values.sum(axis=0))
         if colsums.size and float(colsums.max()) > FLUX_COLUMN_SUM_TOL * scale:
             raise TracePreservationError(
                 f"flux columns do not sum to zero (max {float(colsums.max()):.3e}); "
                 "the generator is not trace preserving"
             )
+        object.__setattr__(self, "values", values)
+
+    @property
+    def integrated(self) -> np.ndarray:
+        """``values`` without the self-terms (s, j) -> (s, j), which depend on
+        the basis inside each class; its grand sum is ``escape_rate``."""
+        resolved = self.resolved
+        return group_sums(resolved - np.diag(np.diag(resolved)), self.class_members)
+
+    @property
+    def escape_rate(self) -> float:
+        """Average escape rate R = -sum_{s,j} T_{sj,sj}, minus the self-terms."""
+        return -float(np.diag(self.resolved).sum())
 
 
 @dataclass(frozen=True)
@@ -139,9 +161,9 @@ def flux_matrix(model: LindbladModel, state: QuantumState, observable) -> FluxMa
     obs = _coerce_observable(observable)
     if obs.dim != model.dim:
         raise DimMismatchError("observable dimension differs from model")
-    resolved = resolved_fluxes(model, state, obs.eigenvectors)
-    values = group_sums(resolved, obs.class_members)
-    return FluxMatrix(labels=obs.class_values.copy(), values=values)
+    return FluxMatrix(labels=obs.class_values.copy(),
+                      resolved=resolved_fluxes(model, state, obs.eigenvectors),
+                      class_members=obs.class_members)
 
 
 def _phase_generating(heisenberg, obs: ObservableDecomposition, state: QuantumState, lam):
@@ -214,7 +236,3 @@ def moment_from_generating_function(model: LindbladModel, state: QuantumState, o
                               n, obs.max_gap)
     return MomentReport(order=n, value=value.real, method=GENERATING_FUNCTION_CONTOUR)
 
-
-def escape_rate(flux: FluxMatrix) -> float:
-    """Average escape rate, minus the sum of diagonal fluxes."""
-    return float(-np.trace(flux.values))

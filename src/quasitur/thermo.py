@@ -69,8 +69,11 @@ def _floored_eigh(rho: np.ndarray,
     smallest eigenvalue lies below ``eps``. Returns ``(p, U, applied)``.
     Raises ``SingularStateError`` when the resulting spectrum is not
     strictly positive, which with ``eigenvalue_floor=None`` (no flooring)
-    means any rank-deficient state.
+    means any rank-deficient state, and ``ValueError`` unless the floor is
+    None or lies in [0, 1/d].
     """
+    if eigenvalue_floor is not None and not 0.0 <= eigenvalue_floor <= 1.0 / len(rho):
+        raise ValueError(f"eigenvalue floor {eigenvalue_floor!r} is not in [0, 1/{len(rho)}]")
     p, u = np.linalg.eigh(rho)
     applied = eigenvalue_floor is not None and bool(p[0] < eigenvalue_floor)
     if applied:

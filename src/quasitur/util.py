@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -70,7 +71,8 @@ def real_part(value, what: str):
     """Real part of a scalar (as ``float``) or an array that must be real.
 
     Raises ``ImaginaryResidueError`` when max|imag| exceeds
-    ``IMAG_RESIDUE_TOL * max(max|value|, 1)``.
+    ``IMAG_RESIDUE_TOL * max(max|value|, 1)``, or when the value is not
+    finite.
     """
     if np.ndim(value) == 0:
         value = complex(value)
@@ -79,7 +81,9 @@ def real_part(value, what: str):
         value = np.asarray(value)
         residue, scale = np.abs(value.imag).max(initial=0.0), np.abs(value).max(initial=0.0)
         real = np.ascontiguousarray(value.real)
-    if residue > IMAG_RESIDUE_TOL * max(scale, 1.0):
+    if not math.isfinite(scale):
+        raise ImaginaryResidueError(f"{what} is not finite")
+    if not residue <= IMAG_RESIDUE_TOL * max(scale, 1.0):
         raise ImaginaryResidueError(
             f"{what} has imaginary residue {residue:.3e}; Hermiticity is broken upstream"
         )

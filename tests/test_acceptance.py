@@ -20,7 +20,6 @@ from quasitur.degeneracy import (
     build_plus_minus_state,
     closed_form_reference,
     collective_basis,
-    integrated_fluxes,
     parity,
     q1_q2_diagnostics,
     scaling_sweep,
@@ -37,7 +36,6 @@ from quasitur.numdiff import derivative_moment
 from quasitur.operators import kubo_integral
 from quasitur.quasiprob import (
     ObservableDecomposition,
-    escape_rate,
     flux_matrix,
     short_time_fluctuation_operator_form,
     short_time_moment,
@@ -119,7 +117,7 @@ def test_criterion_04_table_marginals_and_expansion():
         obs = ObservableDecomposition.from_operator(x)
         flux = flux_matrix(model, state, obs)
         populations = np.array([np.trace(p @ state.rho).real for p in obs.projectors])
-        scale = max(1.0, escape_rate(flux), float(np.linalg.norm(model.hamiltonian)))
+        scale = max(1.0, flux.escape_rate, float(np.linalg.norm(model.hamiltonian)))
         dt = 0.02 / scale
 
         def remainder(lag):
@@ -145,17 +143,17 @@ def test_criterion_05_collective_closed_forms():
         for sign in ("+", "-"):
             params = CollectiveModelParams(n_levels=n, omega=1.0, gamma_plus=1.0,
                                            gamma_minus=1.0, p_g=0.5)
-            fluxes = integrated_fluxes(
+            flux = flux_matrix(
                 build_collective_model(params),
                 build_plus_minus_state(params, sign),
                 collective_basis(params),
             )
             ref = closed_form_reference(params, sign)
             checks = [
-                (fluxes.values[1, 0], ref.t_eg),
-                (fluxes.values[0, 0], ref.t_gg),
-                (fluxes.escape_rate, ref.escape_rate),
-                (fluxes.second_moment(), ref.m_h),
+                (flux.integrated[1, 0], ref.t_eg),
+                (flux.integrated[0, 0], ref.t_gg),
+                (flux.escape_rate, ref.escape_rate),
+                (short_time_moment(flux, 2).value, ref.m_h),
             ]
             for got, expected in checks:
                 worst = max(worst, abs(got - expected) / max(abs(expected), 1.0))

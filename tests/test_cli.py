@@ -98,6 +98,18 @@ class TestTUR:
         assert code == 1
 
 
+    def test_nan_floor_exit_two(self, workdir):
+        out = workdir / "tur.json"
+        code = run([
+            "tur", "--model", str(workdir / "model.json"),
+            "--state", str(workdir / "state.json"),
+            "--observable", str(workdir / "observable.json"),
+            "--floor", "nan", "--output", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
+
 class TestPropagate:
     def test_matches_library(self, workdir):
         out = workdir / "evolved.json"
@@ -230,6 +242,13 @@ class TestErrorPaths:
         bad = workdir / "schema.json"
         bad.write_text(json.dumps({"dim": 2}))
         assert run(["validate", "--model", str(bad)]) == 2
+
+    def test_sweep_nan_floor_exit_two(self, workdir):
+        csv_path, json_path = workdir / "s.csv", workdir / "s.json"
+        code = run(["sweep", "--n", "4,8", "--floor", "nan",
+                    "--output-csv", str(csv_path), "--output-json", str(json_path)])
+        assert code == 2
+        assert not csv_path.exists() and not json_path.exists()
 
     @pytest.mark.parametrize("outputs", [["sweep", "--output-csv", "s.csv", "--output-json", "s.json"],
                                          ["example", "--output", "e.csv"]])

@@ -11,7 +11,6 @@ from quasitur.degeneracy import (
     closed_form_reference,
     collective_basis,
     fit_loglog,
-    integrated_fluxes,
     l1_coherence,
     parity,
     q1_q2_diagnostics,
@@ -21,7 +20,7 @@ from quasitur.degeneracy import (
     sweep_to_csv,
 )
 from quasitur.ensembles import random_model, random_state, random_unitary
-from quasitur.errors import BasisMismatchError, InsufficientPointsError
+from quasitur.errors import BasisMismatchError, DimMismatchError, InsufficientPointsError
 from quasitur.lindblad import LindbladModel, validate_local_detailed_balance
 from quasitur.quasiprob import ObservableDecomposition, flux_matrix, short_time_moment
 
@@ -47,61 +46,60 @@ def random_degenerate_setup(rng, dim=6, sizes=(3, 2, 1)):
 class TestIntegratedFluxes:
     def test_collective_plus_reference_value(self):
         params = CollectiveModelParams(n_levels=4, **STANDARD)
-        fluxes = integrated_fluxes(
+        flux = flux_matrix(
             build_collective_model(params),
             build_plus_minus_state(params, "+"),
             collective_basis(params),
         )
         # p_g gamma_+ N^2 = 0.5 * 16 = 8
-        assert fluxes.values[1, 0] == pytest.approx(8.0, abs=1e-10)
+        assert flux.integrated[1, 0] == pytest.approx(8.0, abs=1e-10)
 
     def test_collective_minus_even_vanishes(self):
         params = CollectiveModelParams(n_levels=4, **STANDARD)
-        fluxes = integrated_fluxes(
+        flux = flux_matrix(
             build_collective_model(params),
             build_plus_minus_state(params, "-"),
             collective_basis(params),
         )
-        assert fluxes.values[1, 0] == pytest.approx(0.0, abs=1e-12)
+        assert flux.integrated[1, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_jumps(self):
         params = CollectiveModelParams(n_levels=3, **STANDARD)
         model = LindbladModel(build_collective_model(params).hamiltonian, ())
-        fluxes = integrated_fluxes(model, build_plus_minus_state(params, "+"), collective_basis(params))
-        np.testing.assert_allclose(fluxes.values, 0.0, atol=1e-12)
-        assert fluxes.escape_rate == pytest.approx(0.0, abs=1e-12)
+        flux = flux_matrix(model, build_plus_minus_state(params, "+"), collective_basis(params))
+        np.testing.assert_allclose(flux.integrated, 0.0, atol=1e-12)
+        assert flux.escape_rate == pytest.approx(0.0, abs=1e-12)
 
     def test_sum_equals_escape_rate(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             model, state, basis = random_degenerate_setup(rng)
-            fluxes = integrated_fluxes(model, state, basis)
-            assert fluxes.values.sum() == pytest.approx(fluxes.escape_rate, abs=1e-9)
+            flux = flux_matrix(model, state, basis)
+            assert flux.integrated.sum() == pytest.approx(flux.escape_rate, abs=1e-9)
 
     def test_off_diagonal_rotation_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             model, state, basis = random_degenerate_setup(rng)
-            rotated = integrated_fluxes(model, state, ObservableDecomposition.from_groups(
+            rotated = flux_matrix(model, state, ObservableDecomposition.from_groups(
                 (value, basis.eigenvectors[:, m] @ random_unitary(rng, len(m)))
-                for value, m in zip(basis.class_values, basis.class_members)))
-            original = integrated_fluxes(model, state, basis)
+                for value, m in zip(basis.class_values, basis.class_members))).integrated
+            original = flux_matrix(model, state, basis).integrated
             for i in range(basis.n_classes):
                 for j in range(basis.n_classes):
                     if i != j:
-                        assert rotated.values[i, j] == pytest.approx(
-                            original.values[i, j], abs=1e-9)
+                        assert rotated[i, j] == pytest.approx(original[i, j], abs=1e-9)
 
     def test_second_moment_matches_class_fluxes(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             model, state, basis = random_degenerate_setup(rng)
-            fluxes = integrated_fluxes(model, state, basis)
+            m_classes = short_time_moment(flux_matrix(model, state, basis), 2).value
             obs = ObservableDecomposition.from_eigenbasis(
                 basis.eigenvalues, basis.eigenvectors)
             # regroup the per-state flux matrix into classes by value
             m_resolved = short_time_moment(flux_matrix(model, state, obs), 2).value
-            assert fluxes.second_moment() == pytest.approx(
+            assert m_classes == pytest.approx(
                 m_resolved, abs=1e-9 * max(abs(m_resolved), 1.0))
 
     def test_degenerate_operator_matches_groups(self):
@@ -112,17 +110,26 @@ class TestIntegratedFluxes:
         regrouped = ObservableDecomposition.from_groups(
             (value, from_x.eigenvectors[:, m])
             for value, m in zip(basis.class_values, from_x.class_members))
-        a = integrated_fluxes(model, state, from_x)
-        b = integrated_fluxes(model, state, regrouped)
-        np.testing.assert_allclose(a.group_values, b.group_values, rtol=1e-12)
-        np.testing.assert_array_equal(a.values, b.values)
+        a = flux_matrix(model, state, from_x)
+        b = flux_matrix(model, state, regrouped)
+        np.testing.assert_allclose(a.labels, b.labels, rtol=1e-12)
+        np.testing.assert_array_equal(a.integrated, b.integrated)
         assert a.escape_rate == b.escape_rate
+
+    @pytest.mark.parametrize("sign, expected", [("+", 10.0), ("-", 2.0)])
+    def test_escape_rate_matches_closed_form(self, sign, expected):
+        # R sums the self-terms (s, j) -> (s, j), not the class diagonal of values
+        params = CollectiveModelParams(n_levels=4, **STANDARD)
+        flux = flux_matrix(build_collective_model(params), build_plus_minus_state(params, sign),
+                           collective_basis(params))
+        assert closed_form_reference(params, sign).escape_rate == pytest.approx(expected)
+        assert flux.escape_rate == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         params = CollectiveModelParams(n_levels=3, **STANDARD)
         other = CollectiveModelParams(n_levels=4, **STANDARD)
-        with pytest.raises(BasisMismatchError):
-            integrated_fluxes(
+        with pytest.raises(DimMismatchError):
+            flux_matrix(
                 build_collective_model(params),
                 build_plus_minus_state(params, "+"),
                 collective_basis(other),
@@ -274,19 +281,20 @@ class TestClosedForms:
     def test_brute_force_agreement(self, sign, n):
         params = CollectiveModelParams(n_levels=n, omega=1.3, gamma_plus=0.8,
                                        gamma_minus=0.45, p_g=0.3)
-        fluxes = integrated_fluxes(
+        flux = flux_matrix(
             build_collective_model(params),
             build_plus_minus_state(params, sign),
             collective_basis(params),
         )
         ref = closed_form_reference(params, sign)
+        integrated = flux.integrated
         pairs = [
-            (fluxes.values[1, 0], ref.t_eg),
-            (fluxes.values[0, 0], ref.t_gg),
-            (fluxes.values[0, 1], ref.t_ge),
-            (fluxes.values[1, 1], ref.t_ee),
-            (fluxes.escape_rate, ref.escape_rate),
-            (fluxes.second_moment(), ref.m_h),
+            (integrated[1, 0], ref.t_eg),
+            (integrated[0, 0], ref.t_gg),
+            (integrated[0, 1], ref.t_ge),
+            (integrated[1, 1], ref.t_ee),
+            (flux.escape_rate, ref.escape_rate),
+            (short_time_moment(flux, 2).value, ref.m_h),
         ]
         for got, expected in pairs:
             assert abs(got - expected) <= 1e-10 * max(abs(expected), 1.0)

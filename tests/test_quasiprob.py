@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from quasitur.degeneracy import integrated_fluxes
 from quasitur.ensembles import (
     random_hermitian,
     random_instance,
@@ -17,7 +16,6 @@ from quasitur.quasiprob import (
     GENERATING_FUNCTION_CONTOUR,
     FluxMatrix,
     ObservableDecomposition,
-    escape_rate,
     flux_matrix,
     generating_function,
     moment_from_generating_function,
@@ -112,7 +110,7 @@ class TestTMHTable:
         obs = ObservableDecomposition.from_operator(x)
         flux = flux_matrix(model, state, obs)
         p0 = np.diag([np.trace(p @ state.rho).real for p in obs.projectors])
-        scale = max(1.0, escape_rate(flux), float(np.linalg.norm(model.hamiltonian)))
+        scale = max(1.0, flux.escape_rate, float(np.linalg.norm(model.hamiltonian)))
         dt = 0.02 / scale
 
         def remainder(d):
@@ -199,7 +197,7 @@ def assert_matches_reference(got, reference):
 
 
 class TestFluxKernelOracle:
-    """``flux_matrix`` and ``integrated_fluxes(...).resolved`` against
+    """``flux_matrix(...).values`` and ``.resolved`` against
     tr({L^dag P_y, P_x} rho) / 2 built on the Kronecker superoperator."""
 
     @pytest.mark.parametrize("dim", [2, 6, 16, 32])
@@ -213,7 +211,7 @@ class TestFluxKernelOracle:
         assert_matches_reference(flux_matrix(model, state, obs).values, reference)
         half = dim // 2
         basis = ObservableDecomposition.from_groups(((0.0, u[:, :half]), (1.0, u[:, half:])))
-        assert_matches_reference(integrated_fluxes(model, state, basis).resolved, reference)
+        assert_matches_reference(flux_matrix(model, state, basis).resolved, reference)
 
     def test_degenerate_observable_classes(self):
         rng = np.random.default_rng(410)
@@ -244,7 +242,7 @@ class TestFluxKernelOracle:
         obs = ObservableDecomposition.from_eigenbasis(np.arange(6.0), u)
         assert_matches_reference(flux_matrix(model, state, obs).values, reference)
         basis = ObservableDecomposition.from_groups(((0.0, u[:, :4]), (1.0, u[:, 4:])))
-        assert_matches_reference(integrated_fluxes(model, state, basis).resolved, reference)
+        assert_matches_reference(flux_matrix(model, state, basis).resolved, reference)
 
 
 class TestGeneratingFunction:
@@ -358,36 +356,46 @@ class TestEscapeRate:
         model = LindbladModel(np.diag([0.0, 1.0]).astype(complex), ())
         state = random_state(np.random.default_rng(17), 2)
         flux = flux_matrix(model, state, ObservableDecomposition.from_operator(model.hamiltonian))
-        assert escape_rate(flux) == pytest.approx(0.0, abs=1e-12)
+        assert flux.escape_rate == pytest.approx(0.0, abs=1e-12)
 
     def test_decay(self):
         gamma = 0.7
         flux = flux_matrix(decay_qubit(gamma), excited_state(), observable_z())
-        assert escape_rate(flux) == pytest.approx(gamma, abs=1e-12)
+        assert flux.escape_rate == pytest.approx(gamma, abs=1e-12)
+
+    def test_one_class_per_eigenvector(self):
+        # one vector per class: each class diagonal is exactly its self-term
+        rng = np.random.default_rng(24)
+        model = random_model(rng, 5, 2)
+        state = random_state(rng, 5)
+        obs = ObservableDecomposition.from_eigenbasis([0.0, 1.0, 1.0, 2.0, 0.0],
+                                                      random_unitary(rng, 5))
+        flux = flux_matrix(model, state, obs)
+        np.testing.assert_array_equal(np.diag(flux.integrated), 0.0)
+        assert flux.escape_rate == pytest.approx(-np.trace(flux.values), abs=1e-12)
+        assert flux.integrated.sum() == pytest.approx(flux.escape_rate, abs=1e-12)
 
 
 class TestFluxMatrixInvariants:
     def test_non_trace_preserving_columns_raise(self):
         values = np.array([[-1.0, 0.2], [0.5, -0.2]])  # first column sums to -0.5
         with pytest.raises(TracePreservationError) as info:
-            FluxMatrix(labels=np.array([0.0, 1.0]), values=values)
+            FluxMatrix(labels=np.array([0.0, 1.0]), resolved=values, class_members=([0], [1]))
         assert isinstance(info.value, QuasiturError)
 
     def test_moment_sums_agree_bitwise(self):
         # the table, the flux and the integrated-flux moments share one sum
-        from quasitur.degeneracy import IntegratedFluxMatrix
         from quasitur.quasiprob import QuasiprobTable
         rng = np.random.default_rng(23)
         model, state, x = random_instance(rng)
         flux = flux_matrix(model, state, ObservableDecomposition.from_operator(x))
         diff = flux.labels[:, None] - flux.labels[None, :]
         table = QuasiprobTable(flux.labels, flux.labels, flux.values, 0.1)
-        integrated = IntegratedFluxMatrix(flux.labels, flux.values, 0.0, flux.values)
         for n in (1, 2, 3):
             expected = float(np.sum(diff**n * flux.values))
             assert short_time_moment(flux, n).value == expected
             assert table.moment(n) == expected
-        assert integrated.second_moment() == float(np.sum(diff**2 * flux.values))
+        assert float(np.sum(diff**2 * flux.integrated)) == float(np.sum(diff**2 * flux.values))
 
 
 class TestObservableDecomposition:
@@ -443,3 +451,20 @@ class TestDiagnostics:
         assert isinstance(real_part(1e4 + 1e-7j, "test value"), float)
         with pytest.raises(ImaginaryResidueError):
             real_part(1e4 + 1e-5j, "test value")
+
+    @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                       complex(np.inf, 0.0)])
+    def test_non_finite_scalar_rejected(self, value):
+        with pytest.raises(ImaginaryResidueError, match="not finite"):
+            real_part(value, "test value")
+
+    def test_non_finite_array_rejected(self):
+        with pytest.raises(ImaginaryResidueError, match="not finite"):
+            real_part(np.array([[1.0, np.nan], [0.5, 0.5]]), "test table")
+
+    @pytest.mark.parametrize("lag", [1e50, 1e150])
+    def test_overflowed_table_rejected(self, lag):
+        # the propagated projectors overflow to NaN without a warning
+        model, state, x = random_instance(np.random.default_rng(1))
+        with pytest.raises(ImaginaryResidueError, match="not finite"):
+            tmh_table(model, state, x, lag)

@@ -252,6 +252,21 @@ class TestEntropyProductionOracles:
         with pytest.raises(SingularStateError):
             tur_check(model, _rank_deficient_state(rng, model.dim, 1), x, eigenvalue_floor=None)
 
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, -1e-12, 0.6])
+    def test_invalid_floor_rejected(self, floor):
+        # d = 2 here, so a floor above 1/2 would give negative weight to rho
+        model = thermal_qubit(0.5, 1.0)
+        x = np.diag([0.0, 1.0]).astype(complex)
+        with pytest.raises(ValueError, match="eigenvalue floor"):
+            tur_check(model, excited_state(), x, eigenvalue_floor=floor)
+        with pytest.raises(ValueError, match="eigenvalue floor"):
+            entropy_production_rate(model, excited_state(), floor)
+
+    def test_floor_at_one_over_d_is_maximally_mixed(self):
+        state, applied = floored_state(excited_state(), 0.5)
+        assert applied
+        np.testing.assert_allclose(state.rho, np.eye(2) / 2, atol=1e-15)
+
 
 class TestDiffusivity:
     def test_no_jumps(self):

@@ -100,7 +100,7 @@ def test_flux_column_sum(factor):
     # largest flux 5: the column-sum threshold is 1e-10 * 5
     values = np.array([[-5.0, 5.0], [5.0 + factor * 5e-10, -5.0]])
     with _outcome(factor, TracePreservationError):
-        FluxMatrix(labels=np.array([0.0, 1.0]), values=values)
+        FluxMatrix(labels=np.array([0.0, 1.0]), resolved=values, class_members=([0], [1]))
 
 
 @pytest.mark.parametrize("factor", [INSIDE, OUTSIDE])
