@@ -45,6 +45,16 @@ def validate_probability(p: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _validated(r, p, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A rate matrix, a distribution over its states and a state function,
+    validated; raises ``DimMismatchError`` unless their lengths match."""
+    r, p = validate_rate_matrix(r), validate_probability(p)
+    f = np.asarray(f, dtype=float).reshape(-1)
+    if len(p) != len(r) or len(f) != len(r):
+        raise DimMismatchError(f"{len(p)} probabilities and {len(f)} values for {len(r)} states")
+    return r, p, f
+
+
 def classical_propagate(r: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
     """p(t) = exp(R t) p0; raises ``ValueError`` unless 0 <= t < inf."""
     t = lag(t)
@@ -60,9 +70,7 @@ def classical_joint_moment(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     """sum_{i,j} (f_j - f_i)^n [exp(R dt)]_{ji} p_i; raises ``ValueError``
     unless 0 <= dt < inf."""
     delta_t = lag(delta_t)
-    r = validate_rate_matrix(r)
-    p = validate_probability(p)
-    f = np.asarray(f, dtype=float).reshape(-1)
+    r, p, f = _validated(r, p, f)
     prop = scipy.linalg.expm(r * delta_t)
     return change_moment(f, f, prop * p[None, :], n)
 
@@ -77,9 +85,7 @@ def classical_generating_function(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     Raises ``ValueError`` unless 0 <= dt < inf.
     """
     delta_t = lag(delta_t)
-    r = validate_rate_matrix(r)
-    p = validate_probability(p)
-    f = np.asarray(f, dtype=float).reshape(-1)
+    r, p, f = _validated(r, p, f)
     return _generating(scipy.linalg.expm(r * delta_t), p, f, lam)
 
 
@@ -100,9 +106,7 @@ def classical_short_time_second_moment(r: np.ndarray, p: np.ndarray, f: np.ndarr
                                        method: str = "double_sum") -> float:
     """m_f = sum (f_j - f_i)^2 R_ji p_i, or the equivalent generator form
     < R^T(f^2) - 2 R^T(f) f >_p."""
-    r = validate_rate_matrix(r)
-    p = validate_probability(p)
-    f = np.asarray(f, dtype=float).reshape(-1)
+    r, p, f = _validated(r, p, f)
     if method == "double_sum":
         return change_moment(f, f, r * p[None, :], 2)
     if method == "operator":
@@ -120,12 +124,10 @@ class ClassicalModel:
     f: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rate_matrix", validate_rate_matrix(self.rate_matrix))
-        object.__setattr__(self, "p0", validate_probability(self.p0))
-        object.__setattr__(self, "f", np.asarray(self.f, dtype=float).reshape(-1))
-        n = self.rate_matrix.shape[0]
-        if len(self.p0) != n or len(self.f) != n:
-            raise DimMismatchError("p0 and f must match the rate matrix dimension")
+        r, p0, f = _validated(self.rate_matrix, self.p0, self.f)
+        object.__setattr__(self, "rate_matrix", r)
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "f", f)
 
 
 def classical_model_to_dict(model: ClassicalModel) -> dict:
@@ -215,9 +217,7 @@ def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     entropy production rate and uncertainty-relation fields are evaluated
     as well; otherwise they are reported as None.
     """
-    r = validate_rate_matrix(r)
-    p = validate_probability(p)
-    f = np.asarray(f, dtype=float).reshape(-1)
+    r, p, f = _validated(r, p, f)
     n = r.shape[0]
     model, reversible = quantize_rate_matrix(r)
     state = QuantumState(np.diag(p.astype(complex)))

@@ -139,20 +139,35 @@ class LindbladModel:
 
 
 class QuantumState:
-    """Density matrix with Hermiticity, positivity and trace invariants."""
+    """Density matrix with Hermiticity, positivity and trace invariants.
 
-    __slots__ = ("rho",)
+    ``eigenvalues`` (ascending) and ``eigenvectors`` are the spectrum of
+    ``rho`` from the one ``eigh`` that checks its positivity; whatever needs
+    ln rho or the eigenbasis of rho reads them instead of decomposing again.
+    """
+
+    __slots__ = ("rho", "eigenvalues", "eigenvectors")
 
     def __init__(self, rho, *, psd_tol=DENSITY_TOL):
         mat = require_hermitian(rho)
         mat = (mat + dagger(mat)) / 2
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < -psd_tol:
-            raise ValueError(f"density matrix has eigenvalue {eigs[0]:.3e} < -{psd_tol:.1e}")
-        trace = float(np.trace(mat).real)
+        self._assign(mat, *np.linalg.eigh(mat), psd_tol)
+
+    @classmethod
+    def _from_spectrum(cls, rho, eigenvalues, eigenvectors) -> "QuantumState":
+        """The state with exactly Hermitian ``rho`` = U diag(p) U^dag, checked
+        as the constructor checks it, without decomposing rho."""
+        state = cls.__new__(cls)
+        state._assign(rho, eigenvalues, eigenvectors, DENSITY_TOL)
+        return state
+
+    def _assign(self, rho, eigenvalues, eigenvectors, psd_tol):
+        if eigenvalues[0] < -psd_tol:
+            raise ValueError(f"density matrix has eigenvalue {eigenvalues[0]:.3e} < -{psd_tol:.1e}")
+        trace = float(np.trace(rho).real)
         if abs(trace - 1.0) > DENSITY_TOL:
             raise ValueError(f"density matrix trace {trace!r} differs from 1")
-        self.rho = mat
+        self.rho, self.eigenvalues, self.eigenvectors = rho, eigenvalues, eigenvectors
 
     @property
     def dim(self) -> int:

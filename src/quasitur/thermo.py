@@ -9,6 +9,9 @@ with the equivalent diffusivity form sigma >= |tr(X D(rho))|^2 / D_X and
 the identity D_X = m_X / 2. The geometric representation rewrites sigma as
 a force-current inner product on an enlarged space, from which the bound
 follows by Cauchy-Schwarz; it is exposed here for direct verification.
+
+Both read rho only through the spectrum every ``QuantumState`` carries from
+its validation; nothing here decomposes rho, and :func:`floored_state` floors.
 """
 
 from __future__ import annotations
@@ -60,67 +63,36 @@ def currents(model: LindbladModel, state: QuantumState, observable) -> CurrentDe
     return CurrentDecomposition(hamiltonian_part=j_ham, dissipative_part=j_dis)
 
 
-def _floored_eigh(rho: np.ndarray,
-                  eigenvalue_floor: float | None) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Spectrum and eigenvectors of the floored rho from one ``eigh`` of rho.
+def floored_state(state: QuantumState,
+                  eigenvalue_floor: float | None) -> tuple[QuantumState, bool]:
+    """Mix rho with the maximally mixed state when rank deficient.
 
-    Flooring to ``(1 - d*eps) rho + eps I`` keeps the eigenvectors and maps
-    each eigenvalue p to ``(1 - d*eps) p + eps``; it applies when the
-    smallest eigenvalue lies below ``eps``. Returns ``(p, U, applied)``.
+    Returns ``(state, False)`` unchanged when the smallest eigenvalue is
+    already at or above the floor; otherwise returns
+    ``((1 - d*eps) rho + eps I, True)`` with ``eps`` the floor, whose
+    spectrum is that of rho with each p mapped to ``(1 - d*eps) p + eps``.
     Raises ``SingularStateError`` when the resulting spectrum is not
     strictly positive, which with ``eigenvalue_floor=None`` (no flooring)
     means any rank-deficient state, and ``ValueError`` unless the floor is
     None or lies in [0, 1/d].
     """
-    if eigenvalue_floor is not None and not 0.0 <= eigenvalue_floor <= 1.0 / len(rho):
-        raise ValueError(f"eigenvalue floor {eigenvalue_floor!r} is not in [0, 1/{len(rho)}]")
-    p, u = np.linalg.eigh(rho)
-    applied = eigenvalue_floor is not None and bool(p[0] < eigenvalue_floor)
+    d = state.dim
+    if eigenvalue_floor is not None and not 0.0 <= eigenvalue_floor <= 1.0 / d:
+        raise ValueError(f"eigenvalue floor {eigenvalue_floor!r} is not in [0, 1/{d}]")
+    applied = eigenvalue_floor is not None and bool(state.eigenvalues[0] < eigenvalue_floor)
     if applied:
         eps = float(eigenvalue_floor)
-        p = (1.0 - len(p) * eps) * p + eps
-    if p[0] <= 0.0:
+        state = QuantumState._from_spectrum((1.0 - d * eps) * state.rho + eps * np.eye(d),
+                                            (1.0 - d * eps) * state.eigenvalues + eps,
+                                            state.eigenvectors)
+    p_min = state.eigenvalues[0]
+    if p_min <= 0.0:
         if eigenvalue_floor is None:
-            raise SingularStateError(f"state has eigenvalue {p[0]:.3e}; full rank is required")
+            raise SingularStateError(f"state has eigenvalue {p_min:.3e}; full rank is required")
         raise SingularStateError(
             f"state remains non-positive after flooring at {eigenvalue_floor:.1e}; increase the floor"
         )
-    return p, u, applied
-
-
-def _floored(state: QuantumState, eigenvalue_floor: float):
-    """``(p, U, floored state, applied)`` from one ``eigh`` of rho; the floored
-    state is ``state`` itself unless the floor applied."""
-    p, u, applied = _floored_eigh(state.rho, eigenvalue_floor)
-    if applied:
-        d = state.dim
-        eps = float(eigenvalue_floor)
-        state = QuantumState((1.0 - d * eps) * state.rho + eps * np.eye(d))
-    return p, u, state, applied
-
-
-def floored_state(state: QuantumState, eigenvalue_floor: float) -> tuple[QuantumState, bool]:
-    """Mix rho with the maximally mixed state when rank deficient.
-
-    Returns ``(state, False)`` unchanged when the smallest eigenvalue is
-    already at or above the floor; otherwise returns
-    ``((1 - d*eps) rho + eps I, True)`` with ``eps`` the floor.
-    """
-    _, _, floored, applied = _floored(state, eigenvalue_floor)
-    return floored, applied
-
-
-def _spohn_rate(model: LindbladModel, p: np.ndarray, u: np.ndarray) -> float:
-    """sigma = sum_k sum_ij |<i|L_k|j>|^2 p_j (s_k + ln p_j - ln p_i) for
-    rho = U diag(p) U^dag; see :func:`entropy_production_rate`."""
-    log_p = np.log(p)
-    # entry (i, j): p_j (ln p_j - ln p_i), the weight of a jump |j> -> |i>
-    entropy_change = p * (log_p - log_p[:, None])
-    sigma = 0.0
-    for op, s in zip(model.jump_operators, model.entropy_currents):
-        weights = np.abs(dagger(u) @ op @ u) ** 2
-        sigma += float(np.sum(weights * entropy_change)) + s * float(weights.sum(axis=0) @ p)
-    return sigma
+    return state, applied
 
 
 def entropy_production_rate(model: LindbladModel, state: QuantumState,
@@ -138,11 +110,19 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
 
         sigma = sum_k sum_ij |<i|L_k|j>|^2 p_j (s_k + ln p_j - ln p_i),
 
-    from one ``eigh`` of rho and two d x d products per jump. The
+    from the state's stored spectrum and two d x d products per jump. The
     Hamiltonian term tr([H, rho] ln rho) vanishes identically.
     """
-    p, u, _ = _floored_eigh(state.rho, eigenvalue_floor)
-    return _spohn_rate(model, p, u)
+    state, _ = floored_state(state, eigenvalue_floor)
+    p, u = state.eigenvalues, state.eigenvectors
+    log_p = np.log(p)
+    # entry (i, j): p_j (ln p_j - ln p_i), the weight of a jump |j> -> |i>
+    entropy_change = p * (log_p - log_p[:, None])
+    sigma = 0.0
+    for op, s in zip(model.jump_operators, model.entropy_currents):
+        weights = np.abs(dagger(u) @ op @ u) ** 2
+        sigma += float(np.sum(weights * entropy_change)) + s * float(weights.sum(axis=0) @ p)
+    return sigma
 
 
 def quantum_diffusivity(model: LindbladModel, state: QuantumState, observable) -> float:
@@ -192,16 +172,16 @@ def tur_check(model: LindbladModel, state: QuantumState, observable,
     """Evaluate the uncertainty relation for one (model, state, observable).
 
     All quantities are evaluated on the same (floored, if necessary) state
-    so the inequality applies to the instance exactly; rho is decomposed
-    once, for the floor decision and the entropy production rate. The
+    so the inequality applies to the instance exactly; the floor decision
+    and the entropy production rate read the state's stored spectrum. The
     fluctuation is computed from the flux sum; the diffusivity from its own
     operator expression, making the reported D_X = m_X / 2 identity a live
     check. ``eigenvalue_floor=None`` disables flooring, as for
     :func:`entropy_production_rate`.
     """
     obs = _coerce_observable(observable)
-    p, u, use, applied = _floored(state, eigenvalue_floor)
-    epr = _spohn_rate(model, p, u)
+    use, applied = floored_state(state, eigenvalue_floor)
+    epr = entropy_production_rate(model, use, None)
     j_d = currents(model, use, obs).dissipative_part
     m_x = short_time_moment(flux_matrix(model, use, obs), 2).value
     d_x = quantum_diffusivity(model, use, obs)
@@ -287,11 +267,11 @@ def geometric_representation(model: LindbladModel, state: QuantumState) -> Geome
     pairs. The returned object carries sigma both as the force-current
     inner product and as the weighted squared norm of the force.
     """
-    rho = state.rho
-    p, u, _ = _floored_eigh(rho, None)
+    state, _ = floored_state(state, None)
     if not model.jump_pairs:
         raise ValueError("model has no jump pairs")
-    log_rho = (u * np.log(p)) @ dagger(u)
+    rho, u = state.rho, state.eigenvectors
+    log_rho = (u * np.log(state.eigenvalues)) @ dagger(u)
     d = model.dim
     n = 2 * len(model.jump_pairs)
     # blocks[o, a, :, b] is the d x d block (a, b) of operator o: the current,

@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -18,6 +19,21 @@ def lindblad_expm(monkeypatch):
         return dense_expm(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "expm", watched_expm)
+    return shapes
+
+
+@pytest.fixture
+def eigendecompositions(monkeypatch):
+    """Shapes of the ``numpy.linalg.eigh`` and ``eigvalsh`` calls, in order."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        decompose = getattr(np.linalg, name)
+
+        def watched(a, *args, _decompose=decompose, **kwargs):
+            shapes.append(np.shape(a))
+            return _decompose(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, watched)
     return shapes
 
 

@@ -22,10 +22,39 @@ from quasitur.classical import (
     validate_rate_matrix,
 )
 from quasitur.ensembles import random_probability, random_reversible_rate_matrix
+from quasitur.errors import DimMismatchError
+from quasitur.fcs import commutation_check
 from quasitur.lindblad import validate_local_detailed_balance
 from quasitur.numdiff import derivative_moment
+from quasitur.util import EMBEDDING_TOL
 
 TWO_STATE = np.array([[-1.0, 2.0], [1.0, -2.0]])
+# one-way cycle 1 -> 2 -> 3 -> 1
+ONE_WAY_CYCLE = np.array([
+    [-1.0, 0.0, 2.0],
+    [1.0, -3.0, 0.0],
+    [0.0, 3.0, -2.0],
+])
+CHAIN = np.array([[-1.0, 2.0, 0.0], [1.0, -3.0, 1.0], [0.0, 1.0, -1.0]])
+LENGTH_MISMATCHES = {
+    "classical_joint_moment": lambda p, f: classical_joint_moment(CHAIN, p, f, 2, 0.1),
+    "classical_generating_function": lambda p, f: classical_generating_function(CHAIN, p, f, 0.3, 0.1),
+    "classical_short_time_second_moment": lambda p, f: classical_short_time_second_moment(CHAIN, p, f),
+    "quantize_and_compare": lambda p, f: quantize_and_compare(CHAIN, p, f),
+    "ClassicalModel": lambda p, f: ClassicalModel(rate_matrix=CHAIN, p0=p, f=f),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LENGTH_MISMATCHES))
+@pytest.mark.parametrize("p, f", [
+    ([1.0], [0.0, 1.0, 3.0]),  # one probability broadcast over every state
+    ([0.2, 0.3, 0.5], [1.0]),
+    ([0.2, 0.3, 0.5], [0.0, 1.0]),
+    ([0.2, 0.3, 0.5, 0.0], [0.0, 1.0, 3.0]),
+], ids=["short p", "one f", "short f", "long p"])
+def test_length_mismatch_raises(entry, p, f):
+    with pytest.raises(DimMismatchError, match="for 3 states"):
+        LENGTH_MISMATCHES[entry](np.array(p), np.array(f))
 
 
 class TestClassicalPropagate:
@@ -182,12 +211,7 @@ class TestQuantization:
         assert report.max_residual <= 1e-9
 
     def test_irreversible_edge_flagged(self):
-        # one-way cycle 1 -> 2 -> 3 -> 1
-        r = np.array([
-            [-1.0, 0.0, 2.0],
-            [1.0, -3.0, 0.0],
-            [0.0, 3.0, -2.0],
-        ])
+        r = ONE_WAY_CYCLE
         validate_rate_matrix(r)
         p = np.array([0.5, 0.3, 0.2])
         f = np.array([0.0, 1.0, 2.0])
@@ -196,6 +220,31 @@ class TestQuantization:
         assert report.epr is None and report.tur_bound is None
         # statistics still reproduced
         assert report.max_residual <= 1e-9
+
+    def test_irreversible_embedding_has_zero_weight_operators(self):
+        # each one-way edge leaves a vanishing partner, which commutes with
+        # any X at weight 0; a jump |j><i| has weight f_j - f_i
+        model, reversible = quantize_rate_matrix(ONE_WAY_CYCLE)
+        assert not reversible
+        check = commutation_check(model, np.diag([0.0, 1.0, 2.0]).astype(complex))
+        assert check.ok
+        assert [i for i, op in enumerate(model.jump_operators) if not op.any()] == [1, 2, 5]
+        assert [check.weights[i] for i in (1, 2, 5)] == [0.0, 0.0, 0.0]
+        np.testing.assert_allclose([check.weights[i] for i in (0, 3, 4)], [1.0, -2.0, 1.0], atol=1e-14)
+
+    def test_nearest_neighbour_chain_skips_absent_edges(self):
+        r = np.array([
+            [-1.0, 0.5, 0.0, 0.0],
+            [1.0, -2.5, 1.5, 0.0],
+            [0.0, 2.0, -3.5, 3.0],
+            [0.0, 0.0, 2.0, -3.0],
+        ])
+        model, reversible = quantize_rate_matrix(r)
+        assert reversible and len(model.jump_pairs) == 3
+        report = quantize_and_compare(r, np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.0, 1.0, 3.0, 2.0]))
+        assert report.reversible
+        assert report.max_residual <= EMBEDDING_TOL
+        assert report.tur_slack >= 0.0
 
 
     @pytest.mark.parametrize("delta_ts", [(0.01, 0.1), (0.05,), (0.01, 0.1, 0.5)])

@@ -546,6 +546,15 @@ class TestStateValidation:
         state = QuantumState.pure([1.0, 1.0])
         np.testing.assert_allclose(state.rho, 0.5 * np.ones((2, 2)), atol=1e-12)
 
+    def test_spectrum_reconstructs_rho(self, eigendecompositions):
+        rho = random_state(np.random.default_rng(9), 5).rho
+        eigendecompositions.clear()
+        state = QuantumState(rho)
+        assert eigendecompositions == [(5, 5)]
+        p, u = state.eigenvalues, state.eigenvectors
+        assert np.all(np.diff(p) >= 0)
+        np.testing.assert_allclose((u * p) @ u.conj().T, state.rho, rtol=0, atol=1e-12)
+
 
 class TestModelFiles:
     def test_round_trip(self, tmp_path):

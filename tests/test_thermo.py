@@ -121,6 +121,16 @@ class TestEntropyProductionRate:
         with pytest.raises(SingularStateError):
             entropy_production_rate(model, excited_state(), eigenvalue_floor=None)
 
+    def test_flooring_failure_raises(self):
+        # -1e-11 passes the density check; a 1e-12 floor leaves it negative
+        state = QuantumState(np.diag([0.5 + 1e-11, 0.5, -1e-11]).astype(complex))
+        rng = np.random.default_rng(6)
+        model, x = random_model(rng, 3, 2), random_hermitian(rng, 3)
+        with pytest.raises(SingularStateError, match="after flooring"):
+            entropy_production_rate(model, state, 1e-12)
+        with pytest.raises(SingularStateError, match="after flooring"):
+            tur_check(model, state, x, 1e-12)
+
     def test_flooring_applies(self):
         state, applied = floored_state(excited_state(), 1e-12)
         assert applied
@@ -181,57 +191,45 @@ class TestEntropyProductionOracles:
             sigma = entropy_production_rate(model, state, eps)
             assert sigma == pytest.approx(epr_reference(model, floored), rel=1e-12)
 
-    @staticmethod
-    def _count_decompositions(monkeypatch):
-        shapes = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counted(a, *args, _original=original, **kwargs):
-                shapes.append(np.shape(a))
-                return _original(a, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
-        return shapes
-
-    def test_one_eigendecomposition_per_call(self, monkeypatch):
+    def test_entropy_production_rate_does_not_decompose_rho(self, eigendecompositions):
+        # sigma and the floor read the spectrum the state was validated with
         rng = np.random.default_rng(18)
         model = random_model(rng, 5, 2)
         full_rank = random_state(rng, 5)
         rank_deficient = _rank_deficient_state(rng, 5, 2)
-        shapes = self._count_decompositions(monkeypatch)
         for state, floor in ((full_rank, 1e-12), (full_rank, None), (rank_deficient, 1e-12)):
-            shapes.clear()
+            eigendecompositions.clear()
             entropy_production_rate(model, state, floor)
-            assert shapes == [(5, 5)]
+            floored_state(state, floor)
+            assert eigendecompositions == []
 
-    def test_geometric_representation_decomposes_rho_once(self, monkeypatch):
+    def test_geometric_representation_does_not_decompose_rho(self, eigendecompositions):
         # the O((2Pd)^3) eigh of the block weight inside kubo_integral is
-        # the only other decomposition
+        # the only decomposition
         rng = np.random.default_rng(19)
         model = random_model(rng, 4, 2)
         state = random_state(rng, 4)
-        shapes = self._count_decompositions(monkeypatch)
+        eigendecompositions.clear()
         geometric_representation(model, state)
-        assert shapes.count((4, 4)) == 1
+        assert eigendecompositions == [(16, 16)]
 
-    def test_tur_check_decomposes_rho_once(self, monkeypatch):
+    def test_tur_check_does_not_decompose_rho(self, eigendecompositions):
         rng = np.random.default_rng(20)
         model = random_model(rng, 5, 2)
         full_rank = random_state(rng, 5)
         rank_deficient = _rank_deficient_state(rng, 5, 2)
         x = random_hermitian(rng, 5)
         obs = ObservableDecomposition.from_operator(x)
-        shapes = self._count_decompositions(monkeypatch)
+        eigendecompositions.clear()
         assert not tur_check(model, full_rank, obs).floor_applied
-        assert shapes == [(5, 5)]
+        assert eigendecompositions == []
         # a raw matrix adds the observable's own decomposition
-        shapes.clear()
         tur_check(model, full_rank, x)
-        assert shapes == [(5, 5), (5, 5)]
-        # a floored state is still validated as a QuantumState, one eigvalsh
-        shapes.clear()
+        assert eigendecompositions == [(5, 5)]
+        # the floored state takes its spectrum from the unfloored one
+        eigendecompositions.clear()
         assert tur_check(model, rank_deficient, obs).floor_applied
-        assert shapes == [(5, 5), (5, 5)]
+        assert eigendecompositions == []
 
     def test_tur_check_epr_matches_entropy_production_rate(self):
         # full-rank and floored states: both take sigma from the same floored spectrum

@@ -1,5 +1,6 @@
 """Thresholds of the tolerance table in ``quasitur.util`` that no other test
-pins, each by one input just inside and one just outside, and the lag check."""
+pins, each by one input just inside and one just outside, the lag check,
+and the malformed-input rejections no other test reaches."""
 
 from contextlib import nullcontext
 
@@ -14,16 +15,18 @@ from quasitur.classical import (
     validate_rate_matrix,
 )
 from quasitur.degeneracy import ScalingSweepReport, q1_q2_diagnostics, sweep_summary
-from quasitur.errors import TracePreservationError
+from quasitur.errors import DimMismatchError, TracePreservationError
 from quasitur.lindblad import (
     JumpPair,
     QuantumState,
+    apply_liouvillian,
     decompose_pair,
     heisenberg_propagator,
     propagate,
 )
-from quasitur.operators import ObservableDecomposition
+from quasitur.operators import ObservableDecomposition, kubo_integral
 from quasitur.quasiprob import FluxMatrix
+from quasitur.util import as_operator, matrix_from_json
 
 from oracles import SIGMA_MINUS, SIGMA_PLUS, excited_state, thermal_qubit
 
@@ -45,6 +48,31 @@ def test_lag_must_be_finite_and_non_negative(entry, t):
     # warnings are errors in this suite, so a warning before the check fails too
     with pytest.raises(ValueError, match="lag must be finite and non-negative"):
         ENTRY_POINTS[entry](t)
+
+
+NAN_OPERATOR = np.array([[1.0, np.nan], [0.0, 0.0]])
+INF_OPERATOR = np.array([[1.0, 0.0], [1j * np.inf, 0.0]])
+REJECTIONS = {
+    "as_operator nan": (lambda: as_operator(NAN_OPERATOR), ValueError, "non-finite"),
+    "as_operator inf": (lambda: as_operator(INF_OPERATOR), ValueError, "non-finite"),
+    "generator operand": (lambda: apply_liouvillian(thermal_qubit(), NAN_OPERATOR),
+                          ValueError, "non-finite"),
+    "propagator operand": (lambda: heisenberg_propagator(thermal_qubit(), 0.1)(INF_OPERATOR[None]),
+                           ValueError, "non-finite"),
+    "json scalar entries": (lambda: matrix_from_json([[1.0, 0.0], [0.0, 1.0]]), ValueError, "pairs"),
+    "json triples": (lambda: matrix_from_json([[[1.0, 0.0, 0.0]]]), ValueError, "pairs"),
+    "kubo_integral shapes": (lambda: kubo_integral(np.eye(2), np.eye(3)), DimMismatchError, "differ"),
+    "from_eigenbasis non-square": (
+        lambda: ObservableDecomposition.from_eigenbasis([0.0, 1.0], np.eye(3)[:, :2]),
+        DimMismatchError, "square"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_malformed_input_rejected(case):
+    call, error, match = REJECTIONS[case]
+    with pytest.raises(error, match=match):
+        call()
 
 
 # inputs at 0.9 (inside) and 1.1 (outside) times a threshold
