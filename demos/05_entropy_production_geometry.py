@@ -4,10 +4,12 @@
 Entropy production admits an exact inner-product form on an enlarged space
 with one two-by-two block per jump pair: sigma = <J, F> where J collects
 the pair currents and F the thermodynamic forces s_k Lt + [Lt, ln rho].
-A logarithmic-mean weighting turns the force into the current, making
-sigma a squared norm; Cauchy-Schwarz against the gradient of an observable
-then yields the bound. Every link of that chain is evaluated here on a
-random detail-balanced model.
+Only the off-diagonal block of each pair is nonzero, so the library keeps
+J, F and the gradients as stacks of d x d blocks. A logarithmic-mean
+weighting, applied block by block in the eigenbasis of rho, turns the
+force into the current, making sigma a squared norm; Cauchy-Schwarz
+against the gradient of an observable then yields the bound. Every link
+of that chain is evaluated here on a random detail-balanced model.
 """
 
 import numpy as np
@@ -16,7 +18,6 @@ from quasitur import (
     currents,
     entropy_production_rate,
     geometric_representation,
-    kubo_integral,
     quantum_diffusivity,
 )
 from quasitur.ensembles import random_instance
@@ -33,11 +34,12 @@ print(f"sigma as <J, F>:             {geo.epr_inner:.10f}")
 print(f"sigma as the weighted norm:  {geo.epr_norm:.10f}")
 
 # the weighting maps force to current exactly
-mapped = kubo_integral(geo.weight, geo.force_operator)
-print(f"|S_W(F) - J| = {np.linalg.norm(mapped - geo.current_operator):.2e}")
+print(f"J and F: {geo.current.shape[0]} blocks of {model.dim} x {model.dim}")
+mapped = geo.weighted_apply(geo.force)
+print(f"|S_W(F) - J| = {np.linalg.norm(mapped - geo.current):.2e}")
 
 # the divergence of the current is the dissipator
-div = geo.divergence(geo.current_operator)
+div = geo.divergence(geo.current)
 target = apply_dissipator(model, state.rho)
 print(f"|div J - D(rho)| = {np.linalg.norm(div - target):.2e}")
 

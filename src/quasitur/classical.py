@@ -56,10 +56,12 @@ def _validated(r, p, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def classical_propagate(r: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
-    """p(t) = exp(R t) p0; raises ``ValueError`` unless 0 <= t < inf."""
+    """p(t) = exp(R t) p0; raises ``ValueError`` unless 0 <= t < inf and
+    ``DimMismatchError`` unless p0 has one entry per state."""
     t = lag(t)
-    r = validate_rate_matrix(r)
-    p0 = validate_probability(p0)
+    r, p0 = validate_rate_matrix(r), validate_probability(p0)
+    if len(p0) != len(r):
+        raise DimMismatchError(f"{len(p0)} probabilities for {len(r)} states")
     if t == 0.0:
         return p0.copy()
     return scipy.linalg.expm(r * t) @ p0
@@ -208,7 +210,7 @@ class EmbeddingComparison:
 
 
 def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
-                         delta_ts=(0.01, 0.1), lambda_grid=None) -> EmbeddingComparison:
+                         delta_ts=(0.01, 0.1)) -> EmbeddingComparison:
     """Check that the diagonal embedding reproduces the classical statistics.
 
     Compares the short-time second moment, the joint tables over the given
@@ -227,9 +229,7 @@ def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     m_classical = classical_short_time_second_moment(r, p, f)
     m_residual = abs(m_quantum - m_classical)
 
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(obs, 21)
-    lams = np.asarray(lambda_grid, dtype=float).reshape(-1)
+    lams = default_lambda_grid(obs, 21)
     # one quantum and one classical propagator per lag, shared by the table
     # and the generating function
     table_residuals = []

@@ -171,7 +171,6 @@ def predicted_rate_difference(model: LindbladModel, state: QuantumState, observa
 
 
 def compare_rates(model: LindbladModel, state: QuantumState, observable,
-                  lambda_grid=None,
                   commutation_tol: float = COMMUTATION_TOL) -> GeneratingRateComparison:
     """Evaluate both generating rates and the sine-series difference formula.
 
@@ -182,13 +181,11 @@ def compare_rates(model: LindbladModel, state: QuantumState, observable,
     """
     obs = _coerce_observable(observable)
     spec = commutation_check(model, obs, commutation_tol).spec()
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(obs)
-    grid = np.asarray(lambda_grid, dtype=float)
+    grid = default_lambda_grid(obs)
     tmh = tmh_generating_rate(model, state, obs, grid)
     fcs = fcs_generating_rate(model, state, spec, grid)
     predicted = predicted_rate_difference(model, state, obs, grid)
-    residual = float(np.max(np.abs((tmh - fcs) - predicted))) if grid.size else 0.0
+    residual = float(np.max(np.abs((tmh - fcs) - predicted)))
     tmh_at = partial(tmh_generating_rate, model, state, obs)
     fcs_at = partial(fcs_generating_rate, model, state, spec)
     gap = obs.max_gap

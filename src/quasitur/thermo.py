@@ -8,7 +8,8 @@ current of any observable against its short-time fluctuation,
 with the equivalent diffusivity form sigma >= |tr(X D(rho))|^2 / D_X and
 the identity D_X = m_X / 2. The geometric representation rewrites sigma as
 a force-current inner product on an enlarged space, from which the bound
-follows by Cauchy-Schwarz; it is exposed here for direct verification.
+follows by Cauchy-Schwarz; it is exposed here for direct verification, in
+pair blocks of d x d matrices, so no (2Pd) x (2Pd) matrix is formed.
 
 Both read rho only through the spectrum every ``QuantumState`` carries from
 its validation; nothing here decomposes rho, and :func:`floored_state` floors.
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import SingularStateError, ZeroFluctuationError
+from .errors import DimMismatchError, SingularStateError, ZeroFluctuationError
 from .lindblad import (
     LindbladModel,
     QuantumState,
@@ -28,7 +29,7 @@ from .lindblad import (
     decompose_pair,
     model_hash,
 )
-from .operators import hs_inner_product, kubo_integral
+from .operators import logarithmic_mean
 from .quasiprob import (
     _coerce_observable,
     _observable_matrix,
@@ -36,8 +37,8 @@ from .quasiprob import (
     short_time_fluctuation_operator_form,
     short_time_moment,
 )
-from .util import (DIFFUSIVITY_IDENTITY_TOL, HERMITICITY_TOL, ZERO_CURRENT_TOL,
-                   ZERO_FLUCTUATION_TOL, as_operator, commutator, dagger, operator_hash, real_part)
+from .util import (DIFFUSIVITY_IDENTITY_TOL, ZERO_CURRENT_TOL, ZERO_FLUCTUATION_TOL, as_operator,
+                   commutator, dagger, operator_hash, real_part)
 
 DEFAULT_EIGENVALUE_FLOOR = 1e-12
 
@@ -213,50 +214,66 @@ def tur_report_dict(report: TURReport, model: LindbladModel, observable) -> dict
     }
 
 
+def _log_mean_weights(rates: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Entry (c, i, j): the log-mean of (g_(c^1) p_i / 2, g_c p_j / 2), by which
+    S_W scales <i|M_c|j> in the eigenbasis of rho."""
+    half = rates[:, None, None] / 2
+    return logarithmic_mean(half[np.arange(len(rates)) ^ 1] * p[:, None], half * p)
+
+
 @dataclass(frozen=True)
 class GeometricRepresentation:
-    """Force/current operators on the pair-indexed enlarged space.
+    """The force/current geometry of sigma in pair blocks.
 
-    For each pair the current block holds J_k = (g_k Lt rho - g_-k rho Lt)/2
-    and the force block F_k = s_k Lt + [Lt, ln rho]; both assemble into
-    anti-Hermitian operators on C^(2P) x H. The weight is the positive
-    block operator Gamma x rho and the structure operator collects the
-    normalized jump directions.
+    On C^(2P) x H the current, force and structure operators only have
+    blocks (c ^ 1, c), which swap c with its pair partner (pair k owns 2k
+    and 2k + 1), so each is a (2P, d, d) stack of those blocks. With
+    (T_c, s_c) = (Lt_k, s_k) for c = 2k and (Lt_k^dag, -s_k) for c = 2k + 1:
+    current[c] = (g_c T_c rho - g_(c^1) rho T_c) / 2, force[c] =
+    s_c T_c + [T_c, ln rho] and structure[c] = T_c; current and force are
+    anti-Hermitian by construction. The weight (+)_c (g_c / 2) rho is
+    ``rates`` (g_c) and the full-rank ``state``, whose stored spectrum S_W
+    reads (Carlen & Maas, J. Funct. Anal. 273, 2017).
     """
 
-    current_operator: np.ndarray
-    force_operator: np.ndarray
-    weight: np.ndarray
-    structure_operator: np.ndarray
-    dim: int
-    n_pairs: int
+    current: np.ndarray
+    force: np.ndarray
+    structure: np.ndarray
+    rates: np.ndarray
+    state: QuantumState
     epr_inner: float
     epr_norm: float
 
-    def expand(self, x) -> np.ndarray:
-        """I_B otimes X on the enlarged space (2P copies of X)."""
-        return np.kron(np.eye(2 * self.n_pairs), as_operator(x))
+    def _stack(self, m) -> np.ndarray:
+        m = np.asarray(m, dtype=complex)
+        if m.shape != self.structure.shape:
+            raise DimMismatchError(f"stack of shape {m.shape}, expected {self.structure.shape}")
+        return m
 
     def gradient(self, x) -> np.ndarray:
-        """[I otimes X, B], the gradient of an observable."""
-        return commutator(self.expand(x), self.structure_operator)
+        """[I x X, B], the gradient of an observable: entry c is X B_c - B_c X."""
+        x = as_operator(x)
+        if x.shape != self.structure.shape[1:]:
+            raise DimMismatchError(f"observable of shape {x.shape} on dimension {self.state.dim}")
+        return x @ self.structure - self.structure @ x
 
-    def divergence(self, m: np.ndarray) -> np.ndarray:
-        """Adjoint of the gradient: partial trace of [M, B] over pair blocks.
+    def divergence(self, m) -> np.ndarray:
+        """Adjoint of the gradient, the partial trace of [M, B]:
+        sum_c (M_(c^1) B_c - B_(c^1) M_c). Maps the current to D(rho)."""
+        m = self._stack(m)
+        partner = np.arange(len(m)) ^ 1
+        return np.sum(m[partner] @ self.structure - self.structure[partner] @ m, axis=0)
 
-        Maps the current operator back to the dissipator.
-        """
-        c = commutator(np.asarray(m, dtype=complex), self.structure_operator)
-        n, d = 2 * self.n_pairs, self.dim
-        return np.einsum("aiaj->ij", c.reshape(n, d, n, d))
+    def weighted_apply(self, m) -> np.ndarray:
+        """S_W(M) = U (logmean * U^dag M U) U^dag, entry by entry."""
+        u = self.state.eigenvectors
+        weights = _log_mean_weights(self.rates, self.state.eigenvalues)
+        return u @ (weights * (dagger(u) @ self._stack(m) @ u)) @ dagger(u)
 
-    def weighted_apply(self, a: np.ndarray) -> np.ndarray:
-        return kubo_integral(self.weight, a)
+    def weighted_inner(self, a, b) -> complex:
+        return complex(np.sum(self._stack(a).conj() * self.weighted_apply(b)))
 
-    def weighted_inner(self, a: np.ndarray, b: np.ndarray) -> complex:
-        return hs_inner_product(a, self.weighted_apply(b))
-
-    def weighted_norm_sq(self, a: np.ndarray) -> float:
+    def weighted_norm_sq(self, a) -> float:
         return real_part(self.weighted_inner(a, a), "weighted norm")
 
 
@@ -265,45 +282,30 @@ def geometric_representation(model: LindbladModel, state: QuantumState) -> Geome
 
     Requires a full-rank state (no implicit flooring) and decomposable
     pairs. The returned object carries sigma both as the force-current
-    inner product and as the weighted squared norm of the force.
+    inner product and as the weighted squared norm of the force, both from
+    the state's stored spectrum in O(P d^3).
     """
     state, _ = floored_state(state, None)
     if not model.jump_pairs:
         raise ValueError("model has no jump pairs")
-    rho, u = state.rho, state.eigenvectors
-    log_rho = (u * np.log(state.eigenvalues)) @ dagger(u)
-    d = model.dim
-    n = 2 * len(model.jump_pairs)
-    # blocks[o, a, :, b] is the d x d block (a, b) of operator o: the current,
-    # force, weight and structure operators; pair k owns blocks 2k and 2k + 1
-    blocks = np.zeros((4, n, d, n, d), dtype=complex)
-    for k, pair in enumerate(model.jump_pairs):
-        gamma_f, gamma_b, lt = decompose_pair(pair)
-        s = pair.entropy_current
-        lt_d = dagger(lt)
-        a, b = 2 * k, 2 * k + 1
-        blocks[0, b, :, a] = 0.5 * (gamma_f * lt @ rho - gamma_b * rho @ lt)
-        blocks[0, a, :, b] = 0.5 * (gamma_b * lt_d @ rho - gamma_f * rho @ lt_d)
-        blocks[1, b, :, a] = s * lt + commutator(lt, log_rho)
-        blocks[1, a, :, b] = -s * lt_d + commutator(lt_d, log_rho)
-        blocks[2, a, :, a] = gamma_f / 2 * rho
-        blocks[2, b, :, b] = gamma_b / 2 * rho
-        blocks[3, b, :, a] = lt
-        blocks[3, a, :, b] = lt_d
-    current, force, weight, strc = blocks.reshape(4, n * d, n * d)
-    for name, op in (("current", current), ("force", force)):
-        norm = max(float(np.linalg.norm(op)), 1e-300)
-        if float(np.linalg.norm(op + dagger(op))) > HERMITICITY_TOL * norm:
-            raise ValueError(f"{name} operator is not anti-Hermitian; inputs are inconsistent")
-    epr_inner = real_part(hs_inner_product(current, force), "entropy production")
-    epr_norm = real_part(hs_inner_product(force, kubo_integral(weight, force)), "entropy production")
+    split = [decompose_pair(pair) for pair in model.jump_pairs]
+    rates = np.array([g for gamma_f, gamma_b, _ in split for g in (gamma_f, gamma_b)])
+    structure = np.array([t for *_, lt in split for t in (lt, dagger(lt))])
+    p, u = state.eigenvalues, state.eigenvectors
+    log_p = np.log(p)
+    g = rates[:, None, None]
+    # entries (c, i, j) of current and force in rho's eigenbasis are those
+    # of T_c times these factors
+    flow = (g * p - g[np.arange(len(rates)) ^ 1] * p[:, None]) / 2
+    affinity = np.array(model.entropy_currents)[:, None, None] + log_p - log_p[:, None]
+    t_eig = dagger(u) @ structure @ u
+    t_sq = np.abs(t_eig) ** 2
     return GeometricRepresentation(
-        current_operator=current,
-        force_operator=force,
-        weight=weight,
-        structure_operator=strc,
-        dim=d,
-        n_pairs=len(model.jump_pairs),
-        epr_inner=epr_inner,
-        epr_norm=epr_norm,
+        current=u @ (flow * t_eig) @ dagger(u),
+        force=u @ (affinity * t_eig) @ dagger(u),
+        structure=structure,
+        rates=rates,
+        state=state,
+        epr_inner=float(np.sum(t_sq * flow * affinity)),
+        epr_norm=float(np.sum(t_sq * _log_mean_weights(rates, p) * affinity**2)),
     )

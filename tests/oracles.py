@@ -172,3 +172,21 @@ def epr_reference(model: LindbladModel, rho: np.ndarray) -> float:
     flow = sum(s * np.trace(op.conj().T @ op @ rho).real
                for op, s in zip(model.jump_operators, model.entropy_currents))
     return float(-np.trace(generated @ log_rho).real + flow)
+
+
+def pair_blocks(stack: np.ndarray) -> np.ndarray:
+    """The dense (2Pd) x (2Pd) operator whose block (c ^ 1, c) is stack[c]
+    and whose other blocks vanish."""
+    n, d = stack.shape[:2]
+    dense = np.zeros((n, d, n, d), dtype=complex)
+    for c in range(n):
+        dense[c ^ 1, :, c] = stack[c]
+    return dense.reshape(n * d, n * d)
+
+
+def enlarged(geo) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Dense current, force, structure and weight operators on C^(2P) x H,
+    assembled from the pair-block stacks of a ``GeometricRepresentation``.
+    The weight is block diagonal, with block c equal to (g_c / 2) rho."""
+    weight = scipy.linalg.block_diag(*(g / 2 * geo.state.rho for g in geo.rates))
+    return pair_blocks(geo.current), pair_blocks(geo.force), pair_blocks(geo.structure), weight

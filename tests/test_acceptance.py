@@ -49,7 +49,7 @@ from quasitur.thermo import (
     tur_check,
 )
 
-from oracles import ladder_model, ladder_state, thermal_qubit
+from oracles import enlarged, ladder_model, ladder_state, thermal_qubit
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -287,9 +287,9 @@ def test_criterion_10_geometric_representation():
         d_x = quantum_diffusivity(model, state, x)
         j_d = currents(model, state, x).dissipative_part
         worst_chain = max(worst_chain, grad_sq - d_x, j_d**2 - sigma * grad_sq)
-        mapped = kubo_integral(geo.weight, geo.force_operator)
-        worst_identity = max(worst_identity,
-                             float(np.linalg.norm(mapped - geo.current_operator)) / scale)
+        current, force, _, weight = enlarged(geo)
+        mapped = kubo_integral(weight, force)
+        worst_identity = max(worst_identity, float(np.linalg.norm(mapped - current)) / scale)
     ok = worst_identity <= 1e-8 and worst_chain <= 1e-9
     verdict(10, ok, f"identity residual {worst_identity:.3e}, "
                     f"Cauchy-Schwarz chain slack violation {max(worst_chain, 0.0):.3e}")

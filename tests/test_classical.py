@@ -42,16 +42,23 @@ LENGTH_MISMATCHES = {
     "classical_short_time_second_moment": lambda p, f: classical_short_time_second_moment(CHAIN, p, f),
     "quantize_and_compare": lambda p, f: quantize_and_compare(CHAIN, p, f),
     "ClassicalModel": lambda p, f: ClassicalModel(rate_matrix=CHAIN, p0=p, f=f),
+    # takes no f; at t = 0 it used to return p unchecked
+    "classical_propagate t=0": lambda p, f: classical_propagate(CHAIN, p, 0.0),
+    "classical_propagate t=0.1": lambda p, f: classical_propagate(CHAIN, p, 0.1),
 }
+LENGTH_CASES = [
+    ("short p", [1.0], [0.0, 1.0, 3.0]),  # one probability broadcast over every state
+    ("one f", [0.2, 0.3, 0.5], [1.0]),
+    ("short f", [0.2, 0.3, 0.5], [0.0, 1.0]),
+    ("long p", [0.2, 0.3, 0.5, 0.0], [0.0, 1.0, 3.0]),
+]
 
 
-@pytest.mark.parametrize("entry", sorted(LENGTH_MISMATCHES))
-@pytest.mark.parametrize("p, f", [
-    ([1.0], [0.0, 1.0, 3.0]),  # one probability broadcast over every state
-    ([0.2, 0.3, 0.5], [1.0]),
-    ([0.2, 0.3, 0.5], [0.0, 1.0]),
-    ([0.2, 0.3, 0.5, 0.0], [0.0, 1.0, 3.0]),
-], ids=["short p", "one f", "short f", "long p"])
+@pytest.mark.parametrize("entry, p, f", [
+    pytest.param(entry, p, f, id=f"{case}-{entry}")
+    for case, p, f in LENGTH_CASES for entry in sorted(LENGTH_MISMATCHES)
+    if case.endswith(" p") or not entry.startswith("classical_propagate")
+])
 def test_length_mismatch_raises(entry, p, f):
     with pytest.raises(DimMismatchError, match="for 3 states"):
         LENGTH_MISMATCHES[entry](np.array(p), np.array(f))

@@ -11,14 +11,15 @@ from quasitur.degeneracy import (
     build_plus_minus_state,
 )
 from quasitur.ensembles import random_hermitian, random_instance, random_model, random_state
-from quasitur.errors import SingularStateError, ZeroFluctuationError
+from quasitur.errors import DimMismatchError, SingularStateError, ZeroFluctuationError
 from quasitur.lindblad import (
+    JumpPair,
     LindbladModel,
     QuantumState,
     apply_dissipator,
     propagate,
 )
-from quasitur.operators import kubo_integral
+from quasitur.operators import hs_inner_product, kubo_integral
 from quasitur.quasiprob import ObservableDecomposition
 from quasitur.thermo import (
     currents,
@@ -34,9 +35,11 @@ from quasitur.thermo import (
 from oracles import (
     SIGMA_Z,
     decay_qubit,
+    enlarged,
     epr_reference,
     excited_state,
     gibbs_state,
+    pair_blocks,
     thermal_qubit,
     von_neumann_entropy,
 )
@@ -204,14 +207,14 @@ class TestEntropyProductionOracles:
             assert eigendecompositions == []
 
     def test_geometric_representation_does_not_decompose_rho(self, eigendecompositions):
-        # the O((2Pd)^3) eigh of the block weight inside kubo_integral is
-        # the only decomposition
+        # the weight reads the state's stored spectrum: nothing is decomposed
         rng = np.random.default_rng(19)
         model = random_model(rng, 4, 2)
         state = random_state(rng, 4)
         eigendecompositions.clear()
-        geometric_representation(model, state)
-        assert eigendecompositions == [(16, 16)]
+        geo = geometric_representation(model, state)
+        geo.weighted_norm_sq(geo.gradient(model.hamiltonian))
+        assert eigendecompositions == []
 
     def test_tur_check_does_not_decompose_rho(self, eigendecompositions):
         rng = np.random.default_rng(20)
@@ -354,7 +357,7 @@ class TestGeometricRepresentation:
     def test_zero_force_at_equilibrium(self):
         model = thermal_qubit(0.5, 1.0)
         geo = geometric_representation(model, gibbs_state(0.5, 1.0))
-        assert np.linalg.norm(geo.force_operator) <= 1e-10
+        assert np.linalg.norm(geo.force) <= 1e-10
         assert geo.epr_inner == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_entropy_production(self):
@@ -370,25 +373,25 @@ class TestGeometricRepresentation:
     def test_anti_hermitian_blocks(self):
         rng = np.random.default_rng(11)
         model, state, _ = random_instance(rng)
-        geo = geometric_representation(model, state)
-        for op in (geo.current_operator, geo.force_operator):
+        current, force, _, _ = enlarged(geometric_representation(model, state))
+        for op in (current, force):
             assert np.linalg.norm(op + op.conj().T) <= 1e-10 * max(np.linalg.norm(op), 1e-30)
 
     def test_weighted_force_gives_current(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
             model, state, _ = random_instance(rng)
-            geo = geometric_representation(model, state)
-            mapped = kubo_integral(geo.weight, geo.force_operator)
-            scale = max(np.linalg.norm(geo.current_operator), 1.0)
-            assert np.linalg.norm(mapped - geo.current_operator) <= 1e-8 * scale
+            current, force, _, weight = enlarged(geometric_representation(model, state))
+            mapped = kubo_integral(weight, force)
+            scale = max(np.linalg.norm(current), 1.0)
+            assert np.linalg.norm(mapped - current) <= 1e-8 * scale
 
     def test_divergence_of_current_is_dissipator(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             model, state, _ = random_instance(rng)
             geo = geometric_representation(model, state)
-            div = geo.divergence(geo.current_operator)
+            div = geo.divergence(geo.current)
             target = apply_dissipator(model, state.rho)
             assert np.linalg.norm(div - target) <= 1e-9 * max(np.linalg.norm(target), 1.0)
 
@@ -403,6 +406,58 @@ class TestGeometricRepresentation:
             j_d = currents(model, state, x).dissipative_part
             assert grad_norm_sq <= d_x + 1e-9
             assert sigma * grad_norm_sq >= j_d**2 - 1e-9
+
+    def test_block_methods_match_dense(self):
+        def assert_close(got, want):
+            assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            model, state, x = random_instance(rng)
+            geo = geometric_representation(model, state)
+            current, _, structure, weight = enlarged(geo)
+            n, d = len(geo.rates), model.dim
+            grad = geo.gradient(x)
+            dense_grad = np.kron(np.eye(n), x) @ structure - structure @ np.kron(np.eye(n), x)
+            assert_close(pair_blocks(grad), dense_grad)
+            for stack, dense in ((geo.current, current), (grad, dense_grad)):
+                commuted = (dense @ structure - structure @ dense).reshape(n, d, n, d)
+                assert_close(geo.divergence(stack), np.einsum("aiaj->ij", commuted))
+                mapped = kubo_integral(weight, dense)
+                assert_close(pair_blocks(geo.weighted_apply(stack)), mapped)
+                assert_close(geo.weighted_norm_sq(stack), hs_inner_product(dense, mapped).real)
+
+    def test_equal_rates_at_maximally_mixed_state(self):
+        # gamma_f = gamma_b and rho = I/d make every log-mean pair coincide
+        jump = random_hermitian(np.random.default_rng(17), 4)
+        model = LindbladModel(np.zeros((4, 4), complex), (JumpPair(jump, jump, 0.0),))
+        state = QuantumState(np.eye(4, dtype=complex) / 4)
+        geo = geometric_representation(model, state)
+        assert np.linalg.norm(geo.force) <= 1e-15
+        for sigma in (geo.epr_inner, geo.epr_norm, entropy_production_rate(model, state)):
+            assert sigma == pytest.approx(0.0, abs=1e-15)
+        *_, structure, weight = enlarged(geo)
+        mapped = kubo_integral(weight, structure)
+        got = pair_blocks(geo.weighted_apply(geo.structure))
+        assert np.linalg.norm(got - mapped) <= 1e-14 * np.linalg.norm(mapped)
+
+    @pytest.mark.parametrize("dim", [64, 256])
+    def test_large_dimension_matches_entropy_production(self, dim):
+        rng = np.random.default_rng(dim)
+        model, state = random_model(rng, dim, 3), random_state(rng, dim)
+        sigma = entropy_production_rate(model, state)
+        geo = geometric_representation(model, state)
+        assert abs(geo.epr_inner - sigma) <= 1e-12 * abs(sigma)
+        assert abs(geo.epr_norm - sigma) <= 1e-12 * abs(sigma)
+
+    def test_wrong_dimension_raises(self):
+        model, state, _ = random_instance(np.random.default_rng(18), max_dim=3)
+        geo = geometric_representation(model, state)
+        with pytest.raises(DimMismatchError):
+            geo.gradient(np.eye(model.dim + 1))
+        for method in (geo.divergence, geo.weighted_apply, geo.weighted_norm_sq):
+            with pytest.raises(DimMismatchError):
+                method(geo.current[0])
 
     def test_requires_full_rank(self):
         model = thermal_qubit()
