@@ -35,14 +35,12 @@ from .errors import (
     NonConvergenceError,
     NotHermitianError,
     QuasiturError,
-    SingularOperatorError,
     SingularStateError,
     TracePreservationError,
     ZeroFluctuationError,
 )
 from .fcs import (
     CommutationCheckResult,
-    CurrentObservableSpec,
     GeneratingRateComparison,
     commutation_check,
     compare_rates,
@@ -67,12 +65,7 @@ from .lindblad import (
     save_state,
     validate_local_detailed_balance,
 )
-from .operators import (
-    ObservableDecomposition,
-    hs_inner_product,
-    kubo_integral,
-    matrix_log_psd,
-)
+from .operators import ObservableDecomposition
 from .quasiprob import (
     FluxMatrix,
     MomentReport,

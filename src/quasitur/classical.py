@@ -104,16 +104,10 @@ def _generating(prop: np.ndarray, p: np.ndarray, f: np.ndarray, lam):
     return per_lambda(lam, values_at)
 
 
-def classical_short_time_second_moment(r: np.ndarray, p: np.ndarray, f: np.ndarray,
-                                       method: str = "double_sum") -> float:
-    """m_f = sum (f_j - f_i)^2 R_ji p_i, or the equivalent generator form
-    < R^T(f^2) - 2 R^T(f) f >_p."""
+def classical_short_time_second_moment(r: np.ndarray, p: np.ndarray, f: np.ndarray) -> float:
+    """m_f = sum (f_j - f_i)^2 R_ji p_i."""
     r, p, f = _validated(r, p, f)
-    if method == "double_sum":
-        return change_moment(f, f, r * p[None, :], 2)
-    if method == "operator":
-        return float(np.sum((r.T @ f**2 - 2.0 * (r.T @ f) * f) * p))
-    raise ValueError("method must be 'double_sum' or 'operator'")
+    return change_moment(f, f, r * p[None, :], 2)
 
 
 @dataclass(frozen=True)

@@ -55,11 +55,18 @@ def _config_dict(args, keys) -> dict:
     return {key: getattr(args, key.replace("-", "_")) for key in keys}
 
 
-def _int_list(text: str) -> list[int]:
-    values = [int(part) for part in text.split(",") if part]
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
+#: largest N whose closed forms ``example`` cross-checks against summed fluxes
+EXAMPLE_VERIFY_MAX_N = 64
+
+
+def _list_of(kind, noun: str):
+    """argparse type: a non-empty comma-separated list of ``kind``."""
+    def parse(text: str) -> list:
+        values = [kind(part) for part in text.split(",") if part]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one {noun}")
+        return values
+    return parse
 
 
 def _float_pair(text: str) -> tuple[float, float]:
@@ -153,7 +160,7 @@ def cmd_example(args) -> int:
         params = _collective_params(args, n)
         ref = closed_form_reference(params, args.sign)
         row = {"N": n, "ref": ref}
-        if args.verify and n <= args.verify_max_n:
+        if n <= EXAMPLE_VERIFY_MAX_N:
             model = build_collective_model(params)
             state = build_plus_minus_state(params, args.sign)
             flux = flux_matrix(model, state, collective_basis(params))
@@ -210,9 +217,9 @@ def cmd_fcs_compare(args) -> int:
 
 def cmd_classical_check(args) -> int:
     cls = load_classical_model(args.model)
-    delta_ts = [float(p) for p in args.delta_ts.split(",") if p]
-    report = quantize_and_compare(cls.rate_matrix, cls.p0, cls.f, delta_ts=tuple(delta_ts))
-    config = _config_dict(args, ["model", "delta_ts", "tol", "seed"])
+    report = quantize_and_compare(cls.rate_matrix, cls.p0, cls.f, delta_ts=args.delta_ts)
+    config = _config_dict(args, ["model", "tol", "seed"])
+    config["delta_ts"] = ",".join(float_repr(dt) for dt in args.delta_ts)
     if args.output:
         _write_json(args.output, config, dataclasses.asdict(report))
     ok = report.max_residual <= args.tol
@@ -263,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="optional JSON report path")
 
     p = add("sweep", cmd_sweep, "scaling sweep of the collective model over N")
-    p.add_argument("--n", type=_int_list, required=True, help="ascending N list, e.g. 4,8,16")
+    p.add_argument("--n", type=_list_of(int, "integer"), required=True,
+                   help="ascending N list, e.g. 4,8,16")
     p.add_argument("--sign", choices=["+", "-", "diagonal"], default="+",
                    help="band superposition sign or the diagonal control state")
     p.add_argument("--omega", type=float, default=1.0, help="band gap")
@@ -279,15 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-json", required=True)
 
     p = add("example", cmd_example, "closed-form collective-model fluxes per N")
-    p.add_argument("--n", type=_int_list, required=True, help="N list, e.g. 2,4,8")
+    p.add_argument("--n", type=_list_of(int, "integer"), required=True, help="N list, e.g. 2,4,8")
     p.add_argument("--sign", choices=["+", "-"], default="+")
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--gammas", type=_float_pair, default=(1.0, 1.0))
     p.add_argument("--pg", type=float, default=0.5)
-    p.add_argument("--verify", action=argparse.BooleanOptionalAction, default=True,
-                   help="cross-check closed forms against summed fluxes")
-    p.add_argument("--verify-max-n", type=int, default=64,
-                   help="largest N that is cross-checked numerically")
     p.add_argument("--output", required=True, help="output CSV path")
 
     p = add("fcs-compare", cmd_fcs_compare,
@@ -302,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("classical-check", cmd_classical_check,
             "verify the diagonal embedding of a classical model file")
     p.add_argument("--model", required=True, help="classical model JSON file")
-    p.add_argument("--delta-ts", default="0.01,0.1", help="comparison lags")
+    p.add_argument("--delta-ts", type=_list_of(float, "lag"), default="0.01,0.1",
+                   help="comparison lags")
     p.add_argument("--tol", type=float, default=EMBEDDING_TOL, help="residual tolerance")
     p.add_argument("--output", default=None, help="optional JSON report path")
 

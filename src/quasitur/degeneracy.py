@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import BasisMismatchError, InsufficientPointsError
-from .lindblad import JumpPair, LindbladModel, QuantumState
+from .lindblad import JumpPair, LindbladModel, QuantumState, _check_dim
 from .operators import ObservableDecomposition
 from .quasiprob import flux_matrix, short_time_moment
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, entropy_production_rate, tur_bound
@@ -72,6 +72,7 @@ def classify_basis_classicality(model: LindbladModel, basis: ObservableDecomposi
 
 def l1_coherence(state: QuantumState, basis: ObservableDecomposition) -> float:
     """Sum of absolute off-diagonal elements of rho in the given basis."""
+    _check_dim(state, basis.dim)
     v = basis.eigenvectors
     mat = dagger(v) @ state.rho @ v
     return float(np.sum(np.abs(mat)) - np.sum(np.abs(np.diag(mat))))

@@ -9,10 +9,6 @@ class NotHermitianError(QuasiturError):
     """An operator required to be Hermitian is not, beyond tolerance."""
 
 
-class SingularOperatorError(QuasiturError):
-    """A positive-definite operator has a non-positive eigenvalue."""
-
-
 class DimMismatchError(QuasiturError):
     """Operands have incompatible dimensions."""
 

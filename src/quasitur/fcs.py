@@ -19,21 +19,10 @@ from functools import partial
 import numpy as np
 
 from .errors import CommutationViolatedError, DimMismatchError
-from .lindblad import LindbladModel, QuantumState, apply_adjoint_liouvillian
+from .lindblad import LindbladModel, QuantumState, _check_dim, apply_adjoint_liouvillian
 from .numdiff import derivative_moment
 from .quasiprob import _coerce_observable, _observable_matrix, _phase_generating
 from .util import COMMUTATION_TOL, commutator, dagger, float_repr, per_lambda
-
-
-@dataclass(frozen=True)
-class CurrentObservableSpec:
-    """Per-jump weights defining a counting current, aligned with
-    ``model.jump_operators`` (both pair members)."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
 
 @dataclass(frozen=True)
@@ -45,14 +34,6 @@ class CommutationCheckResult:
     residuals: tuple
     tolerance: float
     failed_index: int | None
-
-    def spec(self) -> CurrentObservableSpec:
-        if not self.ok:
-            raise CommutationViolatedError(
-                f"jump {self.failed_index} violates the commutation condition "
-                f"(residual {self.residuals[self.failed_index]:.3e})"
-            )
-        return CurrentObservableSpec(weights=self.weights)
 
 
 def commutation_check(model: LindbladModel, observable,
@@ -87,19 +68,20 @@ def commutation_check(model: LindbladModel, observable,
     )
 
 
-def fcs_generating_rate(model: LindbladModel, state: QuantumState,
-                        spec: CurrentObservableSpec, lam):
-    """Short-time generating rate of the weighted jump-counting current.
+def fcs_generating_rate(model: LindbladModel, state: QuantumState, weights, lam):
+    """Short-time generating rate of the jump-counting current with one
+    weight per entry of ``model.jump_operators`` (both pair members).
 
     A scalar ``lam`` gives a complex number, a 1-D array a complex array.
     """
-    if len(spec.weights) != len(model.jump_operators):
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(model.jump_operators),):
         raise DimMismatchError(
-            f"{len(spec.weights)} weights for {len(model.jump_operators)} jump operators"
+            f"{weights.size} weights for {len(model.jump_operators)} jump operators"
         )
+    _check_dim(state, model.dim)
     rho = state.rho
     activities = np.array([np.trace(dagger(op) @ op @ rho).real for op in model.jump_operators])
-    weights = np.array(spec.weights)
     return per_lambda(lam, lambda lams: (np.exp(1j * np.outer(lams, weights)) - 1.0) @ activities)
 
 
@@ -160,6 +142,9 @@ def predicted_rate_difference(model: LindbladModel, state: QuantumState, observa
     when H or rho commutes with X.
     """
     obs = _coerce_observable(observable)
+    if obs.dim != model.dim:
+        raise DimMismatchError("observable dimension differs from model")
+    _check_dim(state, model.dim)
     vecs = obs.eigenvectors
     vals = obs.eigenvalues
     h_eig = dagger(vecs) @ model.hamiltonian @ vecs
@@ -180,14 +165,19 @@ def compare_rates(model: LindbladModel, state: QuantumState, observable,
     and 4 by :func:`quasitur.numdiff.derivative_moment`.
     """
     obs = _coerce_observable(observable)
-    spec = commutation_check(model, obs, commutation_tol).spec()
+    check = commutation_check(model, obs, commutation_tol)
+    if not check.ok:
+        raise CommutationViolatedError(
+            f"jump {check.failed_index} violates the commutation condition "
+            f"(residual {check.residuals[check.failed_index]:.3e})"
+        )
     grid = default_lambda_grid(obs)
     tmh = tmh_generating_rate(model, state, obs, grid)
-    fcs = fcs_generating_rate(model, state, spec, grid)
+    fcs = fcs_generating_rate(model, state, check.weights, grid)
     predicted = predicted_rate_difference(model, state, obs, grid)
     residual = float(np.max(np.abs((tmh - fcs) - predicted)))
     tmh_at = partial(tmh_generating_rate, model, state, obs)
-    fcs_at = partial(fcs_generating_rate, model, state, spec)
+    fcs_at = partial(fcs_generating_rate, model, state, check.weights)
     gap = obs.max_gap
     even_diffs = tuple(abs(derivative_moment(tmh_at, n, gap) - derivative_moment(fcs_at, n, gap))
                        for n in (2, 4))

@@ -183,6 +183,12 @@ class QuantumState:
         return f"QuantumState(dim={self.dim})"
 
 
+def _check_dim(state: QuantumState, d: int) -> None:
+    """Raise ``DimMismatchError`` unless ``state`` has dimension ``d``."""
+    if state.dim != d:
+        raise DimMismatchError(f"state of dimension {state.dim} for dimension {d}")
+
+
 @dataclass(frozen=True)
 class DetailedBalanceReport:
     residuals: tuple[float, ...]
@@ -372,7 +378,7 @@ def _operands(a, d: int) -> np.ndarray:
     complex array, checked for shape and finite entries."""
     ops = np.ascontiguousarray(a.rho if isinstance(a, QuantumState) else a, dtype=complex)
     if ops.ndim not in (2, 3) or ops.shape[-2:] != (d, d):
-        raise DimMismatchError(f"expected ({d}, {d}) operators, got shape {np.shape(a)}")
+        raise DimMismatchError(f"expected ({d}, {d}) operators, got shape {ops.shape}")
     if not np.all(np.isfinite(ops)):
         raise ValueError("operator contains non-finite entries")
     return ops

@@ -1,8 +1,7 @@
 """Dense Hermitian operator primitives.
 
-Observable eigendecompositions with degeneracy classes, matrix logarithms of
-positive operators, Hilbert-Schmidt inner products, and the logarithmic-mean
-integral super-operator S_G(A) = int_0^1 G^s A G^(1-s) ds that underlies the
+The Hermiticity check, observable eigendecompositions with degeneracy
+classes, and the elementwise logarithmic mean that weights the
 entropy-production geometry.
 
 Everything is dense ``numpy``; expected dimensions are at most a few
@@ -15,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BasisMismatchError, DimMismatchError, NotHermitianError, SingularOperatorError
-from .util import (DEGENERACY_TOL, EIGEN_RELATION_TOL, HERMITICITY_TOL, ORTHONORMALITY_TOL,
-                   as_operator, dagger)
+from .errors import BasisMismatchError, DimMismatchError, NotHermitianError
+from .util import DEGENERACY_TOL, HERMITICITY_TOL, ORTHONORMALITY_TOL, as_operator, dagger
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -32,15 +30,6 @@ def require_hermitian(a) -> np.ndarray:
             f"(norm {norm:.3e}, rtol {HERMITICITY_TOL:.1e})"
         )
     return mat
-
-
-def hs_inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A^dag B)."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise DimMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    return complex(np.sum(a.conj() * b))
 
 
 @dataclass(frozen=True)
@@ -157,16 +146,6 @@ class ObservableDecomposition:
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
 
-    def validate_against(self, x: np.ndarray) -> None:
-        """Check X|s,j> = x_s|s,j> for every class vector."""
-        for value, members in zip(self.class_values, self.class_members):
-            vecs = self.eigenvectors[:, members]
-            residual = float(np.linalg.norm(x @ vecs - value * vecs))
-            if residual > EIGEN_RELATION_TOL * max(float(np.linalg.norm(x)), 1.0):
-                raise BasisMismatchError(
-                    f"vectors of class {float(value)!r} fail the eigenvalue relation ({residual:.3e})"
-                )
-
     def phase_operator(self, lam) -> np.ndarray:
         """exp(i lam (X - c)) from the stored eigenbasis, one per entry of an
         array of (possibly complex) ``lam``. The shift by c, the midpoint of
@@ -186,26 +165,6 @@ class ObservableDecomposition:
         return float(vals.max() - vals.min()) if len(vals) > 1 else 0.0
 
 
-def _positive_eigh(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mat = require_hermitian(g)
-    vals, vecs = np.linalg.eigh(mat)
-    if vals[0] <= 0:
-        raise SingularOperatorError(
-            f"operator is not positive definite (min eigenvalue {vals[0]:.3e})"
-        )
-    return vals, vecs
-
-
-def matrix_log_psd(g: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of a positive-definite Hermitian operator.
-
-    Raises ``SingularOperatorError`` when the smallest eigenvalue is not
-    strictly positive.
-    """
-    vals, vecs = _positive_eigh(g)
-    return (vecs * np.log(vals)) @ dagger(vecs)
-
-
 def logarithmic_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise log-mean (x - y) / (ln x - ln y), with x on the diagonal.
 
@@ -223,18 +182,3 @@ def logarithmic_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     safe = np.where(equal, 1.0, gap)
     return np.where(equal, larger, larger * -np.expm1(-safe) / safe)
 
-
-def kubo_integral(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Apply S_G(A) = int_0^1 G^s A G^(1-s) ds for positive-definite G.
-
-    In the eigenbasis of G with eigenvalues g_i the action is entrywise
-    multiplication by the logarithmic mean of (g_i, g_j); coincident
-    eigenvalues use the value itself, avoiding 0/0.
-    """
-    vals, vecs = _positive_eigh(g)
-    a = as_operator(a)
-    if a.shape != g.shape:
-        raise DimMismatchError(f"shapes {g.shape} and {a.shape} differ")
-    weights = logarithmic_mean(vals[:, None], vals[None, :])
-    a_eig = dagger(vecs) @ a @ vecs
-    return vecs @ (weights * a_eig) @ dagger(vecs)

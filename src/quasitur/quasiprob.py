@@ -20,6 +20,7 @@ from .errors import DimMismatchError, TracePreservationError
 from .lindblad import (
     LindbladModel,
     QuantumState,
+    _check_dim,
     apply_adjoint_dissipator,
     heisenberg_propagator,
     resolved_fluxes,
@@ -49,10 +50,10 @@ def _observable_matrix(x, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuasiprobTable:
-    """q(y, t+dt; x, t) indexed as values[final, initial]."""
+    """q(y, t+dt; x, t) indexed as values[final, initial], both over the
+    observable's classes ``labels``."""
 
-    labels_initial: np.ndarray
-    labels_final: np.ndarray
+    labels: np.ndarray
     values: np.ndarray
     delta_t: float
 
@@ -66,14 +67,14 @@ class QuasiprobTable:
 
     def moment(self, n: int) -> float:
         """n-th moment of the change, weight (y - x)^n."""
-        return change_moment(self.labels_final, self.labels_initial, self.values, n)
+        return change_moment(self.labels, self.labels, self.values, n)
 
     def to_csv(self, path) -> None:
         """Header row of final labels, first column of initial labels."""
         with open(path, "w") as fh:
             fh.write(f"# delta_t={float_repr(self.delta_t)}\n")
-            fh.write("initial," + ",".join(float_repr(y) for y in self.labels_final) + "\n")
-            for ix, x in enumerate(self.labels_initial):
+            fh.write("initial," + ",".join(float_repr(y) for y in self.labels) + "\n")
+            for ix, x in enumerate(self.labels):
                 row = ",".join(float_repr(v) for v in self.values[:, ix])
                 fh.write(f"{float_repr(x)},{row}\n")
 
@@ -139,17 +140,13 @@ def _table(heisenberg, obs: ObservableDecomposition, state: QuantumState,
            delta_t: float) -> QuasiprobTable:
     """The table of :func:`tmh_table`, with ``heisenberg`` the propagator
     over ``delta_t`` on a (B, d, d) stack."""
+    _check_dim(state, obs.dim)
     projectors = obs.projectors
     evolved = heisenberg(projectors)
     # q_yx = tr(E_y {P_x, rho}) / 2 with E_y = exp(L^dag dt) P_y
     sym = projectors @ state.rho + state.rho @ projectors
     values = real_part(0.5 * np.einsum("yij,xji->yx", evolved, sym), "quasiprobability table")
-    return QuasiprobTable(
-        labels_initial=obs.class_values.copy(),
-        labels_final=obs.class_values.copy(),
-        values=values,
-        delta_t=float(delta_t),
-    )
+    return QuasiprobTable(labels=obs.class_values.copy(), values=values, delta_t=float(delta_t))
 
 
 def flux_matrix(model: LindbladModel, state: QuantumState, observable) -> FluxMatrix:
@@ -173,6 +170,7 @@ def _phase_generating(heisenberg, obs: ObservableDecomposition, state: QuantumSt
     ``heisenberg`` maps a (B, d, d) stack of phase operators to their
     Heisenberg-picture images in one call.
     """
+    _check_dim(state, obs.dim)
     rho = state.rho
 
     def values_at(lams):
@@ -217,6 +215,7 @@ def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumSta
     {[H, X], X} = [H, X^2], so it would give the same value.
     """
     x = _observable_matrix(observable, model.dim)
+    _check_dim(state, model.dim)
     rho = state.rho
     value = (np.trace(apply_adjoint_dissipator(model, x @ x) @ rho)
              - np.trace(anticommutator(apply_adjoint_dissipator(model, x), x) @ rho))

@@ -25,6 +25,7 @@ from .errors import DimMismatchError, SingularStateError, ZeroFluctuationError
 from .lindblad import (
     LindbladModel,
     QuantumState,
+    _check_dim,
     apply_dissipator,
     decompose_pair,
     model_hash,
@@ -58,6 +59,7 @@ class CurrentDecomposition:
 def currents(model: LindbladModel, state: QuantumState, observable) -> CurrentDecomposition:
     """J_X^H = i tr([H, X] rho) and J_X^d = tr(X D(rho))."""
     x = _observable_matrix(observable, model.dim)
+    _check_dim(state, model.dim)
     rho = state.rho
     j_ham = real_part(1j * np.trace(commutator(model.hamiltonian, x) @ rho), "Hamiltonian current")
     j_dis = real_part(np.trace(x @ apply_dissipator(model, rho)), "dissipative current")
@@ -114,6 +116,7 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
     from the state's stored spectrum and two d x d products per jump. The
     Hamiltonian term tr([H, rho] ln rho) vanishes identically.
     """
+    _check_dim(state, model.dim)
     state, _ = floored_state(state, eigenvalue_floor)
     p, u = state.eigenvalues, state.eigenvectors
     log_p = np.log(p)
@@ -285,6 +288,7 @@ def geometric_representation(model: LindbladModel, state: QuantumState) -> Geome
     inner product and as the weighted squared norm of the force, both from
     the state's stored spectrum in O(P d^3).
     """
+    _check_dim(state, model.dim)
     state, _ = floored_state(state, None)
     if not model.jump_pairs:
         raise ValueError("model has no jump pairs")

@@ -26,7 +26,6 @@ DETAILED_BALANCE_TOL = 1e-8  # ||L_k - exp(s_k/2) L_-k^dag||_F (rel. ||L_k||_F t
 PROPAGATED_PSD_TOL = 1e-8  # most negative eigenvalue of a propagated rho
 DEGENERACY_TOL = 1e-9  # eigenvalue gap that merges classes, rel. ||X||_F
 ORTHONORMALITY_TOL = 1e-9  # ||V^dag V - I||_F of a supplied basis
-EIGEN_RELATION_TOL = 1e-9  # ||X v - x v||_F of class vectors, rel. ||X||_F
 COMMUTATION_TOL = 1e-9  # ||[X, L_k] - w_k L_k||_F of the fitted weight, rel. ||L_k||_F
 TUR_SLACK_TOL = 1e-9  # most negative TUR slack that passes, rel. sigma
 EMBEDDING_TOL = 1e-9  # largest residual of a classical model's diagonal embedding

@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy.sparse.linalg import expm_multiply
 
 from quasitur.lindblad import JumpPair, LindbladModel, QuantumState
+from quasitur.operators import logarithmic_mean
 
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |e><g|, basis (g, e)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -82,6 +83,23 @@ def von_neumann_entropy(state: QuantumState) -> float:
     eigs = np.linalg.eigvalsh(state.rho)
     eigs = eigs[eigs > 1e-300]
     return float(-np.sum(eigs * np.log(eigs)))
+
+
+def kubo_integral(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """S_G(A) = int_0^1 G^s A G^(1-s) ds for positive-definite G.
+
+    In the eigenbasis of G with eigenvalues g_i the action is entrywise
+    multiplication by the logarithmic mean of (g_i, g_j). It shares
+    ``logarithmic_mean`` with the pair-block weighting of
+    ``GeometricRepresentation`` but decomposes the whole dense weight, so it
+    checks the block structure and the stored spectrum that weighting reads.
+    """
+    vals, vecs = np.linalg.eigh(np.ascontiguousarray(g, dtype=complex))
+    if vals[0] <= 0:
+        raise ValueError(f"G is not positive definite (min eigenvalue {vals[0]:.3e})")
+    weights = logarithmic_mean(vals[:, None], vals[None, :])
+    a_eig = vecs.conj().T @ np.ascontiguousarray(a, dtype=complex) @ vecs
+    return vecs @ (weights * a_eig) @ vecs.conj().T
 
 
 def kubo_quadrature(g: np.ndarray, a: np.ndarray, n_nodes: int = 64) -> np.ndarray:

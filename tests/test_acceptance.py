@@ -33,7 +33,6 @@ from quasitur.ensembles import (
 from quasitur.fcs import commutation_check, compare_rates, tmh_generating_rate
 from quasitur.lindblad import propagate
 from quasitur.numdiff import derivative_moment
-from quasitur.operators import kubo_integral
 from quasitur.quasiprob import (
     ObservableDecomposition,
     flux_matrix,
@@ -49,7 +48,7 @@ from quasitur.thermo import (
     tur_check,
 )
 
-from oracles import enlarged, ladder_model, ladder_state, thermal_qubit
+from oracles import enlarged, kubo_integral, ladder_model, ladder_state, thermal_qubit
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:

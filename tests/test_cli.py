@@ -259,3 +259,11 @@ class TestErrorPaths:
             run([command, "--n", "", *paths])
         assert exc.value.code == 2
         assert "expected at least one integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lags", ["", ","])
+    def test_empty_lag_list_exit_two(self, workdir, lags, capsys):
+        # an empty list used to compare no table and print PASS
+        with pytest.raises(SystemExit) as exc:
+            run(["classical-check", "--model", str(workdir / "classical.json"), "--delta-ts", lags])
+        assert exc.value.code == 2
+        assert "expected at least one lag" in capsys.readouterr().err

@@ -137,14 +137,6 @@ class TestIntegratedFluxes:
 
 
 class TestDegenerateBasis:
-    def test_validate_against_observable(self):
-        params = CollectiveModelParams(n_levels=3, **STANDARD)
-        basis = collective_basis(params)
-        ham = build_collective_model(params).hamiltonian
-        basis.validate_against(ham)
-        with pytest.raises(BasisMismatchError):
-            basis.validate_against(np.diag([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex))
-
     def test_incomplete_basis_rejected(self):
         eye = np.eye(4, dtype=complex)
         with pytest.raises(BasisMismatchError):

@@ -5,7 +5,6 @@ import scipy.linalg
 from quasitur.ensembles import random_state
 from quasitur.errors import CommutationViolatedError, DimMismatchError
 from quasitur.fcs import (
-    CurrentObservableSpec,
     commutation_check,
     compare_rates,
     default_lambda_grid,
@@ -55,8 +54,6 @@ class TestCommutationCheck:
         result = commutation_check(model, SIGMA_X)
         assert not result.ok
         assert result.failed_index == 0
-        with pytest.raises(CommutationViolatedError):
-            result.spec()
 
     def test_consequence_identities(self):
         model = ladder_model()
@@ -79,29 +76,28 @@ class TestGeneratingRates:
     def test_fcs_rate_zero_frequency(self):
         model = thermal_qubit()
         state = random_state(np.random.default_rng(0), 2)
-        spec = commutation_check(model, SIGMA_Z).spec()
-        assert fcs_generating_rate(model, state, spec, 0.0) == pytest.approx(0.0, abs=1e-14)
+        weights = commutation_check(model, SIGMA_Z).weights
+        assert fcs_generating_rate(model, state, weights, 0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_fcs_rate_zero_weights(self):
         model = thermal_qubit()
         state = random_state(np.random.default_rng(1), 2)
-        spec = CurrentObservableSpec(weights=(0.0, 0.0))
         for lam in (-2.0, 0.7):
-            assert fcs_generating_rate(model, state, spec, lam) == pytest.approx(0.0, abs=1e-14)
+            assert fcs_generating_rate(model, state, (0.0, 0.0), lam) == \
+                pytest.approx(0.0, abs=1e-14)
 
     def test_fcs_rate_single_jump(self):
         gamma = 0.8
         model = decay_qubit(gamma)
-        spec = CurrentObservableSpec(weights=(-2.0, 0.0))
         for lam in (0.3, 1.1):
             expected = (np.exp(-2j * lam) - 1.0) * gamma
-            assert fcs_generating_rate(model, excited_state(), spec, lam) == \
+            assert fcs_generating_rate(model, excited_state(), (-2.0, 0.0), lam) == \
                 pytest.approx(expected, abs=1e-12)
 
     def test_weight_count_enforced(self):
         model = thermal_qubit()
         with pytest.raises(DimMismatchError):
-            fcs_generating_rate(model, excited_state(), CurrentObservableSpec(weights=(1.0,)), 0.5)
+            fcs_generating_rate(model, excited_state(), (1.0,), 0.5)
 
     def test_tmh_rate_at_zero(self):
         model = ladder_model()
@@ -135,10 +131,11 @@ class TestGeneratingRates:
         # diagonal H commutes with X: difference must vanish even for coherent rho
         state = ladder_state()
         obs = ObservableDecomposition.from_operator(np.diag([0.0, 1.0, 2.0]).astype(complex))
-        spec = commutation_check(model, obs).spec()
+        result = commutation_check(model, obs)
+        assert result.ok
         for lam in default_lambda_grid(obs, 11):
             g = tmh_generating_rate(model, state, obs, lam)
-            gf = fcs_generating_rate(model, state, spec, lam)
+            gf = fcs_generating_rate(model, state, result.weights, lam)
             assert g == pytest.approx(gf, abs=1e-12)
 
 
@@ -165,7 +162,7 @@ class TestCompareRates:
     def test_commutation_violation_raises(self):
         model = thermal_qubit()
         state = random_state(np.random.default_rng(2), 2)
-        with pytest.raises(CommutationViolatedError):
+        with pytest.raises(CommutationViolatedError, match="jump 0 violates the commutation"):
             compare_rates(model, state, SIGMA_X)
 
     def test_difference_is_odd_and_imaginary(self):

@@ -32,7 +32,6 @@ from quasitur.lindblad import (
     save_model,
     validate_local_detailed_balance,
 )
-from quasitur.operators import hs_inner_product
 from quasitur.quasiprob import ObservableDecomposition, generating_function
 
 from oracles import (
@@ -153,8 +152,8 @@ class TestGeneratorApplication:
         for _ in range(50):
             model, state, _ = random_instance(rng)
             a = random_hermitian(rng, model.dim) + 1j * random_hermitian(rng, model.dim)
-            lhs = hs_inner_product(a, apply_liouvillian(model, state))
-            rhs = hs_inner_product(apply_adjoint_liouvillian(model, a), state.rho)
+            lhs = np.vdot(a, apply_liouvillian(model, state))
+            rhs = np.vdot(apply_adjoint_liouvillian(model, a), state.rho)
             scale = np.linalg.norm(a) * np.linalg.norm(state.rho)
             assert abs(lhs - rhs) <= 1e-10 * scale
 

@@ -2,23 +2,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from quasitur.errors import (
-    BasisMismatchError,
-    DimMismatchError,
-    NotHermitianError,
-    QuasiturError,
-    SingularOperatorError,
-)
-from quasitur.operators import (
-    ObservableDecomposition,
-    hs_inner_product,
-    kubo_integral,
-    logarithmic_mean,
-    matrix_log_psd,
-)
+from quasitur.errors import BasisMismatchError, NotHermitianError, QuasiturError
+from quasitur.operators import ObservableDecomposition, logarithmic_mean
 from quasitur.ensembles import random_hermitian, random_unitary
 
-from oracles import kubo_quadrature
+from oracles import kubo_integral, kubo_quadrature
 
 
 class TestSpectralDecompose:
@@ -107,40 +95,10 @@ class TestObservableConstructors:
             ObservableDecomposition.from_groups(((0.0, eye[:, 0]), (1.0, eye[:, 1:])))
         assert isinstance(info.value, ValueError) and isinstance(info.value, QuasiturError)
 
-    def test_validate_against_from_operator(self):
-        rng = np.random.default_rng(22)
-        u = random_unitary(rng, 5)
-        x = (u * np.array([-1.0, -1.0, 0.5, 0.5, 2.0])) @ u.conj().T
-        dec = ObservableDecomposition.from_operator(x)
-        assert dec.n_classes == 3
-        dec.validate_against(x)
-        with pytest.raises(BasisMismatchError):
-            dec.validate_against(x + np.diag([0.0, 0.0, 0.0, 0.0, 0.1]))
-
-
-class TestMatrixLog:
-    def test_identity(self):
-        np.testing.assert_allclose(matrix_log_psd(np.eye(3, dtype=complex)), 0.0, atol=1e-14)
-
-    def test_diagonal(self):
-        g = np.diag([1.0, np.e]).astype(complex)
-        np.testing.assert_allclose(matrix_log_psd(g), np.diag([0.0, 1.0]), atol=1e-12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            g = raw @ raw.conj().T + 0.1 * np.eye(4)
-            import scipy.linalg
-            back = scipy.linalg.expm(matrix_log_psd(g))
-            assert np.linalg.norm(back - g) <= 1e-9 * np.linalg.norm(g)
-
-    def test_singular(self):
-        with pytest.raises(SingularOperatorError):
-            matrix_log_psd(np.diag([1.0, 0.0]).astype(complex))
-
-
 class TestKuboIntegral:
+    """The S_G oracle behind the geometric-representation tests, against
+    closed forms and Gauss-Legendre quadrature."""
+
     def test_identity_weight(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -182,15 +140,14 @@ class TestKuboIntegral:
             raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             g = raw @ raw.conj().T + 0.05 * np.eye(dim)
             a = random_hermitian(rng, dim)
-            lhs = hs_inner_product(a, kubo_integral(g, a)).real
+            lhs = np.vdot(a, kubo_integral(g, a)).real
             rhs = 0.5 * np.trace(a.conj().T @ (g @ a + a @ g)).real
             slack = 1e-10 * np.linalg.norm(a) ** 2 * np.linalg.norm(g)
             assert lhs <= rhs + slack
 
     def test_singular_weight(self):
-        with pytest.raises(SingularOperatorError):
+        with pytest.raises(ValueError, match="not positive definite"):
             kubo_integral(np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex))
-
 
 class TestLogarithmicMean:
     def test_near_coincident_arguments_match_mpmath(self):
@@ -209,29 +166,3 @@ class TestLogarithmicMean:
                         exact = (x - y) / (mpmath.log(x) - mpmath.log(y))
                         assert abs((value - exact) / exact) <= 1e-14
 
-
-class TestHSInnerProduct:
-    def test_identity(self):
-        assert hs_inner_product(np.eye(4, dtype=complex), np.eye(4, dtype=complex)) == pytest.approx(4.0)
-
-    def test_norm_positivity(self):
-        rng = np.random.default_rng(17)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        val = hs_inner_product(a, a)
-        assert abs(val.imag) < 1e-12
-        assert val.real >= 0.0
-
-    def test_rank_one(self):
-        e01 = np.zeros((2, 2), dtype=complex)
-        e01[0, 1] = 1.0
-        assert hs_inner_product(e01, e01) == pytest.approx(1.0)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(19)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert hs_inner_product(a, b) == pytest.approx(np.conj(hs_inner_product(b, a)))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatchError):
-            hs_inner_product(np.eye(2, dtype=complex), np.eye(3, dtype=complex))

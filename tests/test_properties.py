@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from quasitur.classical import classical_generating_function
 from quasitur.ensembles import random_instance, random_probability, random_reversible_rate_matrix
-from quasitur.fcs import CurrentObservableSpec, fcs_generating_rate, tmh_generating_rate
+from quasitur.fcs import fcs_generating_rate, tmh_generating_rate
 from quasitur.lindblad import apply_adjoint_liouvillian
 from quasitur.quasiprob import ObservableDecomposition, generating_function
 
@@ -30,8 +30,8 @@ lags = st.floats(0.0, 1.0)
 def _quantum_instance(seed):
     rng = np.random.default_rng(seed)
     model, state, x = random_instance(rng)
-    spec = CurrentObservableSpec(weights=rng.normal(size=len(model.jump_operators)))
-    return model, state, ObservableDecomposition.from_operator(x), spec
+    weights = rng.normal(size=len(model.jump_operators))
+    return model, state, ObservableDecomposition.from_operator(x), weights
 
 
 def _classical_instance(seed):
@@ -42,13 +42,13 @@ def _classical_instance(seed):
 
 def _generating_functions(seed, delta_t):
     """Every generating function and rate of one instance, as lam -> value."""
-    model, state, obs, spec = _quantum_instance(seed)
+    model, state, obs, weights = _quantum_instance(seed)
     r, p, f = _classical_instance(seed)
     return {
         "generating_function": lambda lam: generating_function(model, state, obs, lam, delta_t),
         "classical_generating_function": lambda lam: classical_generating_function(r, p, f, lam, delta_t),
         "tmh_generating_rate": lambda lam: tmh_generating_rate(model, state, obs, lam),
-        "fcs_generating_rate": lambda lam: fcs_generating_rate(model, state, spec, lam),
+        "fcs_generating_rate": lambda lam: fcs_generating_rate(model, state, weights, lam),
     }
 
 
@@ -85,7 +85,7 @@ def test_conjugate_symmetry(seed, lams, delta_t):
 
 def _loop_references(seed, delta_t):
     """One-lambda-at-a-time evaluations of the closed forms, as lam -> value."""
-    model, state, obs, spec = _quantum_instance(seed)
+    model, state, obs, weights = _quantum_instance(seed)
     r, p, f = _classical_instance(seed)
     rho = state.rho
 
@@ -96,7 +96,7 @@ def _loop_references(seed, delta_t):
 
     def fcs(lam):
         return sum((np.exp(1j * lam * w) - 1.0) * np.trace(op.conj().T @ op @ rho).real
-                   for w, op in zip(spec.weights, model.jump_operators))
+                   for w, op in zip(weights, model.jump_operators))
 
     def classical(lam):
         heisenberg = scipy.linalg.expm(r.T * delta_t) @ np.exp(1j * lam * f)

@@ -130,10 +130,10 @@ class TestTMHTable:
         assert lines[0] == "# delta_t=0.25"
         header = lines[1].split(",")
         assert header[0] == "initial"
-        np.testing.assert_allclose([float(v) for v in header[1:]], table.labels_final)
+        np.testing.assert_allclose([float(v) for v in header[1:]], table.labels)
         for ix, line in enumerate(lines[2:]):
             cells = line.split(",")
-            assert float(cells[0]) == pytest.approx(table.labels_initial[ix])
+            assert float(cells[0]) == pytest.approx(table.labels[ix])
             np.testing.assert_allclose([float(v) for v in cells[1:]], table.values[:, ix], atol=0)
 
 
@@ -390,7 +390,7 @@ class TestFluxMatrixInvariants:
         model, state, x = random_instance(rng)
         flux = flux_matrix(model, state, ObservableDecomposition.from_operator(x))
         diff = flux.labels[:, None] - flux.labels[None, :]
-        table = QuasiprobTable(flux.labels, flux.labels, flux.values, 0.1)
+        table = QuasiprobTable(flux.labels, flux.values, 0.1)
         for n in (1, 2, 3):
             expected = float(np.sum(diff**n * flux.values))
             assert short_time_moment(flux, n).value == expected

@@ -19,7 +19,6 @@ from quasitur.lindblad import (
     apply_dissipator,
     propagate,
 )
-from quasitur.operators import hs_inner_product, kubo_integral
 from quasitur.quasiprob import ObservableDecomposition
 from quasitur.thermo import (
     currents,
@@ -39,6 +38,7 @@ from oracles import (
     epr_reference,
     excited_state,
     gibbs_state,
+    kubo_integral,
     pair_blocks,
     thermal_qubit,
     von_neumann_entropy,
@@ -425,7 +425,7 @@ class TestGeometricRepresentation:
                 assert_close(geo.divergence(stack), np.einsum("aiaj->ij", commuted))
                 mapped = kubo_integral(weight, dense)
                 assert_close(pair_blocks(geo.weighted_apply(stack)), mapped)
-                assert_close(geo.weighted_norm_sq(stack), hs_inner_product(dense, mapped).real)
+                assert_close(geo.weighted_norm_sq(stack), np.vdot(dense, mapped).real)
 
     def test_equal_rates_at_maximally_mixed_state(self):
         # gamma_f = gamma_b and rho = I/d make every log-mean pair coincide

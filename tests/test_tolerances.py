@@ -1,6 +1,7 @@
 """Thresholds of the tolerance table in ``quasitur.util`` that no other test
 pins, each by one input just inside and one just outside, the lag check,
-and the malformed-input rejections no other test reaches."""
+the state-dimension check, and the malformed-input rejections no other test
+reaches."""
 
 from contextlib import nullcontext
 
@@ -14,8 +15,19 @@ from quasitur.classical import (
     validate_probability,
     validate_rate_matrix,
 )
-from quasitur.degeneracy import ScalingSweepReport, q1_q2_diagnostics, sweep_summary
+from quasitur.degeneracy import (
+    ScalingSweepReport,
+    l1_coherence,
+    q1_q2_diagnostics,
+    sweep_summary,
+)
 from quasitur.errors import DimMismatchError, TracePreservationError
+from quasitur.fcs import (
+    compare_rates,
+    fcs_generating_rate,
+    predicted_rate_difference,
+    tmh_generating_rate,
+)
 from quasitur.lindblad import (
     JumpPair,
     QuantumState,
@@ -24,11 +36,32 @@ from quasitur.lindblad import (
     heisenberg_propagator,
     propagate,
 )
-from quasitur.operators import ObservableDecomposition, kubo_integral
-from quasitur.quasiprob import FluxMatrix
+from quasitur.operators import ObservableDecomposition
+from quasitur.quasiprob import (
+    FluxMatrix,
+    flux_matrix,
+    generating_function,
+    moment_from_generating_function,
+    short_time_fluctuation_operator_form,
+    tmh_table,
+)
+from quasitur.thermo import (
+    currents,
+    entropy_production_rate,
+    geometric_representation,
+    quantum_diffusivity,
+    tur_check,
+)
 from quasitur.util import as_operator, matrix_from_json
 
-from oracles import SIGMA_MINUS, SIGMA_PLUS, excited_state, thermal_qubit
+from oracles import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    excited_state,
+    ladder_model,
+    ladder_state,
+    thermal_qubit,
+)
 
 RATES = np.array([[-1.0, 2.0], [1.0, -2.0]])
 P = np.array([0.6, 0.4])
@@ -61,7 +94,6 @@ REJECTIONS = {
                            ValueError, "non-finite"),
     "json scalar entries": (lambda: matrix_from_json([[1.0, 0.0], [0.0, 1.0]]), ValueError, "pairs"),
     "json triples": (lambda: matrix_from_json([[[1.0, 0.0, 0.0]]]), ValueError, "pairs"),
-    "kubo_integral shapes": (lambda: kubo_integral(np.eye(2), np.eye(3)), DimMismatchError, "differ"),
     "from_eigenbasis non-square": (
         lambda: ObservableDecomposition.from_eigenbasis([0.0, 1.0], np.eye(3)[:, :2]),
         DimMismatchError, "square"),
@@ -73,6 +105,41 @@ def test_malformed_input_rejected(case):
     call, error, match = REJECTIONS[case]
     with pytest.raises(error, match=match):
         call()
+
+
+# each entry point called as (model, state, observable)
+DIMENSION_MISMATCHES = {
+    "tmh_table": lambda m, s, x: tmh_table(m, s, x, 0.1),
+    "entropy_production_rate": lambda m, s, x: entropy_production_rate(m, s),
+    "geometric_representation": lambda m, s, x: geometric_representation(m, s),
+    "tur_check": tur_check,
+    "generating_function": lambda m, s, x: generating_function(m, s, x, 0.3, 0.1),
+    "moment_from_generating_function": lambda m, s, x: moment_from_generating_function(
+        m, s, x, 2, 0.1),
+    "tmh_generating_rate": lambda m, s, x: tmh_generating_rate(m, s, x, 0.3),
+    "fcs_generating_rate": lambda m, s, x: fcs_generating_rate(m, s, (1.0, -1.0, 1.0, -1.0), 0.3),
+    "predicted_rate_difference": lambda m, s, x: predicted_rate_difference(m, s, x, [0.3]),
+    "compare_rates": compare_rates,
+    "currents": currents,
+    "short_time_fluctuation_operator_form": short_time_fluctuation_operator_form,
+    "quantum_diffusivity": quantum_diffusivity,
+    "flux_matrix": flux_matrix,
+    "propagate": lambda m, s, x: propagate(m, s, 0.1),
+    "l1_coherence": lambda m, s, x: l1_coherence(s, ObservableDecomposition.from_operator(x)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DIMENSION_MISMATCHES))
+def test_state_dimension_mismatch_raises(entry):
+    # a d = 4 state on the d = 3 ladder used to reach numpy's matmul
+    state = QuantumState(np.eye(4, dtype=complex) / 4)
+    with pytest.raises(DimMismatchError, match=r"dimension 4 |shape \(4, 4\)"):
+        DIMENSION_MISMATCHES[entry](ladder_model(), state, np.diag([0.0, 1.0, 2.0]))
+
+
+def test_observable_dimension_mismatch_raises():
+    with pytest.raises(DimMismatchError, match="observable dimension"):
+        predicted_rate_difference(ladder_model(), ladder_state(), np.eye(4, dtype=complex), [0.3])
 
 
 # inputs at 0.9 (inside) and 1.1 (outside) times a threshold
