@@ -169,8 +169,8 @@ def quantize_rate_matrix(r: np.ndarray) -> tuple[LindbladModel, bool]:
             bwd_rate = r[i, j]  # j -> i
             if fwd_rate <= 0.0 and bwd_rate <= 0.0:
                 continue
-            fwd = np.zeros((n, n), dtype=complex)
-            bwd = np.zeros((n, n), dtype=complex)
+            fwd = np.zeros((n, n))
+            bwd = np.zeros((n, n))
             if fwd_rate > 0.0:
                 fwd[j, i] = np.sqrt(fwd_rate)
             if bwd_rate > 0.0:
@@ -181,7 +181,7 @@ def quantize_rate_matrix(r: np.ndarray) -> tuple[LindbladModel, bool]:
                 reversible = False
                 s = 0.0
             pairs.append(JumpPair(forward=fwd, backward=bwd, entropy_current=s))
-    model = LindbladModel(hamiltonian=np.zeros((n, n), dtype=complex), jump_pairs=tuple(pairs))
+    model = LindbladModel(hamiltonian=np.zeros((n, n)), jump_pairs=tuple(pairs))
     return model, reversible
 
 
@@ -216,8 +216,8 @@ def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     r, p, f = _validated(r, p, f)
     n = r.shape[0]
     model, reversible = quantize_rate_matrix(r)
-    state = QuantumState(np.diag(p.astype(complex)))
-    obs = ObservableDecomposition.from_eigenbasis(f, np.eye(n, dtype=complex))
+    state = QuantumState(np.diag(p))
+    obs = ObservableDecomposition.from_eigenbasis(f, np.eye(n))
 
     m_quantum = short_time_moment(flux_matrix(model, state, obs), 2).value
     m_classical = classical_short_time_second_moment(r, p, f)

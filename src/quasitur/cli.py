@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", cmd_sweep, "scaling sweep of the collective model over N")
     p.add_argument("--n", type=_list_of(int, "integer"), required=True,
-                   help="ascending N list, e.g. 4,8,16")
+                   help="strictly ascending N list, e.g. 4,8,16")
     p.add_argument("--sign", choices=["+", "-", "diagonal"], default="+",
                    help="band superposition sign or the diagonal control state")
     p.add_argument("--omega", type=float, default=1.0, help="band gap")

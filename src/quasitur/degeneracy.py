@@ -122,11 +122,11 @@ def build_collective_model(params: CollectiveModelParams) -> LindbladModel:
     """
     n = params.n_levels
     d = params.dim
-    ham = np.zeros((d, d), dtype=complex)
+    ham = np.zeros((d, d))
     ham[n:, n:] = params.omega * np.eye(n)
-    l_plus = np.zeros((d, d), dtype=complex)
+    l_plus = np.zeros((d, d))
     l_plus[n:, :n] = np.sqrt(params.gamma_plus)
-    l_minus = np.zeros((d, d), dtype=complex)
+    l_minus = np.zeros((d, d))
     l_minus[:n, n:] = np.sqrt(params.gamma_minus)
     s_plus = float(np.log(params.gamma_plus / params.gamma_minus))
     pair = JumpPair(forward=l_plus, backward=l_minus, entropy_current=s_plus)
@@ -136,7 +136,7 @@ def build_collective_model(params: CollectiveModelParams) -> LindbladModel:
 def collective_basis(params: CollectiveModelParams) -> ObservableDecomposition:
     """The product basis {|g,j>, |e,j>} with exact groups."""
     n = params.n_levels
-    eye = np.eye(params.dim, dtype=complex)
+    eye = np.eye(params.dim)
     return ObservableDecomposition.from_groups(((0.0, eye[:, :n]), (params.omega, eye[:, n:])))
 
 
@@ -145,7 +145,7 @@ def _band_vector(params: CollectiveModelParams, band: int, sign: str) -> np.ndar
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     signs = (1.0 if sign == "+" else -1.0) ** np.arange(1, n + 1)
-    vec = np.zeros(params.dim, dtype=complex)
+    vec = np.zeros(params.dim)
     vec[band * n:(band + 1) * n] = signs / np.sqrt(n)
     return vec
 
@@ -166,7 +166,7 @@ def build_diagonal_state(params: CollectiveModelParams) -> QuantumState:
         np.full(n, params.p_g / n),
         np.full(n, params.p_e / n),
     ])
-    return QuantumState(np.diag(diag.astype(complex)))
+    return QuantumState(np.diag(diag))
 
 
 def superposition_basis(params: CollectiveModelParams, sign: str) -> ObservableDecomposition:
@@ -180,12 +180,12 @@ def superposition_basis(params: CollectiveModelParams, sign: str) -> ObservableD
     groups = []
     for band, value in ((0, 0.0), (1, params.omega)):
         head = _band_vector(params, band, sign)[band * n:(band + 1) * n]
-        seed = np.eye(n, dtype=complex)
+        seed = np.eye(n)
         seed[:, 0] = head
         q, _ = np.linalg.qr(seed)
         # fix the first column phase to the requested vector
         q[:, 0] *= np.vdot(q[:, 0], head)
-        block = np.zeros((params.dim, n), dtype=complex)
+        block = np.zeros((params.dim, n))
         block[band * n:(band + 1) * n, :] = q
         groups.append((value, block))
     return ObservableDecomposition.from_groups(groups)
@@ -331,8 +331,8 @@ def scaling_sweep(params_template: CollectiveModelParams, n_list, state_kind: st
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2:
         raise InsufficientPointsError("sweep needs at least two N values")
-    if sorted(n_list) != n_list:
-        raise ValueError("N list must be ascending")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"N list must be strictly ascending, got {n_list}")
 
     def point_params(n: int) -> CollectiveModelParams:
         p_g = params_template.p_g if balance_scale is None else \

@@ -39,8 +39,9 @@ from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from .errors import DegeneratePairError, DimMismatchError, NonConvergenceError
 from .operators import require_hermitian
-from .util import (DENSITY_TOL, DETAILED_BALANCE_TOL, PROPAGATED_PSD_TOL, as_operator, dagger, lag,
-                   matrix_from_json, matrix_to_json, operator_hash, read_json, write_json)
+from .util import (DENSITY_TOL, DETAILED_BALANCE_TOL, PROPAGATED_PSD_TOL, as_operator, dagger,
+                   exact_dtype, lag, matrix_from_json, matrix_to_json, operator_hash, read_json,
+                   write_json)
 
 #: tolerances of the opt-in ``method="ivp"`` Runge-Kutta cross-check
 IVP_RTOL = 1e-10
@@ -176,6 +177,8 @@ class QuantumState:
     @classmethod
     def pure(cls, vector) -> "QuantumState":
         v = np.asarray(vector, dtype=complex).reshape(-1)
+        if not v.any():
+            raise ValueError("pure state vector is zero; it has no direction to normalise")
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()))
 
@@ -277,7 +280,7 @@ def apply_adjoint_liouvillian(model: LindbladModel, a) -> np.ndarray:
     return _apply_generator(model, a, hamiltonian=True, heisenberg=True)
 
 
-def resolved_fluxes(model: LindbladModel, state, basis: np.ndarray) -> np.ndarray:
+def resolved_fluxes(model: LindbladModel, state: QuantumState, basis: np.ndarray) -> np.ndarray:
     """resolved[b, a] = Re <v_a| L^dag(|v_b><v_b|) rho |v_a>, the flux
     tr({L^dag P_b, P_a} rho) / 2 between the rank-one projectors of the
     orthonormal, complete columns v of ``basis``.
@@ -285,22 +288,25 @@ def resolved_fluxes(model: LindbladModel, state, basis: np.ndarray) -> np.ndarra
     Closed form in that basis, with R = V^dag rho V, G' = V^dag G V and
     L'_k = V^dag L_k V (G as in :func:`_sandwich`), o the entrywise product:
 
-        Re[G'^T o R + diag(sum_c conj(G'_ca) R_ca) + sum_k conj(L'_k) o (L'_k R)].
+        Re[G'^T o R] + diag(row sums of Re[G'^T o R]) + sum_k Re[conj(L'_k) o (L'_k R)],
 
-    O(d^3) per jump, with no loop over basis columns.
+    the row sums from R = R^dag. O(d^3) per jump, no loop over columns. With
+    G' = iH' - K'/2 taken apart, Re[G'^T o R] = -Im(H'^T o R) - Re(K'^T o R) / 2,
+    so real inputs give real products.
     """
-    v = np.asarray(basis, dtype=complex)
+    _check_dim(state, model.dim)
+    v = exact_dtype(basis)
     v_dag = dagger(v)
-    r = v_dag @ _operands(state, model.dim) @ v
-    g = 1j * (v_dag @ model.hamiltonian @ v)
-    out = np.zeros_like(r)
+    r = v_dag @ state.rho @ v
+    out, k = np.zeros(r.shape), np.zeros_like(r)
     for op in model.jump_operators:
         jump = v_dag @ op @ v
-        g -= 0.5 * (dagger(jump) @ jump)
-        out += jump.conj() * (jump @ r)
-    out += g.T * r
-    out[np.diag_indices_from(out)] += np.sum(g.conj() * r, axis=0)
-    return np.ascontiguousarray(out.real)
+        k = k + dagger(jump) @ jump
+        out += (jump.conj() * (jump @ r)).real
+    loss = ((v_dag @ model.hamiltonian @ v).T * r).imag + 0.5 * (k.T * r).real  # -Re[G'^T o R]
+    out -= loss
+    out[np.diag_indices_from(out)] -= loss.sum(axis=1)
+    return out
 
 
 class _Generator(LinearOperator):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BasisMismatchError, DimMismatchError, NotHermitianError
-from .util import DEGENERACY_TOL, HERMITICITY_TOL, ORTHONORMALITY_TOL, as_operator, dagger
+from .util import (DEGENERACY_TOL, HERMITICITY_TOL, ORTHONORMALITY_TOL, as_operator, dagger,
+                   exact_dtype)
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -42,10 +43,10 @@ class ObservableDecomposition:
     Attributes
     ----------
     eigenvalues : (d,) float array, one per eigenvector column
-    eigenvectors : (d, d) complex array, orthonormal columns
+    eigenvectors : (d, d) array, orthonormal columns, float64 when exactly real
     class_values : (m,) float array
     class_members : tuple of index arrays into the eigenvector columns
-    observable : (d, d) complex array, see the property
+    observable : (d, d) array, see the property
     """
 
     eigenvalues: np.ndarray
@@ -86,12 +87,12 @@ class ObservableDecomposition:
         """
         values, blocks = [], []
         for value, vectors in groups:
-            vecs = np.asarray(vectors, dtype=complex)
+            vecs = np.asarray(vectors)
             if vecs.ndim != 2:
                 raise BasisMismatchError("group vectors must be a (dim, n_s) array")
             values.append(float(value))
             blocks.append(vecs)
-        full = np.hstack(blocks)
+        full = exact_dtype(np.hstack(blocks))
         d = full.shape[0]
         if full.shape[1] != d:
             raise BasisMismatchError(
@@ -113,7 +114,7 @@ class ObservableDecomposition:
         embedding, where several states may carry the same observable value).
         """
         vals = np.asarray(values, dtype=float).reshape(-1)
-        vecs = np.asarray(vectors, dtype=complex)
+        vecs = np.asarray(vectors)
         if vecs.shape != (len(vals), len(vals)):
             raise DimMismatchError("eigenbasis must be square with one value per column")
         return cls.from_groups((v, vecs[:, i:i + 1]) for i, v in enumerate(vals))

@@ -36,12 +36,20 @@ Q_SLOPE_THRESHOLD = 0.5  # Q1/Q2 hold for a log-log slope above this ...
 Q_R2_THRESHOLD = 0.99  # ... with R^2 at least this
 
 
+def exact_dtype(a) -> np.ndarray:
+    """``a`` as float64 if its imaginary part is exactly zero, else as complex128."""
+    arr = np.asarray(a)
+    if np.iscomplexobj(arr) and arr.imag.any():
+        return np.ascontiguousarray(arr, dtype=complex)
+    return np.ascontiguousarray(arr.real, dtype=float)
+
+
 def as_operator(a) -> np.ndarray:
-    """Coerce ``a`` to a square complex matrix with finite entries."""
-    mat = np.ascontiguousarray(a, dtype=complex)
+    """Coerce ``a`` to a square matrix with finite entries, typed by :func:`exact_dtype`."""
+    mat = exact_dtype(a)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+    if not np.all(np.isfinite(mat)):
         raise ValueError("operator contains non-finite entries")
     return mat
 

@@ -5,11 +5,20 @@ directory, so that two trees can be compared byte for byte.
 
 Run it once per tree (each with its own ``src`` on ``PYTHONPATH``, the tool
 reads the demos and the acceptance suite next to it), then compare with
-``diff -r OUTDIR_A OUTDIR_B``. The input files are built from fixed seeds
-and saved into OUTDIR first, and every command runs inside OUTDIR with
-relative paths, so the paths recorded in the reports agree between runs.
-Wall times in the ACCEPTANCE lines are masked. pytest does not collect this
-file (its name does not start with ``test_``).
+``diff -r OUTDIR_A OUTDIR_B`` or with
+
+    PYTHONPATH=src python tests/golden_outputs.py --compare OUTDIR_A OUTDIR_B
+
+which names every file that differs and prints, over the numbers parsed
+from both (CSV, JSON and text alike), the largest absolute and relative
+difference, and whether the text around the numbers differs too (hashes,
+verdicts). It gives no verdict and applies no tolerance.
+
+The input files are built from fixed seeds and saved into OUTDIR first,
+and every command runs inside OUTDIR with relative paths, so the paths
+recorded in the reports agree between runs. Wall times in the ACCEPTANCE
+lines are masked. pytest does not collect this file (its name does not
+start with ``test_``).
 """
 
 import contextlib
@@ -39,6 +48,8 @@ from oracles import ladder_model, ladder_state
 
 ROOT = Path(__file__).resolve().parent.parent
 WALL_TIME = re.compile(r"(?<![\w.])\d+\.\d+s\b")
+# a whole token that parses as a float; digits inside a hex digest do not count
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?!\w|\.\d)|\b(?:nan|inf)\b")
 
 SWEEP = ["sweep", "--output-csv", "{tag}.csv", "--output-json", "{tag}.json"]
 COMMANDS = {
@@ -109,6 +120,34 @@ def run_acceptance(env: dict) -> None:
     Path("acceptance.txt").write_text("\n".join(lines) + "\n")
 
 
+def compare(dir_a: str, dir_b: str) -> None:
+    """Print, per file that differs between the two output directories, the
+    largest absolute and relative difference between its parsed numbers."""
+    a_root, b_root = Path(dir_a), Path(dir_b)
+    names = sorted({p.relative_to(root).as_posix() for root in (a_root, b_root)
+                    for p in root.rglob("*") if p.is_file()})
+    for name in names:
+        a_path, b_path = a_root / name, b_root / name
+        if not (a_path.is_file() and b_path.is_file()):
+            print(f"{name}: only in {dir_a if a_path.is_file() else dir_b}")
+            continue
+        a_text, b_text = a_path.read_text(), b_path.read_text()
+        if a_text == b_text:
+            continue
+        a_nums = np.array([float(x) for x in NUMBER.findall(a_text)])
+        b_nums = np.array([float(x) for x in NUMBER.findall(b_text)])
+        other = NUMBER.sub("#", a_text) != NUMBER.sub("#", b_text)
+        if a_nums.shape != b_nums.shape:
+            print(f"{name}: {len(a_nums)} against {len(b_nums)} numbers")
+            continue
+        diff = np.abs(a_nums - b_nums)
+        scale = np.maximum(np.abs(a_nums), np.abs(b_nums))
+        rel = np.divide(diff, scale, out=np.zeros_like(diff), where=diff > 0)
+        print(f"{name}: {int(np.sum(diff > 0))} of {len(diff)} numbers differ, "
+              f"max abs {diff.max(initial=0.0):.3e}, max rel {rel.max(initial=0.0):.3e}"
+              + ("; other text differs" if other else ""))
+
+
 def main(outdir: str) -> None:
     out = Path(outdir).resolve()
     out.mkdir(parents=True)
@@ -121,6 +160,9 @@ def main(outdir: str) -> None:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        compare(sys.argv[2], sys.argv[3])
+    elif len(sys.argv) == 2:
+        main(sys.argv[1])
+    else:
         sys.exit(__doc__)
-    main(sys.argv[1])

@@ -250,6 +250,15 @@ class TestErrorPaths:
         assert code == 2
         assert not csv_path.exists() and not json_path.exists()
 
+    def test_sweep_repeated_n_exit_two(self, workdir, capsys):
+        # used to exit 0 with two identical rows for N = 8
+        csv_path, json_path = workdir / "s.csv", workdir / "s.json"
+        code = run(["sweep", "--n", "4,8,8,16",
+                    "--output-csv", str(csv_path), "--output-json", str(json_path)])
+        assert code == 2
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not csv_path.exists() and not json_path.exists()
+
     @pytest.mark.parametrize("outputs", [["sweep", "--output-csv", "s.csv", "--output-json", "s.json"],
                                          ["example", "--output", "e.csv"]])
     def test_empty_n_list_exit_two(self, workdir, outputs, capsys):

@@ -338,6 +338,12 @@ class TestScalingSweep:
         with pytest.raises(ValueError):
             scaling_sweep(params, [8, 4], "+")
 
+    def test_repeated_n_rejected(self):
+        # a repeated point would weigh twice in every exponent fit
+        params = CollectiveModelParams(n_levels=4, **STANDARD)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            scaling_sweep(params, [4, 8, 8, 16], "+")
+
     @pytest.mark.parametrize("state_kind", ["+", "-", "diagonal"])
     def test_dissipative_current_closed_form(self, state_kind):
         # with g+ p_g - g- p_e = kappa / N, J_d = omega kappa times N, chi / N or 1

@@ -545,6 +545,11 @@ class TestStateValidation:
         state = QuantumState.pure([1.0, 1.0])
         np.testing.assert_allclose(state.rho, 0.5 * np.ones((2, 2)), atol=1e-12)
 
+    def test_pure_zero_vector_rejected(self):
+        # used to divide by the zero norm and report non-finite entries
+        with pytest.raises(ValueError, match="vector is zero"):
+            QuantumState.pure(np.zeros(3))
+
     def test_spectrum_reconstructs_rho(self, eigendecompositions):
         rho = random_state(np.random.default_rng(9), 5).rho
         eigendecompositions.clear()
