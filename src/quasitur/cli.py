@@ -39,8 +39,8 @@ from .lindblad import (
 )
 from .quasiprob import ObservableDecomposition, flux_matrix, short_time_moment
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, tur_check, tur_report_dict
-from .util import (CLOSED_FORM_TOL, COMMUTATION_TOL, DETAILED_BALANCE_TOL, EMBEDDING_TOL,
-                   TUR_SLACK_TOL, float_repr, matrix_from_json, read_json, write_json)
+from .util import (CLOSED_FORM_TOL, DETAILED_BALANCE_TOL, EMBEDDING_TOL, TUR_SLACK_TOL,
+                   float_repr, matrix_from_json, read_json, write_json)
 
 
 def _load_observable(path) -> ObservableDecomposition:
@@ -78,16 +78,17 @@ def _float_pair(text: str) -> tuple[float, float]:
 
 def cmd_validate(args) -> int:
     model = load_model(args.model)
-    report = validate_local_detailed_balance(model, args.tol)
+    report = validate_local_detailed_balance(model)
     result = {
         "residuals": list(report.residuals),
-        "tolerance": report.tolerance,
+        "tolerance": DETAILED_BALANCE_TOL,
         "passed": report.passed,
     }
     if args.output:
-        _write_json(args.output, _config_dict(args, ["model", "tol", "seed"]), result)
+        config = {"model": args.model, "tol": DETAILED_BALANCE_TOL, "seed": args.seed}
+        _write_json(args.output, config, result)
     print(f"local detailed balance: {'PASS' if report.passed else 'FAIL'} "
-          f"(max residual {report.max_residual:.3e}, tol {report.tolerance:.1e})")
+          f"(max residual {report.max_residual:.3e}, tol {DETAILED_BALANCE_TOL:.1e})")
     return 0 if report.passed else 1
 
 
@@ -204,7 +205,7 @@ def cmd_fcs_compare(args) -> int:
     state = load_state(args.state)
     obs = _load_observable(args.observable)
     try:
-        comparison = compare_rates(model, state, obs, commutation_tol=args.commutation_tol)
+        comparison = compare_rates(model, state, obs)
     except CommutationViolatedError as exc:
         print(f"commutation condition violated: {exc}", file=sys.stderr)
         return 1
@@ -218,11 +219,11 @@ def cmd_fcs_compare(args) -> int:
 def cmd_classical_check(args) -> int:
     cls = load_classical_model(args.model)
     report = quantize_and_compare(cls.rate_matrix, cls.p0, cls.f, delta_ts=args.delta_ts)
-    config = _config_dict(args, ["model", "tol", "seed"])
+    config = {"model": args.model, "tol": EMBEDDING_TOL, "seed": args.seed}
     config["delta_ts"] = ",".join(float_repr(dt) for dt in args.delta_ts)
     if args.output:
         _write_json(args.output, config, dataclasses.asdict(report))
-    ok = report.max_residual <= args.tol
+    ok = report.max_residual <= EMBEDDING_TOL
     print(f"embedding residuals: fluctuation {report.fluctuation_residual:.3e}, "
           f"tables {[f'{r:.3e}' for r in report.table_residuals]}, "
           f"generating {report.generating_residual:.3e} -> {'PASS' if ok else 'FAIL'}")
@@ -248,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("validate", cmd_validate, "check local detailed balance of a model file")
     p.add_argument("--model", required=True, help="model JSON file")
-    p.add_argument("--tol", type=float, default=DETAILED_BALANCE_TOL, help="residual tolerance")
     p.add_argument("--output", default=None, help="optional JSON report path")
 
     p = add("propagate", cmd_propagate, "evolve a state file for a given time")
@@ -299,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--observable", required=True)
-    p.add_argument("--commutation-tol", type=float, default=COMMUTATION_TOL,
-                   help="tolerance for the jump-weight fit")
     p.add_argument("--output", required=True, help="output CSV path")
 
     p = add("classical-check", cmd_classical_check,
@@ -308,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="classical model JSON file")
     p.add_argument("--delta-ts", type=_list_of(float, "lag"), default="0.01,0.1",
                    help="comparison lags")
-    p.add_argument("--tol", type=float, default=EMBEDDING_TOL, help="residual tolerance")
     p.add_argument("--output", default=None, help="optional JSON report path")
 
     return parser

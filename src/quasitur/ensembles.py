@@ -13,20 +13,20 @@ from .lindblad import JumpPair, LindbladModel, QuantumState
 from .util import dagger
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (raw + dagger(raw)) / 2
+    return (raw + dagger(raw)) / 2
 
 
-def random_observable(rng: np.random.Generator, dim: int, spread: float = 1.0) -> np.ndarray:
-    """Random Hermitian observable rescaled to spectral radius ``spread``.
+def random_observable(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random Hermitian observable rescaled to spectral radius 1.
 
-    Keeping the spectrum in [-spread, spread] bounds the frequencies of
-    exp(i l X), and with them the contour radius of moment extraction.
+    Keeping the spectrum in [-1, 1] bounds the frequencies of exp(i l X),
+    and with them the contour radius of moment extraction.
     """
     x = random_hermitian(rng, dim)
     radius = float(np.max(np.abs(np.linalg.eigvalsh(x))))
-    return x * (spread / max(radius, 1e-12))
+    return x * (1.0 / max(radius, 1e-12))  # not x / radius: seeded pools keep their bits
 
 
 def random_state(rng: np.random.Generator, dim: int, mix: float = 0.1) -> QuantumState:
@@ -55,23 +55,23 @@ def random_jump_pair(rng: np.random.Generator, dim: int, rate_scale: float = 1.0
 
 
 def random_model(rng: np.random.Generator, dim: int, n_pairs: int,
-                 hamiltonian_scale: float = 1.0, rate_scale: float = 1.0) -> LindbladModel:
+                 rate_scale: float = 1.0) -> LindbladModel:
     """Random detail-balanced model with the given number of jump pairs."""
     pairs = tuple(random_jump_pair(rng, dim, rate_scale) for _ in range(n_pairs))
     return LindbladModel(
-        hamiltonian=random_hermitian(rng, dim, hamiltonian_scale),
+        hamiltonian=random_hermitian(rng, dim),
         jump_pairs=pairs,
     )
 
 
-def random_instance(rng: np.random.Generator, max_dim: int = 6, max_pairs: int = 3,
-                    spread: float = 1.0) -> tuple[LindbladModel, QuantumState, np.ndarray]:
+def random_instance(rng: np.random.Generator, max_dim: int = 6,
+                    max_pairs: int = 3) -> tuple[LindbladModel, QuantumState, np.ndarray]:
     """A (model, full-rank state, observable) triple for TUR-style suites."""
     dim = int(rng.integers(2, max_dim + 1))
     n_pairs = int(rng.integers(1, max_pairs + 1))
     model = random_model(rng, dim, n_pairs)
     state = random_state(rng, dim)
-    observable = random_observable(rng, dim, spread)
+    observable = random_observable(rng, dim)
     return model, state, observable
 
 

@@ -47,7 +47,8 @@ class CommutationViolatedError(QuasiturError):
 
 
 class TracePreservationError(QuasiturError):
-    """Flux columns do not sum to zero: the generator is not trace preserving."""
+    """Flux columns do not sum to zero, or a propagated state's trace drifted
+    from 1: the generator or its propagation is not trace preserving."""
 
 
 class ImaginaryResidueError(QuasiturError):

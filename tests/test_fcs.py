@@ -12,7 +12,7 @@ from quasitur.fcs import (
     predicted_rate_difference,
     tmh_generating_rate,
 )
-from quasitur.lindblad import QuantumState
+from quasitur.lindblad import JumpPair, LindbladModel, QuantumState
 from quasitur.numdiff import derivative_moment
 from quasitur.quasiprob import (
     ObservableDecomposition,
@@ -22,6 +22,8 @@ from quasitur.quasiprob import (
 )
 
 from oracles import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Z,
     decay_qubit,
@@ -47,6 +49,16 @@ class TestCommutationCheck:
         result = commutation_check(model, np.eye(2, dtype=complex))
         assert result.ok
         assert result.weights == (0.0, 0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-16, 1e-100, 1e-300])
+    def test_weights_do_not_depend_on_the_scale_of_the_jumps(self, scale):
+        # [diag(0, 1), sigma_+] = sigma_+ and [diag(0, 1), sigma_-] = -sigma_-; only an
+        # exactly zero member, as of an irreversible classical edge, has weight 0
+        pairs = (JumpPair(scale * SIGMA_PLUS, scale * SIGMA_MINUS, 0.0),
+                 JumpPair(SIGMA_PLUS, np.zeros((2, 2)), 0.0))
+        result = commutation_check(LindbladModel(np.zeros((2, 2)), pairs), np.diag([0.0, 1.0]))
+        assert result.ok
+        assert result.weights == pytest.approx((1.0, -1.0, 1.0, 0.0), abs=1e-12)
 
     def test_transverse_observable_fails(self):
         # [sigma_x, sigma_-] is proportional to sigma_z, not sigma_-

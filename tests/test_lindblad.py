@@ -14,7 +14,8 @@ from quasitur.ensembles import (
     random_observable,
     random_state,
 )
-from quasitur.errors import DegeneratePairError, DimMismatchError, NotHermitianError
+from quasitur.errors import (DegeneratePairError, DimMismatchError, NotHermitianError,
+                             TracePreservationError)
 from quasitur.lindblad import (
     JumpPair,
     LindbladModel,
@@ -65,7 +66,7 @@ class TestDetailedBalance:
         s_wrong = np.log(gp / gm) + 0.1
         pair = JumpPair(np.sqrt(gp) * SIGMA_PLUS, np.sqrt(gm) * SIGMA_MINUS, s_wrong)
         model = LindbladModel(np.zeros((2, 2), complex), (pair,))
-        report = validate_local_detailed_balance(model, tol=1e-8)
+        report = validate_local_detailed_balance(model)
         # direct evaluation: || sqrt(gp) s+ - e^{s/2} sqrt(gm) s+ || = sqrt(gp) |e^{0.05} - 1|
         expected = np.sqrt(gp) * abs(np.exp(0.05) - 1.0)
         assert report.residuals[0] == pytest.approx(expected, rel=1e-12)
@@ -214,6 +215,17 @@ class TestPropagation:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             propagate(thermal_qubit(), excited_state(), -0.1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_trace_drift_beyond_tolerance_raises(self, seed):
+        # |tr - 1| before renormalisation grows about linearly with t:
+        # 0.4-2.2e-11 at t = 1e5 and 0.8-1.8e-8 at t = 1e8 on these models
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, 4 + seed % 3, 2)
+        state = random_state(rng, model.dim)
+        propagate(model, state, 1e5)
+        with pytest.raises(TracePreservationError, match="trace"):
+            propagate(model, state, 1e8)
 
     def test_bulk_invariants(self):
         # 1000 random models and full-rank states: trace preservation,

@@ -8,6 +8,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from quasitur.cli import run
 from quasitur.classical import (
     classical_generating_function,
     classical_joint_moment,
@@ -30,11 +31,14 @@ from quasitur.fcs import (
 )
 from quasitur.lindblad import (
     JumpPair,
+    LindbladModel,
     QuantumState,
     apply_liouvillian,
     decompose_pair,
     heisenberg_propagator,
     propagate,
+    save_model,
+    validate_local_detailed_balance,
 )
 from quasitur.operators import ObservableDecomposition
 from quasitur.quasiprob import (
@@ -205,6 +209,17 @@ def test_decompose_pair_residual(factor):
     pair = JumpPair(2.0 * SIGMA_PLUS + offset, SIGMA_MINUS, 2.0 * np.log(2.0))
     with _outcome(factor, match="detailed balance"):
         decompose_pair(pair)
+
+
+@pytest.mark.parametrize("factor", [INSIDE, OUTSIDE])
+def test_detailed_balance_verdict(factor, tmp_path):
+    # ||L_k||_F = 4, but the verdict's threshold is 1e-8 absolute, not relative
+    offset = np.array([[1.0, 0.0], [0.0, 0.0]]) * factor * 1e-8
+    pair = JumpPair(4.0 * SIGMA_PLUS + offset, 2.0 * SIGMA_MINUS, 2.0 * np.log(2.0))
+    model = LindbladModel(np.zeros((2, 2)), (pair,))
+    assert validate_local_detailed_balance(model).passed is (factor == INSIDE)
+    save_model(model, tmp_path / "model.json")
+    assert run(["validate", "--model", str(tmp_path / "model.json")]) == (factor == OUTSIDE)
 
 
 @pytest.mark.parametrize("slope, satisfied", [(0.5 - 1e-3, False), (0.5 + 1e-3, True)])
