@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import BasisMismatchError, InsufficientPointsError
+from .errors import InsufficientPointsError
 from .lindblad import JumpPair, LindbladModel, QuantumState, _check_dim
-from .operators import ObservableDecomposition
+from .operators import ObservableDecomposition, _observable
 from .quasiprob import flux_matrix, short_time_moment
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, entropy_production_rate, tur_bound
 from .util import Q_R2_THRESHOLD, Q_SLOPE_THRESHOLD, ZERO_ELEMENT_TOL, dagger, float_repr
@@ -50,9 +50,7 @@ def classify_basis_classicality(model: LindbladModel, basis: ObservableDecomposi
     """Classify a basis as classical if every transition is touched by at
     most ``count_bound`` jumps (elements above ``ZERO_ELEMENT_TOL``), each
     with matrix element at most ``magnitude_bound`` in magnitude."""
-    if basis.dim != model.dim:
-        raise BasisMismatchError("basis dimension differs from model")
-    v = basis.eigenvectors
+    v = _observable(basis, model.dim).eigenvectors
     n = v.shape[1]
     max_mag = np.zeros((n, n))
     counts = np.zeros((n, n), dtype=int)

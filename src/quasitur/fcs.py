@@ -21,7 +21,8 @@ import numpy as np
 from .errors import CommutationViolatedError, DimMismatchError
 from .lindblad import LindbladModel, QuantumState, _check_dim, apply_adjoint_liouvillian
 from .numdiff import derivative_moment
-from .quasiprob import _coerce_observable, _observable_matrix, _phase_generating
+from .operators import ObservableDecomposition, _observable
+from .quasiprob import _phase_generating
 from .util import COMMUTATION_TOL, commutator, dagger, float_repr, per_lambda
 
 
@@ -37,13 +38,19 @@ class CommutationCheckResult:
 
 def commutation_check(model: LindbladModel, observable) -> CommutationCheckResult:
     """Fit w_k = tr(L_k^dag [X, L_k]) / tr(L_k^dag L_k) and verify the relation
-    to ``COMMUTATION_TOL``.
+    to ``COMMUTATION_TOL`` times spread(X) ||L_k||_F, which bounds
+    ||[X, L_k]||_F, so rescaling X or L_k leaves the verdict alone. The
+    rounding of [X, L_k], 2 d eps ||X||_F ||L_k||_F, floors the threshold:
+    a constant X in a rotated basis passes.
 
     Failure is a result, not an exception; the first violating jump index is
     recorded. Only an exactly zero L_k, the missing member of an irreversible
     classical edge, has weight 0.
     """
-    x = _observable_matrix(observable, model.dim)
+    obs = _observable(observable, model.dim)
+    x = obs.observable
+    scale = max(COMMUTATION_TOL * obs.max_gap,
+                2 * model.dim * np.finfo(float).eps * float(np.linalg.norm(x)))
     weights = []
     residuals = []
     failed = None
@@ -57,7 +64,7 @@ def commutation_check(model: LindbladModel, observable) -> CommutationCheckResul
         residual = float(np.linalg.norm(comm - w * op))
         weights.append(w)
         residuals.append(residual)
-        if failed is None and residual > COMMUTATION_TOL * max(float(np.linalg.norm(op)), 1.0):
+        if failed is None and residual > scale * float(np.linalg.norm(op)):
             failed = i
     return CommutationCheckResult(
         ok=failed is None,
@@ -91,14 +98,13 @@ def tmh_generating_rate(model: LindbladModel, state: QuantumState, observable, l
     scalar ``lam`` gives a complex number, a 1-D array a complex array from
     one generator application to the stacked phase operators.
     """
-    obs = _coerce_observable(observable)
+    obs = _observable(observable, model.dim)
     return _phase_generating(partial(apply_adjoint_liouvillian, model), obs, state, lam)
 
 
-def default_lambda_grid(observable, n_points: int = 41) -> np.ndarray:
+def default_lambda_grid(obs: ObservableDecomposition, n_points: int = 41) -> np.ndarray:
     """Uniform grid over [-pi, pi] divided by the largest eigenvalue gap,
     keeping every sine argument within one period."""
-    obs = _coerce_observable(observable)
     gap = obs.max_gap
     scale = gap if gap > 0 else 1.0
     return np.linspace(-np.pi, np.pi, n_points) / scale
@@ -140,9 +146,7 @@ def predicted_rate_difference(model: LindbladModel, state: QuantumState, observa
     rate whenever the commutation condition holds; it vanishes identically
     when H or rho commutes with X.
     """
-    obs = _coerce_observable(observable)
-    if obs.dim != model.dim:
-        raise DimMismatchError("observable dimension differs from model")
+    obs = _observable(observable, model.dim)
     _check_dim(state, model.dim)
     vecs = obs.eigenvectors
     vals = obs.eigenvalues
@@ -162,7 +166,7 @@ def compare_rates(model: LindbladModel, state: QuantumState, observable) -> Gene
     prediction over the grid; even-moment agreement is probed at orders 2
     and 4 by :func:`quasitur.numdiff.derivative_moment`.
     """
-    obs = _coerce_observable(observable)
+    obs = _observable(observable, model.dim)
     check = commutation_check(model, obs)
     if not check.ok:
         raise CommutationViolatedError(

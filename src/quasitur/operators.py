@@ -1,8 +1,8 @@
 """Dense Hermitian operator primitives.
 
 The Hermiticity check, observable eigendecompositions with degeneracy
-classes, and the elementwise logarithmic mean that weights the
-entropy-production geometry.
+classes, the one check every observable argument passes, and the
+elementwise logarithmic mean that weights the entropy-production geometry.
 
 Everything is dense ``numpy``; expected dimensions are at most a few
 hundred.
@@ -164,6 +164,17 @@ class ObservableDecomposition:
         """
         vals = self.eigenvalues
         return float(vals.max() - vals.min()) if len(vals) > 1 else 0.0
+
+
+def _observable(x, dim: int) -> ObservableDecomposition:
+    """The observable argument of every entry point: a decomposition passes
+    through, a matrix goes through :meth:`ObservableDecomposition.from_operator`
+    (``NotHermitianError``), and a dimension other than ``dim`` raises
+    ``DimMismatchError``."""
+    obs = x if isinstance(x, ObservableDecomposition) else ObservableDecomposition.from_operator(x)
+    if obs.dim != dim:
+        raise DimMismatchError(f"observable dimension {obs.dim} differs from model dimension {dim}")
+    return obs
 
 
 def logarithmic_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatchError, TracePreservationError
+from .errors import TracePreservationError
 from .lindblad import (
     LindbladModel,
     QuantumState,
@@ -26,26 +26,13 @@ from .lindblad import (
     resolved_fluxes,
 )
 from .numdiff import derivative_moment
-from .operators import ObservableDecomposition
-from .util import (FLUX_COLUMN_SUM_TOL, anticommutator, as_operator, change_moment, float_repr,
-                   group_sums, per_lambda, real_part)
+from .operators import ObservableDecomposition, _observable
+from .util import (FLUX_COLUMN_SUM_TOL, anticommutator, change_moment, float_repr, group_sums,
+                   per_lambda, real_part)
 
 FLUX_SUM = "flux_sum"
 OPERATOR_EXPRESSION = "operator_expression"
 GENERATING_FUNCTION_CONTOUR = "generating_function_contour"
-
-
-def _coerce_observable(x) -> ObservableDecomposition:
-    if isinstance(x, ObservableDecomposition):
-        return x
-    return ObservableDecomposition.from_operator(x)
-
-
-def _observable_matrix(x, dim: int) -> np.ndarray:
-    mat = x.observable if isinstance(x, ObservableDecomposition) else as_operator(x)
-    if mat.shape[0] != dim:
-        raise DimMismatchError("observable dimension differs from model")
-    return mat
 
 
 @dataclass(frozen=True)
@@ -130,9 +117,7 @@ def tmh_table(model: LindbladModel, state: QuantumState, observable, delta_t: fl
     Marginals reproduce the single-time distributions; entries are checked
     to be real (``util.real_part``) and may be negative.
     """
-    obs = _coerce_observable(observable)
-    if obs.dim != model.dim:
-        raise DimMismatchError("observable dimension differs from model")
+    obs = _observable(observable, model.dim)
     return _table(heisenberg_propagator(model, float(delta_t)), obs, state, delta_t)
 
 
@@ -155,9 +140,7 @@ def flux_matrix(model: LindbladModel, state: QuantumState, observable) -> FluxMa
     Sums the rank-one fluxes between eigenvectors, from the O(d^3) closed
     form :func:`quasitur.lindblad.resolved_fluxes`, over classes y and x.
     """
-    obs = _coerce_observable(observable)
-    if obs.dim != model.dim:
-        raise DimMismatchError("observable dimension differs from model")
+    obs = _observable(observable, model.dim)
     return FluxMatrix(labels=obs.class_values.copy(),
                       resolved=resolved_fluxes(model, state, obs.eigenvectors),
                       class_members=obs.class_members)
@@ -190,7 +173,7 @@ def generating_function(model: LindbladModel, state: QuantumState, observable,
     complex array, all of it from one propagator applied to the stacked
     phase operators.
     """
-    obs = _coerce_observable(observable)
+    obs = _observable(observable, model.dim)
     return _phase_generating(heisenberg_propagator(model, float(delta_t)), obs, state, lam)
 
 
@@ -214,7 +197,7 @@ def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumSta
     The Hamiltonian part of the adjoint Liouvillian cancels via
     {[H, X], X} = [H, X^2], so it would give the same value.
     """
-    x = _observable_matrix(observable, model.dim)
+    x = _observable(observable, model.dim).observable
     _check_dim(state, model.dim)
     rho = state.rho
     value = (np.trace(apply_adjoint_dissipator(model, x @ x) @ rho)
@@ -230,8 +213,9 @@ def moment_from_generating_function(model: LindbladModel, state: QuantumState, o
     All contour nodes are evaluated in one generating-function call, so
     they share one propagator application.
     """
-    obs = _coerce_observable(observable)
+    obs = _observable(observable, model.dim)
     value = derivative_moment(lambda lams: generating_function(model, state, obs, lams, delta_t),
                               n, obs.max_gap)
-    return MomentReport(order=n, value=value.real, method=GENERATING_FUNCTION_CONTOUR)
+    return MomentReport(order=n, value=real_part(value, "generating-function moment"),
+                        method=GENERATING_FUNCTION_CONTOUR)
 

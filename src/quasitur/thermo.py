@@ -30,14 +30,8 @@ from .lindblad import (
     decompose_pair,
     model_hash,
 )
-from .operators import logarithmic_mean
-from .quasiprob import (
-    _coerce_observable,
-    _observable_matrix,
-    flux_matrix,
-    short_time_fluctuation_operator_form,
-    short_time_moment,
-)
+from .operators import _observable, logarithmic_mean
+from .quasiprob import flux_matrix, short_time_fluctuation_operator_form, short_time_moment
 from .util import (DIFFUSIVITY_IDENTITY_TOL, ZERO_CURRENT_TOL, ZERO_FLUCTUATION_TOL, as_operator,
                    commutator, dagger, operator_hash, real_part)
 
@@ -58,7 +52,7 @@ class CurrentDecomposition:
 
 def currents(model: LindbladModel, state: QuantumState, observable) -> CurrentDecomposition:
     """J_X^H = i tr([H, X] rho) and J_X^d = tr(X D(rho))."""
-    x = _observable_matrix(observable, model.dim)
+    x = _observable(observable, model.dim).observable
     _check_dim(state, model.dim)
     rho = state.rho
     j_ham = real_part(1j * np.trace(commutator(model.hamiltonian, x) @ rho), "Hamiltonian current")
@@ -183,7 +177,7 @@ def tur_check(model: LindbladModel, state: QuantumState, observable,
     check. ``eigenvalue_floor=None`` disables flooring, as for
     :func:`entropy_production_rate`.
     """
-    obs = _coerce_observable(observable)
+    obs = _observable(observable, model.dim)
     use, applied = floored_state(state, eigenvalue_floor)
     epr = entropy_production_rate(model, use, None)
     j_d = currents(model, use, obs).dissipative_part
@@ -213,7 +207,7 @@ def tur_report_dict(report: TURReport, model: LindbladModel, observable) -> dict
     return {
         **asdict(report),
         "model_hash": model_hash(model),
-        "observable_hash": operator_hash(_observable_matrix(observable, model.dim)),
+        "observable_hash": operator_hash(_observable(observable, model.dim).observable),
     }
 
 

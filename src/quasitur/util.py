@@ -13,7 +13,7 @@ from .errors import DimMismatchError, ImaginaryResidueError
 
 # --- tolerance table ---------------------------------------------------------
 # Every threshold at which quasitur rejects an input or a result, or flips a
-# verdict. "rel." scales by max(that quantity, 1).
+# verdict. "rel." scales by max(that quantity, 1), "purely rel." by it alone.
 
 HERMITICITY_TOL = 1e-10  # ||A - A^dag||_F over ||A||_F itself
 IMAG_RESIDUE_TOL = 1e-10  # imaginary part of a real quantity, rel. its modulus
@@ -26,7 +26,8 @@ DETAILED_BALANCE_TOL = 1e-8  # ||L_k - exp(s_k/2) L_-k^dag||_F (rel. ||L_k||_F t
 PROPAGATED_PSD_TOL = 1e-8  # most negative eigenvalue of a propagated rho
 DEGENERACY_TOL = 1e-9  # eigenvalue gap that merges classes, rel. ||X||_F
 ORTHONORMALITY_TOL = 1e-9  # ||V^dag V - I||_F of a supplied basis
-COMMUTATION_TOL = 1e-9  # ||[X, L_k] - w_k L_k||_F of the fitted weight, rel. ||L_k||_F
+COMMUTATION_TOL = 1e-9  # ||[X, L_k] - w_k L_k||_F, purely rel. spread(X) ||L_k||_F,
+#                         but never below 2 d eps ||X||_F ||L_k||_F, the rounding of [X, L_k]
 TUR_SLACK_TOL = 1e-9  # most negative TUR slack that passes, rel. sigma
 EMBEDDING_TOL = 1e-9  # largest residual of a classical model's diagonal embedding
 CLASSICAL_TOL = 1e-12  # classical rates and probabilities: signs, sums (rel. largest rate)

@@ -12,7 +12,8 @@ reads the demos and the acceptance suite next to it), then compare with
 which names every file that differs and prints, over the numbers parsed
 from both (CSV, JSON and text alike), the largest absolute and relative
 difference, and whether the text around the numbers differs too (hashes,
-verdicts). It gives no verdict and applies no tolerance.
+verdicts). It applies no tolerance: it exits 0 when the two directories
+are byte-identical and 1 when any file differs or exists on one side only.
 
 The input files are built from fixed seeds and saved into OUTDIR first,
 and every command runs inside OUTDIR with relative paths, so the paths
@@ -120,20 +121,24 @@ def run_acceptance(env: dict) -> None:
     Path("acceptance.txt").write_text("\n".join(lines) + "\n")
 
 
-def compare(dir_a: str, dir_b: str) -> None:
+def compare(dir_a: str, dir_b: str) -> bool:
     """Print, per file that differs between the two output directories, the
-    largest absolute and relative difference between its parsed numbers."""
+    largest absolute and relative difference between its parsed numbers.
+    Return whether any file differs or exists on one side only."""
     a_root, b_root = Path(dir_a), Path(dir_b)
     names = sorted({p.relative_to(root).as_posix() for root in (a_root, b_root)
                     for p in root.rglob("*") if p.is_file()})
+    differs = False
     for name in names:
         a_path, b_path = a_root / name, b_root / name
         if not (a_path.is_file() and b_path.is_file()):
             print(f"{name}: only in {dir_a if a_path.is_file() else dir_b}")
+            differs = True
             continue
+        if a_path.read_bytes() == b_path.read_bytes():
+            continue
+        differs = True
         a_text, b_text = a_path.read_text(), b_path.read_text()
-        if a_text == b_text:
-            continue
         a_nums = np.array([float(x) for x in NUMBER.findall(a_text)])
         b_nums = np.array([float(x) for x in NUMBER.findall(b_text)])
         other = NUMBER.sub("#", a_text) != NUMBER.sub("#", b_text)
@@ -146,6 +151,7 @@ def compare(dir_a: str, dir_b: str) -> None:
         print(f"{name}: {int(np.sum(diff > 0))} of {len(diff)} numbers differ, "
               f"max abs {diff.max(initial=0.0):.3e}, max rel {rel.max(initial=0.0):.3e}"
               + ("; other text differs" if other else ""))
+    return differs
 
 
 def main(outdir: str) -> None:
@@ -161,7 +167,7 @@ def main(outdir: str) -> None:
 
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        compare(sys.argv[2], sys.argv[3])
+        sys.exit(int(compare(sys.argv[2], sys.argv[3])))
     elif len(sys.argv) == 2:
         main(sys.argv[1])
     else:

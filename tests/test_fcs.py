@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from quasitur.ensembles import random_state
+from quasitur.ensembles import random_state, random_unitary
 from quasitur.errors import CommutationViolatedError, DimMismatchError
 from quasitur.fcs import (
     commutation_check,
@@ -59,6 +59,35 @@ class TestCommutationCheck:
         result = commutation_check(LindbladModel(np.zeros((2, 2)), pairs), np.diag([0.0, 1.0]))
         assert result.ok
         assert result.weights == pytest.approx((1.0, -1.0, 1.0, 0.0), abs=1e-12)
+
+    def test_verdict_does_not_depend_on_the_scale_of_jumps_or_observable(self):
+        # [diag(0, 1), sigma_+-] = +-sigma_+- at every scale; [sigma_x, sigma_-] is not
+        # proportional to sigma_- at any scale
+        for jump_scale in (1.0, 1e-4, 1e-8, 1e-12, 1e-100):
+            pair = JumpPair(jump_scale * SIGMA_PLUS, jump_scale * SIGMA_MINUS, 0.0)
+            model = LindbladModel(np.zeros((2, 2)), (pair,))
+            for x_scale in (1.0, 1e-8, 1e-12):
+                assert commutation_check(model, x_scale * np.diag([0.0, 1.0])).ok
+                assert not commutation_check(model, x_scale * SIGMA_X).ok
+
+    def test_rounding_of_a_rotated_basis_does_not_decide_the_verdict(self):
+        # in a rotated basis X carries rounding of order eps ||X||, which the spread of a
+        # constant X (or of one shifted by 1e8) does not exceed; the relation still holds
+        u = random_unitary(np.random.default_rng(0), 2)
+
+        def rotated(a):
+            return u @ a @ u.conj().T
+
+        def observable(x):
+            x = rotated(x)
+            return (x + x.conj().T) / 2
+
+        pair = JumpPair(rotated(SIGMA_PLUS), rotated(SIGMA_MINUS), 0.0)
+        model = LindbladModel(np.zeros((2, 2)), (pair,))
+        for scale in (1.0, 1e-12, 1e8):
+            assert commutation_check(model, observable(scale * np.eye(2))).ok
+        assert commutation_check(model, observable(np.diag([1e8, 1e8 + 1.0]))).ok
+        assert not commutation_check(model, observable(SIGMA_X + 1e8 * np.eye(2))).ok
 
     def test_transverse_observable_fails(self):
         # [sigma_x, sigma_-] is proportional to sigma_z, not sigma_-

@@ -1,0 +1,36 @@
+"""The exit status of ``tests/golden_outputs.py --compare`` on two small
+output directories."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent / "golden_outputs.py"
+ENV = {**os.environ, "PYTHONPATH": str(SCRIPT.parents[1] / "src")}
+REPORT = '{"epr": 0.125, "verdict": "ok"}\n'
+
+
+def _compare(dir_a, dir_b):
+    return subprocess.run([sys.executable, str(SCRIPT), "--compare", str(dir_a), str(dir_b)],
+                          env=ENV, capture_output=True, text=True, timeout=300)
+
+
+def test_compare_exits_one_on_any_difference(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "demos").mkdir(parents=True)
+        (root / "tur.json").write_text(REPORT)
+        (root / "demos" / "01.txt").write_text("exit 0\nslack 1.5e-3\n")
+    identical = _compare(a, b)
+    assert (identical.returncode, identical.stdout) == (0, "")
+
+    (b / "tur.json").write_text(REPORT.replace("0.125", "0.126"))
+    one_digit = _compare(a, b)
+    assert one_digit.returncode == 1
+    assert one_digit.stdout.startswith("tur.json: 1 of 1 numbers differ, max abs 1.000e-03")
+
+    (b / "tur.json").write_text(REPORT)
+    (a / "demos" / "02.txt").write_text("exit 0\n")
+    one_side = _compare(a, b)
+    assert (one_side.returncode, one_side.stdout) == (1, f"demos/02.txt: only in {a}\n")

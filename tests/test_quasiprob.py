@@ -468,3 +468,9 @@ class TestDiagnostics:
         model, state, x = random_instance(np.random.default_rng(1))
         with pytest.raises(ImaginaryResidueError, match="not finite"):
             tmh_table(model, state, x, lag)
+
+    def test_overflowed_moment_rejected(self):
+        # the contour moment at this lag is NaN, like the table above
+        model, state, x = random_instance(np.random.default_rng(1))
+        with pytest.raises(ImaginaryResidueError, match="not finite"):
+            moment_from_generating_function(model, state, x, 2, 1e50)

@@ -1,7 +1,7 @@
 """Thresholds of the tolerance table in ``quasitur.util`` that no other test
 pins, each by one input just inside and one just outside, the lag check,
-the state-dimension check, and the malformed-input rejections no other test
-reaches."""
+the state-dimension check, the check of every observable argument, and the
+malformed-input rejections no other test reaches."""
 
 from contextlib import nullcontext
 
@@ -18,12 +18,14 @@ from quasitur.classical import (
 )
 from quasitur.degeneracy import (
     ScalingSweepReport,
+    classify_basis_classicality,
     l1_coherence,
     q1_q2_diagnostics,
     sweep_summary,
 )
-from quasitur.errors import DimMismatchError, TracePreservationError
+from quasitur.errors import DimMismatchError, NotHermitianError, TracePreservationError
 from quasitur.fcs import (
+    commutation_check,
     compare_rates,
     fcs_generating_rate,
     predicted_rate_difference,
@@ -55,6 +57,7 @@ from quasitur.thermo import (
     geometric_representation,
     quantum_diffusivity,
     tur_check,
+    tur_report_dict,
 )
 from quasitur.util import as_operator, matrix_from_json
 
@@ -141,9 +144,40 @@ def test_state_dimension_mismatch_raises(entry):
         DIMENSION_MISMATCHES[entry](ladder_model(), state, np.diag([0.0, 1.0, 2.0]))
 
 
-def test_observable_dimension_mismatch_raises():
-    with pytest.raises(DimMismatchError, match="observable dimension"):
-        predicted_rate_difference(ladder_model(), ladder_state(), np.eye(4, dtype=complex), [0.3])
+# every entry point that takes an observable, called as (model, state, observable)
+OBSERVABLE_ENTRY_POINTS = {
+    "tmh_table": lambda m, s, x: tmh_table(m, s, x, 0.1),
+    "flux_matrix": flux_matrix,
+    "generating_function": lambda m, s, x: generating_function(m, s, x, 0.3, 0.1),
+    "moment_from_generating_function": lambda m, s, x: moment_from_generating_function(
+        m, s, x, 2, 0.1),
+    "short_time_fluctuation_operator_form": short_time_fluctuation_operator_form,
+    "currents": currents,
+    "quantum_diffusivity": quantum_diffusivity,
+    "tur_check": tur_check,
+    "tur_report_dict": lambda m, s, x: tur_report_dict(
+        tur_check(m, s, np.diag([0.0, 1.0, 2.0])), m, x),
+    "commutation_check": lambda m, s, x: commutation_check(m, x),
+    "tmh_generating_rate": lambda m, s, x: tmh_generating_rate(m, s, x, 0.3),
+    "predicted_rate_difference": lambda m, s, x: predicted_rate_difference(m, s, x, [0.3]),
+    "compare_rates": compare_rates,
+    "classify_basis_classicality": lambda m, s, x: classify_basis_classicality(m, x, 1.0, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OBSERVABLE_ENTRY_POINTS))
+def test_observable_dimension_mismatch_raises(entry):
+    # a d = 4 observable on the d = 3 ladder, whose state is correct
+    with pytest.raises(DimMismatchError,
+                       match="observable dimension 4 differs from model dimension 3"):
+        OBSERVABLE_ENTRY_POINTS[entry](ladder_model(), ladder_state(), np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize("entry", sorted(OBSERVABLE_ENTRY_POINTS))
+def test_non_hermitian_observable_raises(entry):
+    # the input is at fault, not a residue downstream
+    with pytest.raises(NotHermitianError):
+        OBSERVABLE_ENTRY_POINTS[entry](ladder_model(), ladder_state(), np.triu(np.ones((3, 3))))
 
 
 # inputs at 0.9 (inside) and 1.1 (outside) times a threshold
@@ -220,6 +254,16 @@ def test_detailed_balance_verdict(factor, tmp_path):
     assert validate_local_detailed_balance(model).passed is (factor == INSIDE)
     save_model(model, tmp_path / "model.json")
     assert run(["validate", "--model", str(tmp_path / "model.json")]) == (factor == OUTSIDE)
+
+
+@pytest.mark.parametrize("factor", [INSIDE, OUTSIDE])
+def test_commutation_verdict(factor):
+    # X = diag(0, 4) and L = s (sigma_+ + eps P_g): ||[X, L] - w L||_F = 4 s eps / sqrt(1 + eps^2)
+    # against 1e-9 * spread(X) * ||L||_F = 1e-9 * 4 * s sqrt(1 + eps^2); s < 1 pins it as relative
+    scale, eps = 1e-3, factor * 1e-9
+    jump = scale * (SIGMA_PLUS + np.diag([eps, 0.0]))
+    model = LindbladModel(np.zeros((2, 2)), (JumpPair(jump, np.zeros((2, 2)), 0.0),))
+    assert commutation_check(model, np.diag([0.0, 4.0])).ok is (factor == INSIDE)
 
 
 @pytest.mark.parametrize("slope, satisfied", [(0.5 - 1e-3, False), (0.5 + 1e-3, True)])
