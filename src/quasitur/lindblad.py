@@ -7,16 +7,17 @@ current per jump (k_B = 1). The module applies the generator
     L(rho) = -i[H, rho] + D(rho),
     D(rho) = sum_k L_k rho L_k^dag - {L_k^dag L_k, rho} / 2,
 
-its adjoint, and the corresponding finite-time propagators. The four
-``apply_*`` functions take a state, one operator or a (B, d, d) stack.
-Propagators apply exp(tL) to a whole stack at once, in the first of three
-exact ways that applies:
+its adjoint, and the corresponding finite-time propagators, all through the
+one generator that :func:`_generator` builds in either picture. The four
+``apply_*`` functions apply it to a state, one operator or a (B, d, d) stack.
+Propagators apply exp(tL) to a whole stack at once, scaling the generator by
+t themselves, in the first of three exact ways that applies:
 
 - dense: ``scipy.linalg.expm`` of the d^2 x d^2 generator, formed column by
-  column through the generator kernel, when :func:`_dense_is_cheaper` finds
-  it cheaper than acting on the stack (small or stiff generators; never for
+  column through the generator, when :func:`_dense_is_cheaper` finds it
+  cheaper than acting on the stack (small or stiff generators; never for
   d^2 > ``DENSE_MAX_SIZE``);
-- one Taylor segment of tL - mu I through batched d x d matrix products,
+- one Taylor segment of t(L - mu I) through batched d x d matrix products,
   when a bound on its 1-norm is at most ``TAYLOR_SEGMENT_NORM`` (short lags);
 - ``scipy.sparse.linalg.expm_multiply`` otherwise, which estimates norms of
   powers of tL to split the lag into as many segments as it needs.
@@ -230,52 +231,75 @@ def decompose_pair(pair: JumpPair) -> tuple[float, float, np.ndarray]:
     return gamma_f, gamma_b, ltilde
 
 
-def _sandwich(a: np.ndarray, g: np.ndarray, g_dag: np.ndarray, outer, inner) -> np.ndarray:
-    """A -> G A + A G^dag + sum_k outer_k A inner_k on one operator or a stack.
+class _Generator:
+    """A -> G A + A G^dag + sum_k outer_k A inner_k on one operator or a
+    (B, d, d) stack: L^dag or L as :func:`_generator` builds it.
 
-    The one place the generator is written out. L^dag has G = iH - K/2
-    (K = sum_k L_k^dag L_k), outer_k = L_k^dag and inner_k = L_k; L swaps
-    G <-> G^dag and outer <-> inner. ``outer`` and ``inner`` may be lazy.
+    ``trace`` is the exact trace of its d^2 x d^2 matrix. Since
+    vec(A X B) = (A kron B^T) vec(X) and ||A kron B||_1 = ||A||_1 ||B||_1,
+    ``norm_bound`` = 2 n(G) + sum_k n(outer_k) n(inner_k), n the larger of the
+    1- and inf-norms, bounds the 1-norm of that matrix and of its adjoint.
+    Both pick the route of the module docstring and are computed on first read.
     """
-    out = g @ a + a @ g_dag
-    for left, right in zip(outer, inner):
-        out += left @ a @ right
-    return out
+
+    def __init__(self, g: np.ndarray, outer: list, inner: list):
+        self.g, self.g_dag, self.outer, self.inner = g, dagger(g), outer, inner
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        out = self.g @ a + a @ self.g_dag
+        for left, right in zip(self.outer, self.inner):
+            out += left @ a @ right
+        return out
+
+    @functools.cached_property
+    def trace(self) -> float:
+        d = len(self.g)
+        jumps = np.reshape([*self.outer, *self.inner], (2, -1, d, d))
+        outer, inner = np.trace(jumps, axis1=2, axis2=3)
+        return float(2 * d * np.trace(self.g).real + np.real(outer @ inner))
+
+    @functools.cached_property
+    def norm_bound(self) -> float:
+        mags = np.abs(np.reshape([self.g, *self.outer, *self.inner], (-1, *self.g.shape)))
+        n = np.maximum(mags.sum(axis=1).max(axis=1), mags.sum(axis=2).max(axis=1))
+        outer, inner = n[1:].reshape(2, -1)
+        return float(2 * n[0] + outer @ inner)
 
 
-def _apply_generator(model: LindbladModel, a, hamiltonian: bool, heisenberg: bool) -> np.ndarray:
-    """L^dag(A) or L(rho), the Hamiltonian part only if ``hamiltonian``, on a
-    state, an operator or a (B, d, d) stack. Jumps are visited one at a time
-    and their adjoints built on the fly."""
-    mat = _operands(a, model.dim)
+def _generator(model: LindbladModel, heisenberg: bool, hamiltonian: bool = True) -> _Generator:
+    """L^dag (Heisenberg picture) or L (Schrodinger picture), the Hamiltonian
+    part only if ``hamiltonian``: the one place G = iH - K/2 is formed, with
+    K = sum_k L_k^dag L_k subtracted jump by jump. L^dag has outer_k = L_k^dag
+    and inner_k = L_k; its adjoint L swaps G <-> G^dag and outer <-> inner.
+    """
     jumps = model.jump_operators
+    adjoints = [dagger(op) for op in jumps]
     g = 1j * model.hamiltonian if hamiltonian else np.zeros((model.dim, model.dim), dtype=complex)
-    for op in jumps:
-        g -= 0.5 * (dagger(op) @ op)
-    adjoints = map(dagger, jumps)
+    for op, op_dag in zip(jumps, adjoints):
+        g -= 0.5 * (op_dag @ op)
     if heisenberg:
-        return _sandwich(mat, g, dagger(g), adjoints, jumps)
-    return _sandwich(mat, dagger(g), g, jumps, adjoints)
+        return _Generator(g, adjoints, jumps)
+    return _Generator(dagger(g), jumps, adjoints)
 
 
 def apply_dissipator(model: LindbladModel, state) -> np.ndarray:
     """D(rho) summed over both members of every pair."""
-    return _apply_generator(model, state, hamiltonian=False, heisenberg=False)
+    return _generator(model, heisenberg=False, hamiltonian=False)(_operands(state, model.dim))
 
 
 def apply_adjoint_dissipator(model: LindbladModel, a) -> np.ndarray:
     """Heisenberg-picture dissipator D^dag(A)."""
-    return _apply_generator(model, a, hamiltonian=False, heisenberg=True)
+    return _generator(model, heisenberg=True, hamiltonian=False)(_operands(a, model.dim))
 
 
 def apply_liouvillian(model: LindbladModel, state) -> np.ndarray:
     """L(rho) = -i[H, rho] + D(rho)."""
-    return _apply_generator(model, state, hamiltonian=True, heisenberg=False)
+    return _generator(model, heisenberg=False)(_operands(state, model.dim))
 
 
 def apply_adjoint_liouvillian(model: LindbladModel, a) -> np.ndarray:
     """L^dag(A) = +i[H, A] + D^dag(A)."""
-    return _apply_generator(model, a, hamiltonian=True, heisenberg=True)
+    return _generator(model, heisenberg=True)(_operands(a, model.dim))
 
 
 def resolved_fluxes(model: LindbladModel, state: QuantumState, basis: np.ndarray) -> np.ndarray:
@@ -284,13 +308,16 @@ def resolved_fluxes(model: LindbladModel, state: QuantumState, basis: np.ndarray
     orthonormal, complete columns v of ``basis``.
 
     Closed form in that basis, with R = V^dag rho V, G' = V^dag G V and
-    L'_k = V^dag L_k V (G as in :func:`_sandwich`), o the entrywise product:
+    L'_k = V^dag L_k V (G as in :func:`_generator`), o the entrywise product:
 
         Re[G'^T o R] + diag(row sums of Re[G'^T o R]) + sum_k Re[conj(L'_k) o (L'_k R)],
 
-    the row sums from R = R^dag. O(d^3) per jump, no loop over columns. With
-    G' = iH' - K'/2 taken apart, Re[G'^T o R] = -Im(H'^T o R) - Re(K'^T o R) / 2,
-    so real inputs give real products.
+    the row sums from R = R^dag. O(d^3) per jump, no loop over columns. It
+    forms H' and K' itself instead of rotating the complex G of
+    :func:`_generator`: with G' = iH' - K'/2 taken apart,
+    Re[G'^T o R] = -Im(H'^T o R) - Re(K'^T o R) / 2, so exactly real inputs
+    stay in real arithmetic, and no complex d x d G or list of jump adjoints
+    adds to the peak memory of a large collective sweep.
     """
     _check_dim(state, model.dim)
     v = exact_dtype(basis)
@@ -305,60 +332,6 @@ def resolved_fluxes(model: LindbladModel, state: QuantumState, basis: np.ndarray
     out -= loss
     out[np.diag_indices_from(out)] -= loss.sum(axis=1)
     return out
-
-
-class _Generator(LinearOperator):
-    """A Lindblad generator acting on row-major vectorized d x d operators.
-
-    A block of B operators is a (d*d, B) array whose columns are the
-    flattened operators; ``matmat`` applies :func:`_sandwich` to all of
-    them with batched matrix products, and the adjoint swaps G -> G^dag and
-    outer <-> inner. ``trace`` is the exact trace of the d^2 x d^2 matrix
-    and ``norm_bound`` bounds its 1-norm and that of its adjoint; both
-    pick the route of the module docstring.
-    """
-
-    def __init__(self, g: np.ndarray, outer: np.ndarray, inner: np.ndarray, trace: float,
-                 norm_bound: float):
-        d = g.shape[0]
-        super().__init__(complex, (d * d, d * d))
-        self.g = g
-        self.g_dag = g.conj().T
-        self.outer = outer
-        self.inner = inner
-        self.trace = trace
-        self.norm_bound = norm_bound
-
-    def _matmat(self, x):
-        d = self.g.shape[0]
-        ops = x.T.reshape(-1, d, d)
-        out = _sandwich(ops, self.g, self.g_dag, self.outer, self.inner)
-        return out.reshape(len(ops), d * d).T
-
-    def _adjoint(self):
-        return _Generator(self.g_dag, self.inner, self.outer, self.trace, self.norm_bound)
-
-
-def _generator(model: LindbladModel, t: float, heisenberg: bool) -> _Generator:
-    """t L^dag (Heisenberg picture) or t L (Schrodinger picture).
-
-    With G = i t H - K / 2 and K = t sum_k L_k^dag L_k, the adjoint generator
-    is A -> G A + A G^dag + t sum_k L_k^dag A L_k; the forward generator is
-    its Hilbert-Schmidt adjoint. The trace of either d^2 x d^2 matrix is
-    t sum_k |tr L_k|^2 - d tr K. Since vec(A X B) = (A kron B^T) vec(X) and
-    ||A kron B||_1 = ||A||_1 ||B||_1, the 1-norm of either is at most
-    2 n(G) + t sum_k n(L_k)^2, with n the larger of the 1- and inf-norms.
-    """
-    d = model.dim
-    jumps = np.array(model.jump_operators, dtype=complex).reshape(-1, d, d) * np.sqrt(t)
-    jumps_dag = jumps.conj().swapaxes(-1, -2)
-    k = np.sum(jumps_dag @ jumps, axis=0)
-    g = 1j * t * model.hamiltonian - 0.5 * k
-    trace = float(np.sum(np.abs(np.trace(jumps, axis1=1, axis2=2)) ** 2) - d * np.trace(k).real)
-    mags = np.abs(np.concatenate([g[None], jumps]))
-    norms = np.maximum(mags.sum(axis=1).max(axis=1), mags.sum(axis=2).max(axis=1))
-    gen = _Generator(g, jumps_dag, jumps, trace, float(2 * norms[0] + np.sum(norms[1:] ** 2)))
-    return gen if heisenberg else gen.H
 
 
 @contextmanager
@@ -404,15 +377,16 @@ def _dense_is_cheaper(d: int, norm_bound: float, batch: int) -> bool:
     return dense < ACTION_STEP_WEIGHT * batch * d**3 * norm + ACTION_OVERHEAD
 
 
-def _taylor_segment(gen: _Generator, stack: np.ndarray, mu: float) -> np.ndarray:
-    """exp(tL) on a (B, d, d) stack as e^mu times one truncated Taylor series
-    of tL - mu I.
+def _taylor_segment(gen: _Generator, stack: np.ndarray, t: float, mu: float) -> np.ndarray:
+    """exp(tL) on a (B, d, d) stack as e^(t mu) times one truncated Taylor
+    series of t(L - mu I).
 
     This is the core loop of ``expm_multiply`` (Al-Mohy & Higham, 2011,
     algorithm 3.2) with one segment (s = 1) and at most
-    ``TAYLOR_MAX_TERMS`` terms, in scipy's order of operations: the series
-    stops once two successive terms are below unit roundoff relative to the
-    sum, in the inf-norm of the (d^2, B) block.
+    ``TAYLOR_MAX_TERMS`` terms, in scipy's order of operations with the lag
+    folded into the factor t / (j + 1): the series stops once two successive
+    terms are below unit roundoff relative to the sum, in the inf-norm of
+    the (d^2, B) block.
     """
     def inf_norm(ops):
         return np.abs(ops).reshape(len(ops), -1).sum(axis=0).max()
@@ -420,14 +394,13 @@ def _taylor_segment(gen: _Generator, stack: np.ndarray, mu: float) -> np.ndarray
     out = term = stack
     c1 = inf_norm(term)
     for j in range(TAYLOR_MAX_TERMS):
-        term = 1.0 / (j + 1) * (_sandwich(term, gen.g, gen.g_dag, gen.outer, gen.inner)
-                                + (-mu) * term)
+        term = t / (j + 1) * (gen(term) + (-mu) * term)
         c2 = inf_norm(term)
         out = out + term
         if c1 + c2 <= 2.0**-53 * inf_norm(out):
             break
         c1 = c2
-    return np.exp(mu) * out
+    return np.exp(t * mu) * out
 
 
 def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
@@ -435,31 +408,37 @@ def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
 
     For ``"auto"`` each call takes the first route of the module docstring
     that applies to its block; the dense exponential is formed on first use
-    and kept by the callable.
+    and kept by the callable. Every route applies the one generator of
+    :func:`_generator` and scales by t itself.
     """
     d = model.dim
-    gen = _generator(model, t, heisenberg)
+    gen = _generator(model, heisenberg)
     if method == "auto":
-        mu = gen.trace / (d * d)
-
         @functools.cache
         def dense_transpose():
-            return scipy.linalg.expm(gen.matmat(np.eye(d * d))).T
+            rows = gen(np.eye(d * d).reshape(-1, d, d)).reshape(d * d, d * d)
+            return scipy.linalg.expm(t * rows.T).T
 
         def evolve(stack):
             flat = stack.reshape(len(stack), d * d)
-            if _dense_is_cheaper(d, gen.norm_bound, len(stack)):
+            mu = gen.trace / (d * d)
+            if _dense_is_cheaper(d, t * gen.norm_bound, len(stack)):
                 return (flat @ dense_transpose()).reshape(stack.shape)
-            if gen.norm_bound + abs(mu) <= TAYLOR_SEGMENT_NORM:
-                return _taylor_segment(gen, stack, mu)
+            if t * (gen.norm_bound + abs(mu)) <= TAYLOR_SEGMENT_NORM:
+                return _taylor_segment(gen, stack, t, mu)
+
+            def action(of):
+                return lambda x: t * of(x.T.reshape(-1, d, d)).reshape(-1, d * d).T
+
+            forward = action(gen)
+            op = LinearOperator((d * d, d * d), matvec=forward, matmat=forward, dtype=complex,
+                                rmatmat=action(_generator(model, not heisenberg)))
             with _pinned_legacy_rng():
-                out = expm_multiply(gen, flat.T, traceA=gen.trace)
+                out = expm_multiply(op, flat.T, traceA=t * gen.trace)
             return out.T.reshape(stack.shape)
     elif method == "ivp":
-        generator = apply_adjoint_liouvillian if heisenberg else apply_liouvillian
-
         def rhs(_t, y):
-            return generator(model, y.reshape(d, d)).reshape(-1)
+            return gen(y.reshape(d, d)).reshape(-1)
 
         def evolve(stack):
             return np.array([_integrate(rhs, a.reshape(-1), t).reshape(d, d) for a in stack])
@@ -469,7 +448,7 @@ def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
     def apply(a):
         ops = _operands(a, d)
         stack = ops.reshape(-1, d, d)
-        negligible = gen.norm_bound < NEGLIGIBLE_GENERATOR_NORM
+        negligible = t * gen.norm_bound < NEGLIGIBLE_GENERATOR_NORM
         out = stack.copy() if negligible or not len(stack) else evolve(stack)
         return out.reshape(ops.shape)
 

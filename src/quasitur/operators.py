@@ -172,9 +172,21 @@ def _observable(x, dim: int) -> ObservableDecomposition:
     (``NotHermitianError``), and a dimension other than ``dim`` raises
     ``DimMismatchError``."""
     obs = x if isinstance(x, ObservableDecomposition) else ObservableDecomposition.from_operator(x)
-    if obs.dim != dim:
-        raise DimMismatchError(f"observable dimension {obs.dim} differs from model dimension {dim}")
+    _check_observable_dim(obs.dim, dim)
     return obs
+
+
+def _observable_operator(x, dim: int) -> np.ndarray:
+    """The matrix X of an observable argument, checked as by :func:`_observable`
+    but not decomposed, for code that needs X alone."""
+    mat = x.observable if isinstance(x, ObservableDecomposition) else require_hermitian(x)
+    _check_observable_dim(len(mat), dim)
+    return mat
+
+
+def _check_observable_dim(obs_dim: int, dim: int) -> None:
+    if obs_dim != dim:
+        raise DimMismatchError(f"observable dimension {obs_dim} differs from model dimension {dim}")
 
 
 def logarithmic_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -27,8 +27,8 @@ from .lindblad import (
 )
 from .numdiff import derivative_moment
 from .operators import ObservableDecomposition, _observable
-from .util import (FLUX_COLUMN_SUM_TOL, anticommutator, change_moment, float_repr, group_sums,
-                   per_lambda, real_part)
+from .util import (DENSITY_TOL, FLUX_COLUMN_SUM_TOL, anticommutator, change_moment, float_repr,
+                   group_sums, per_lambda, real_part)
 
 FLUX_SUM = "flux_sum"
 OPERATOR_EXPRESSION = "operator_expression"
@@ -124,13 +124,19 @@ def tmh_table(model: LindbladModel, state: QuantumState, observable, delta_t: fl
 def _table(heisenberg, obs: ObservableDecomposition, state: QuantumState,
            delta_t: float) -> QuasiprobTable:
     """The table of :func:`tmh_table`, with ``heisenberg`` the propagator
-    over ``delta_t`` on a (B, d, d) stack."""
+    over ``delta_t`` on a (B, d, d) stack. Raises ``TracePreservationError``
+    when the evolved projectors, which sum to E^dag(I), miss I by more than
+    ``DENSITY_TOL`` in an entry, beyond the ||sum_y P_y - I||_F that a
+    unital E^dag can carry over from a supplied basis."""
     _check_dim(state, obs.dim)
     projectors = obs.projectors
     evolved = heisenberg(projectors)
     # q_yx = tr(E_y {P_x, rho}) / 2 with E_y = exp(L^dag dt) P_y
     sym = projectors @ state.rho + state.rho @ projectors
     values = real_part(0.5 * np.einsum("yij,xji->yx", evolved, sym), "quasiprobability table")
+    drift = float(np.max(np.abs(evolved.sum(axis=0) - np.eye(obs.dim))))
+    if drift > DENSITY_TOL + np.linalg.norm(projectors.sum(axis=0) - np.eye(obs.dim)):
+        raise TracePreservationError(f"evolved projectors sum to I only within {drift:.3e}")
     return QuasiprobTable(labels=obs.class_values.copy(), values=values, delta_t=float(delta_t))
 
 

@@ -30,9 +30,9 @@ from .lindblad import (
     decompose_pair,
     model_hash,
 )
-from .operators import _observable, logarithmic_mean
+from .operators import _observable, _observable_operator, logarithmic_mean
 from .quasiprob import flux_matrix, short_time_fluctuation_operator_form, short_time_moment
-from .util import (DIFFUSIVITY_IDENTITY_TOL, ZERO_CURRENT_TOL, ZERO_FLUCTUATION_TOL, as_operator,
+from .util import (DIFFUSIVITY_IDENTITY_TOL, ZERO_CURRENT_TOL, ZERO_FLUCTUATION_TOL,
                    commutator, dagger, operator_hash, real_part)
 
 DEFAULT_EIGENVALUE_FLOOR = 1e-12
@@ -249,9 +249,7 @@ class GeometricRepresentation:
 
     def gradient(self, x) -> np.ndarray:
         """[I x X, B], the gradient of an observable: entry c is X B_c - B_c X."""
-        x = as_operator(x)
-        if x.shape != self.structure.shape[1:]:
-            raise DimMismatchError(f"observable of shape {x.shape} on dimension {self.state.dim}")
+        x = _observable_operator(x, self.state.dim)
         return x @ self.structure - self.structure @ x
 
     def divergence(self, m) -> np.ndarray:

@@ -12,8 +12,11 @@ reads the demos and the acceptance suite next to it), then compare with
 which names every file that differs and prints, over the numbers parsed
 from both (CSV, JSON and text alike), the largest absolute and relative
 difference, and whether the text around the numbers differs too (hashes,
-verdicts). It applies no tolerance: it exits 0 when the two directories
-are byte-identical and 1 when any file differs or exists on one side only.
+verdicts). Each such line ends in ``; rounding`` when every number agrees
+to 1e-12 relative and no other text differs, and in ``; changed``
+otherwise. The label does not change the exit status: 0 when the two
+directories are byte-identical, 1 when any file differs or exists on one
+side only.
 
 The input files are built from fixed seeds and saved into OUTDIR first,
 and every command runs inside OUTDIR with relative paths, so the paths
@@ -143,14 +146,16 @@ def compare(dir_a: str, dir_b: str) -> bool:
         b_nums = np.array([float(x) for x in NUMBER.findall(b_text)])
         other = NUMBER.sub("#", a_text) != NUMBER.sub("#", b_text)
         if a_nums.shape != b_nums.shape:
-            print(f"{name}: {len(a_nums)} against {len(b_nums)} numbers")
+            print(f"{name}: {len(a_nums)} against {len(b_nums)} numbers; changed")
             continue
         diff = np.abs(a_nums - b_nums)
         scale = np.maximum(np.abs(a_nums), np.abs(b_nums))
         rel = np.divide(diff, scale, out=np.zeros_like(diff), where=diff > 0)
+        rounding = not other and rel.max(initial=0.0) <= 1e-12
         print(f"{name}: {int(np.sum(diff > 0))} of {len(diff)} numbers differ, "
               f"max abs {diff.max(initial=0.0):.3e}, max rel {rel.max(initial=0.0):.3e}"
-              + ("; other text differs" if other else ""))
+              + ("; other text differs" if other else "")
+              + ("; rounding" if rounding else "; changed"))
     return differs
 
 

@@ -1,5 +1,5 @@
-"""The exit status of ``tests/golden_outputs.py --compare`` on two small
-output directories."""
+"""The exit status and labels of ``tests/golden_outputs.py --compare`` on
+two small output directories."""
 
 import os
 import subprocess
@@ -29,6 +29,18 @@ def test_compare_exits_one_on_any_difference(tmp_path):
     one_digit = _compare(a, b)
     assert one_digit.returncode == 1
     assert one_digit.stdout.startswith("tur.json: 1 of 1 numbers differ, max abs 1.000e-03")
+    assert one_digit.stdout.endswith("; changed\n")
+
+    # 0.12500000000000003 is 0.125 plus one unit in the last place
+    (b / "tur.json").write_text(REPORT.replace("0.125", "0.12500000000000003"))
+    last_place = _compare(a, b)
+    assert last_place.returncode == 1
+    assert last_place.stdout == ("tur.json: 1 of 1 numbers differ, max abs 2.776e-17, "
+                                 "max rel 2.220e-16; rounding\n")
+
+    (b / "tur.json").write_text(REPORT.replace("0.125", "0.12500000000000003").replace("ok", "no"))
+    verdict = _compare(a, b)
+    assert verdict.stdout.endswith("; other text differs; changed\n")
 
     (b / "tur.json").write_text(REPORT)
     (a / "demos" / "02.txt").write_text("exit 0\n")

@@ -4,14 +4,17 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from quasitur import lindblad
+from quasitur.classical import quantize_rate_matrix
+from quasitur.degeneracy import CollectiveModelParams, build_collective_model
 from quasitur.ensembles import (
     random_hermitian,
     random_instance,
     random_model,
     random_observable,
+    random_reversible_rate_matrix,
     random_state,
 )
 from quasitur.errors import (DegeneratePairError, DimMismatchError, NotHermitianError,
@@ -44,6 +47,7 @@ from oracles import (
     excited_state,
     gibbs_state,
     mpmath_propagate,
+    superoperator,
     thermal_qubit,
 )
 
@@ -175,6 +179,44 @@ class TestGeneratorApplication:
             apply(model, np.zeros((3, 4, 4), dtype=complex))
         with pytest.raises(DimMismatchError):
             apply(model, random_state(rng, 4))
+
+
+def oracle_models():
+    """Complex models at d = 2..8, the exactly real collective model at
+    N = 2..4 and the embedding of a reversible rate matrix."""
+    rng = np.random.default_rng(60)
+    models = [pytest.param(random_model(rng, d, 2), id=f"complex-d{d}") for d in range(2, 9)]
+    models += [pytest.param(build_collective_model(CollectiveModelParams(n, gamma_plus=0.7,
+                                                                         gamma_minus=1.3)),
+                            id=f"collective-N{n}") for n in (2, 3, 4)]
+    embedding, _ = quantize_rate_matrix(random_reversible_rate_matrix(rng, 4))
+    return models + [pytest.param(embedding, id="embedding-n4")]
+
+
+class TestGeneratorOracle:
+    """The one generator, through every ``apply_*`` and the ``trace`` and
+    ``norm_bound`` that pick the propagation route, against the Kronecker
+    matrix of ``oracles.superoperator``."""
+
+    APPLY = {(True, True): apply_adjoint_liouvillian, (True, False): apply_adjoint_dissipator,
+             (False, True): apply_liouvillian, (False, False): apply_dissipator}
+
+    @pytest.mark.parametrize("hamiltonian", [True, False])
+    @pytest.mark.parametrize("heisenberg", [True, False])
+    @pytest.mark.parametrize("model", oracle_models())
+    def test_matches_kronecker_matrix(self, model, heisenberg, hamiltonian):
+        d = model.dim
+        # the dissipator is the generator of the same jumps with H = 0
+        reference = model if hamiltonian else LindbladModel(np.zeros((d, d)), model.jump_pairs)
+        sup = superoperator(reference, adjoint=heisenberg)
+        rng = np.random.default_rng(d)
+        ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        got = self.APPLY[heisenberg, hamiltonian](model, ops)
+        expected = (ops.reshape(3, d * d) @ sup.T).reshape(ops.shape)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        gen = lindblad._generator(model, heisenberg, hamiltonian)
+        assert abs(gen.trace - np.trace(sup)) <= 1e-13 * abs(np.trace(sup))
+        assert gen.norm_bound >= max(np.linalg.norm(sup, 1), np.linalg.norm(sup, np.inf))
 
 
 class TestPropagation:
@@ -429,8 +471,8 @@ def d32_projector_block():
 def taylor_bound(model: LindbladModel, dt: float) -> float:
     """The bound on ||dt L - mu I||_1 that decides whether one Taylor
     segment suffices."""
-    gen = lindblad._generator(model, dt, heisenberg=True)
-    return gen.norm_bound + abs(gen.trace) / model.dim**2
+    gen = lindblad._generator(model, heisenberg=True)
+    return dt * (gen.norm_bound + abs(gen.trace) / model.dim**2)
 
 
 def stiff_instance(dim: int, scale: float):
@@ -496,9 +538,16 @@ class TestRouteChoice:
         assert lindblad_expm == []
         assert lindblad_expm_multiply == []
         assert np.max(np.abs(got - action_propagate(model, projectors, 0.05, adjoint=True))) <= 1e-13
-        gen = lindblad._generator(model, 0.05, heisenberg=True)
+        gen = lindblad._generator(model, heisenberg=True)
+
+        def action(of):
+            return lambda x: 0.05 * of(x.T.reshape(-1, 32, 32)).reshape(-1, 1024).T
+
+        op = LinearOperator((1024, 1024), matvec=action(gen), matmat=action(gen),
+                            rmatmat=action(lindblad._generator(model, heisenberg=False)),
+                            dtype=complex)
         with lindblad._pinned_legacy_rng():
-            scipy_action = expm_multiply(gen, projectors.reshape(32, -1).T, traceA=gen.trace)
+            scipy_action = expm_multiply(op, projectors.reshape(32, -1).T, traceA=0.05 * gen.trace)
         scipy_action = scipy_action.T.reshape(projectors.shape)
         assert np.linalg.norm(got - scipy_action) <= 1e-15 * np.linalg.norm(scipy_action)
 

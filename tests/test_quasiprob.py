@@ -24,7 +24,7 @@ from quasitur.quasiprob import (
     tmh_table,
 )
 from quasitur.thermo import currents
-from quasitur.util import real_part
+from quasitur.util import DENSITY_TOL, real_part
 
 from oracles import SIGMA_Z, decay_qubit, excited_state, flux_reference, gibbs_state, thermal_qubit
 
@@ -468,6 +468,32 @@ class TestDiagnostics:
         model, state, x = random_instance(np.random.default_rng(1))
         with pytest.raises(ImaginaryResidueError, match="not finite"):
             tmh_table(model, state, x, lag)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_unitality_drift_beyond_tolerance_raises(self, seed):
+        # max |sum_y E^dag(P_y) - I| grows with the lag: 1-19e-12 at 1e5 and
+        # 1.6-2.6e-9 at 1e7 on these models, while the imaginary residue of
+        # the table stays below 2e-11 at 1e7. At 1e8 the drift reaches
+        # 0.5-1.4e-8, and the residue check rejects two of the three first.
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, 4 + seed % 3, 2)
+        state, x = random_state(rng, model.dim), random_observable(rng, model.dim)
+        tmh_table(model, state, x, 1e5)
+        with pytest.raises(TracePreservationError, match="sum to I"):
+            tmh_table(model, state, x, 1e7)
+        with pytest.raises(QuasiturError):
+            tmh_table(model, state, x, 1e8)
+
+    def test_unitality_check_allows_a_basis_within_its_tolerance(self):
+        # ||V^dag V - I||_F = 8e-10 passes from_groups (ORTHONORMALITY_TOL 1e-9),
+        # and its projectors miss I by 2.8e-10, more than DENSITY_TOL
+        rng = np.random.default_rng(7)
+        model, state = random_model(rng, 4, 2), random_state(rng, 4)
+        v = random_unitary(rng, 4) @ (np.eye(4) + 2e-10 * np.diag([1.0, -1.0, 1.0, -1.0]))
+        obs = ObservableDecomposition.from_groups([(float(i), v[:, i:i + 1]) for i in range(4)])
+        assert np.max(np.abs(obs.projectors.sum(axis=0) - np.eye(4))) > DENSITY_TOL
+        table = tmh_table(model, state, obs, 0.1)
+        assert abs(table.values.sum() - 1.0) <= 1e-9
 
     def test_overflowed_moment_rejected(self):
         # the contour moment at this lag is NaN, like the table above

@@ -11,7 +11,8 @@ from quasitur.degeneracy import (
     build_plus_minus_state,
 )
 from quasitur.ensembles import random_hermitian, random_instance, random_model, random_state
-from quasitur.errors import DimMismatchError, SingularStateError, ZeroFluctuationError
+from quasitur.errors import (DimMismatchError, NotHermitianError, SingularStateError,
+                             ZeroFluctuationError)
 from quasitur.lindblad import (
     JumpPair,
     LindbladModel,
@@ -458,6 +459,14 @@ class TestGeometricRepresentation:
         for method in (geo.divergence, geo.weighted_apply, geo.weighted_norm_sq):
             with pytest.raises(DimMismatchError):
                 method(geo.current[0])
+
+    def test_observable_is_checked_like_every_observable_argument(self):
+        model, state, _ = random_instance(np.random.default_rng(18), max_dim=3)
+        geo = geometric_representation(model, state)
+        with pytest.raises(NotHermitianError):
+            geo.gradient(np.triu(np.ones((model.dim, model.dim))))
+        obs = ObservableDecomposition.from_operator(np.diag(np.arange(model.dim, dtype=float)))
+        np.testing.assert_array_equal(geo.gradient(obs), geo.gradient(obs.observable))
 
     def test_requires_full_rank(self):
         model = thermal_qubit()
