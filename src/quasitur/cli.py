@@ -40,7 +40,7 @@ from .lindblad import (
 from .quasiprob import ObservableDecomposition, flux_matrix, short_time_moment
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, tur_check, tur_report_dict
 from .util import (CLOSED_FORM_TOL, DETAILED_BALANCE_TOL, EMBEDDING_TOL, TUR_SLACK_TOL,
-                   float_repr, matrix_from_json, read_json, write_json)
+                   float_repr, matrix_from_json, read_json, write_csv, write_json)
 
 
 def _load_observable(path) -> ObservableDecomposition:
@@ -95,7 +95,7 @@ def cmd_validate(args) -> int:
 def cmd_propagate(args) -> int:
     model = load_model(args.model)
     state = load_state(args.state)
-    final = propagate(model, state, args.time, method=args.method)
+    final = propagate(model, state, args.time)
     save_state(final, args.output)
     print(f"propagated to t={args.time}; state written to {args.output}")
     return 0
@@ -160,7 +160,7 @@ def cmd_example(args) -> int:
     for n in args.n:
         params = _collective_params(args, n)
         ref = closed_form_reference(params, args.sign)
-        row = {"N": n, "ref": ref}
+        residual = ""
         if n <= EXAMPLE_VERIFY_MAX_N:
             model = build_collective_model(params)
             state = build_plus_minus_state(params, args.sign)
@@ -179,21 +179,12 @@ def cmd_example(args) -> int:
                 for name in ("t_eg", "t_gg", "t_ge", "t_ee", "escape_rate", "m_h")
             )
             worst = max(worst, residual)
-            row["residual"] = residual
-        rows.append(row)
-    with open(args.output, "w") as fh:
-        fh.write(f"# sign={args.sign} omega={float_repr(args.omega)} "
-                 f"gamma_plus={float_repr(args.gammas[0])} gamma_minus={float_repr(args.gammas[1])} "
-                 f"pg={float_repr(args.pg)} seed={args.seed}\n")
-        fh.write("N,T_eg,T_gg,T_ge,T_ee,escape_rate,m_H,residual\n")
-        for row in rows:
-            ref = row["ref"]
-            cells = [str(row["N"])] + [
-                float_repr(v) for v in
-                (ref.t_eg, ref.t_gg, ref.t_ge, ref.t_ee, ref.escape_rate, ref.m_h)
-            ]
-            cells.append(float_repr(row["residual"]) if "residual" in row else "")
-            fh.write(",".join(cells) + "\n")
+        rows.append([n, *dataclasses.astuple(ref), residual])
+    write_csv(args.output, ["N", "T_eg", "T_gg", "T_ge", "T_ee", "escape_rate", "m_H", "residual"],
+              rows, comment=f"sign={args.sign} omega={float_repr(args.omega)} "
+                            f"gamma_plus={float_repr(args.gammas[0])} "
+                            f"gamma_minus={float_repr(args.gammas[1])} "
+                            f"pg={float_repr(args.pg)} seed={args.seed}")
     ok = worst <= CLOSED_FORM_TOL
     print(f"closed forms written to {args.output}; worst residual {worst:.3e} "
           f"-> {'PASS' if ok else 'FAIL'}")
@@ -255,10 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--time", type=float, required=True, help="evolution time")
-    p.add_argument("--method", choices=["auto", "ivp"], default="auto",
-                   help="propagation backend: auto picks a route per call (see "
-                        "README, Cost of propagation); ivp integrates with "
-                        "adaptive Runge-Kutta as a cross-check")
     p.add_argument("--output", required=True, help="output state JSON path")
 
     p = add("tur", cmd_tur, "evaluate the uncertainty-relation report")

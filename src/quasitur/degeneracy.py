@@ -20,7 +20,7 @@ from .lindblad import JumpPair, LindbladModel, QuantumState, _check_dim
 from .operators import ObservableDecomposition, _observable
 from .quasiprob import flux_matrix, short_time_moment
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, entropy_production_rate, tur_bound
-from .util import Q_R2_THRESHOLD, Q_SLOPE_THRESHOLD, ZERO_ELEMENT_TOL, dagger, float_repr
+from .util import Q_R2_THRESHOLD, Q_SLOPE_THRESHOLD, ZERO_ELEMENT_TOL, dagger, write_csv
 
 #: floor used when taking logs of series that may contain exact zeros
 LOG_CLIP = 1e-30
@@ -414,12 +414,9 @@ def q1_q2_diagnostics(sweep: ScalingSweepReport) -> QConditionReport:
 
 def sweep_to_csv(report: ScalingSweepReport, path) -> None:
     """Plot-ready CSV: one row per N."""
-    with open(path, "w") as fh:
-        fh.write("N,m_X,escape_rate,min_T,J_d,epr,bound\n")
-        for n, *values in zip(report.n_values, report.m_x, report.escape_rates,
-                              report.min_integrated_flux, report.currents, report.eprs,
-                              report.bounds):
-            fh.write(",".join([str(n)] + [float_repr(v) for v in values]) + "\n")
+    write_csv(path, ["N", "m_X", "escape_rate", "min_T", "J_d", "epr", "bound"],
+              zip(report.n_values, report.m_x, report.escape_rates, report.min_integrated_flux,
+                  report.currents, report.eprs, report.bounds))
 
 
 def sweep_summary(report: ScalingSweepReport, conditions: QConditionReport | None = None) -> dict:

@@ -23,7 +23,7 @@ from .lindblad import LindbladModel, QuantumState, _check_dim, apply_adjoint_lio
 from .numdiff import derivative_moment
 from .operators import ObservableDecomposition, _observable
 from .quasiprob import _phase_generating
-from .util import COMMUTATION_TOL, commutator, dagger, float_repr, per_lambda
+from .util import COMMUTATION_TOL, commutator, dagger, per_lambda, write_csv
 
 
 @dataclass(frozen=True)
@@ -123,19 +123,13 @@ class GeneratingRateComparison:
     even_moment_differences: tuple
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("lambda,tmh_re,tmh_im,fcs_re,fcs_im,predicted_re,predicted_im,residual\n")
-            per_point = np.abs((self.tmh_rate - self.fcs_rate) - self.predicted_difference)
-            for i, lam in enumerate(self.lambda_grid):
-                cells = [
-                    float_repr(lam),
-                    float_repr(self.tmh_rate[i].real), float_repr(self.tmh_rate[i].imag),
-                    float_repr(self.fcs_rate[i].real), float_repr(self.fcs_rate[i].imag),
-                    float_repr(self.predicted_difference[i].real),
-                    float_repr(self.predicted_difference[i].imag),
-                    float_repr(per_point[i]),
-                ]
-                fh.write(",".join(cells) + "\n")
+        per_point = np.abs((self.tmh_rate - self.fcs_rate) - self.predicted_difference)
+        write_csv(path, ["lambda", "tmh_re", "tmh_im", "fcs_re", "fcs_im", "predicted_re",
+                         "predicted_im", "residual"],
+                  np.column_stack([self.lambda_grid, self.tmh_rate.real, self.tmh_rate.imag,
+                                   self.fcs_rate.real, self.fcs_rate.imag,
+                                   self.predicted_difference.real,
+                                   self.predicted_difference.imag, per_point]))
 
 
 def predicted_rate_difference(model: LindbladModel, state: QuantumState, observable,

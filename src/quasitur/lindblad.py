@@ -44,7 +44,7 @@ from .util import (DENSITY_TOL, DETAILED_BALANCE_TOL, PROPAGATED_PSD_TOL, as_ope
                    exact_dtype, lag, matrix_from_json, matrix_to_json, operator_hash, read_json,
                    write_json)
 
-#: tolerances of the opt-in ``method="ivp"`` Runge-Kutta cross-check
+#: tolerances of :func:`_integrated`, the Runge-Kutta reference of the tests
 IVP_RTOL = 1e-10
 IVP_ATOL = 1e-12
 #: below this bound on ||t L||_1, ||exp(t L) X - X|| < 1e-292 ||X||: the
@@ -403,47 +403,39 @@ def _taylor_segment(gen: _Generator, stack: np.ndarray, t: float, mu: float) -> 
     return np.exp(t * mu) * out
 
 
-def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
+def _propagator(model: LindbladModel, t: float, heisenberg: bool):
     """Callable applying exp(L^dag t) or exp(L t) to an operator or a stack.
 
-    For ``"auto"`` each call takes the first route of the module docstring
-    that applies to its block; the dense exponential is formed on first use
-    and kept by the callable. Every route applies the one generator of
-    :func:`_generator` and scales by t itself.
+    Each call takes the first route of the module docstring that applies to
+    its block; the dense exponential is formed on first use and kept by the
+    callable. Every route applies the one generator of :func:`_generator`
+    and scales by t itself.
     """
     d = model.dim
     gen = _generator(model, heisenberg)
-    if method == "auto":
-        @functools.cache
-        def dense_transpose():
-            rows = gen(np.eye(d * d).reshape(-1, d, d)).reshape(d * d, d * d)
-            return scipy.linalg.expm(t * rows.T).T
 
-        def evolve(stack):
-            flat = stack.reshape(len(stack), d * d)
-            mu = gen.trace / (d * d)
-            if _dense_is_cheaper(d, t * gen.norm_bound, len(stack)):
-                return (flat @ dense_transpose()).reshape(stack.shape)
-            if t * (gen.norm_bound + abs(mu)) <= TAYLOR_SEGMENT_NORM:
-                return _taylor_segment(gen, stack, t, mu)
+    @functools.cache
+    def dense_transpose():
+        rows = gen(np.eye(d * d).reshape(-1, d, d)).reshape(d * d, d * d)
+        return scipy.linalg.expm(t * rows.T).T
 
-            def action(of):
-                return lambda x: t * of(x.T.reshape(-1, d, d)).reshape(-1, d * d).T
+    def evolve(stack):
+        flat = stack.reshape(len(stack), d * d)
+        mu = gen.trace / (d * d)
+        if _dense_is_cheaper(d, t * gen.norm_bound, len(stack)):
+            return (flat @ dense_transpose()).reshape(stack.shape)
+        if t * (gen.norm_bound + abs(mu)) <= TAYLOR_SEGMENT_NORM:
+            return _taylor_segment(gen, stack, t, mu)
 
-            forward = action(gen)
-            op = LinearOperator((d * d, d * d), matvec=forward, matmat=forward, dtype=complex,
-                                rmatmat=action(_generator(model, not heisenberg)))
-            with _pinned_legacy_rng():
-                out = expm_multiply(op, flat.T, traceA=t * gen.trace)
-            return out.T.reshape(stack.shape)
-    elif method == "ivp":
-        def rhs(_t, y):
-            return gen(y.reshape(d, d)).reshape(-1)
+        def action(of):
+            return lambda x: t * of(x.T.reshape(-1, d, d)).reshape(-1, d * d).T
 
-        def evolve(stack):
-            return np.array([_integrate(rhs, a.reshape(-1), t).reshape(d, d) for a in stack])
-    else:
-        raise ValueError(f"unknown propagation method {method!r}")
+        forward = action(gen)
+        op = LinearOperator((d * d, d * d), matvec=forward, matmat=forward, dtype=complex,
+                            rmatmat=action(_generator(model, not heisenberg)))
+        with _pinned_legacy_rng():
+            out = expm_multiply(op, flat.T, traceA=t * gen.trace)
+        return out.T.reshape(stack.shape)
 
     def apply(a):
         ops = _operands(a, d)
@@ -455,27 +447,32 @@ def _propagator(model: LindbladModel, t: float, heisenberg: bool, method: str):
     return apply
 
 
-def _integrate(rhs, y0: np.ndarray, t: float) -> np.ndarray:
-    sol = solve_ivp(rhs, (0.0, t), y0, method="RK45", rtol=IVP_RTOL, atol=IVP_ATOL)
+def _integrated(model: LindbladModel, a, t: float, heisenberg: bool) -> np.ndarray:
+    """exp(L^dag t) or exp(L t) applied to a state, an operator or a stack by
+    adaptive Runge-Kutta (RK45) integration: the independent reference the
+    tests hold :func:`_propagator` against. Raises ``NonConvergenceError``
+    when the integrator fails."""
+    ops = _operands(a, model.dim)
+    gen = _generator(model, heisenberg)
+    sol = solve_ivp(lambda _t, y: gen(y.reshape(ops.shape)).ravel(), (0.0, t), ops.ravel(),
+                    method="RK45", rtol=IVP_RTOL, atol=IVP_ATOL)
     if not sol.success:
         raise NonConvergenceError(f"integrator failed: {sol.message}")
-    return sol.y[:, -1]
+    return sol.y[:, -1].reshape(ops.shape)
 
 
-def propagate(model: LindbladModel, state: QuantumState, t: float, method: str = "auto") -> QuantumState:
+def propagate(model: LindbladModel, state: QuantumState, t: float) -> QuantumState:
     """Evolve a state to exp(L t) rho_0.
 
-    ``method="auto"`` picks a route per call, as the module docstring
-    describes; ``"ivp"`` integrates the master equation with adaptive
-    Runge-Kutta instead, as an independent cross-check. The result is
-    re-symmetrized and its rounding-level trace drift divided out. Raises
+    Each call picks a route, as the module docstring describes. The result
+    is re-symmetrized and its rounding-level trace drift divided out. Raises
     ``TracePreservationError`` when the drift exceeds ``DENSITY_TOL``, and
     ``ValueError`` unless 0 <= t < inf.
     """
     t = lag(t)
     if t == 0.0:
         return state
-    rho = _propagator(model, t, heisenberg=False, method=method)(state.rho)
+    rho = _propagator(model, t, heisenberg=False)(state.rho)
     rho = (rho + dagger(rho)) / 2
     trace = float(np.trace(rho).real)
     if abs(trace - 1.0) > DENSITY_TOL:
@@ -484,14 +481,14 @@ def propagate(model: LindbladModel, state: QuantumState, t: float, method: str =
     return QuantumState(rho, psd_tol=PROPAGATED_PSD_TOL)
 
 
-def heisenberg_propagator(model: LindbladModel, dt: float, method: str = "auto"):
+def heisenberg_propagator(model: LindbladModel, dt: float):
     """Callable applying exp(L^dag dt) to one (d, d) operator or a (B, d, d) stack.
 
     The generator pieces are built once. Each call propagates its whole
-    stack by the routes of the module docstring. ``method`` and the lag
-    check are as for :func:`propagate`.
+    stack by the routes of the module docstring. The lag is checked as for
+    :func:`propagate`.
     """
-    return _propagator(model, lag(dt), heisenberg=True, method=method)
+    return _propagator(model, lag(dt), heisenberg=True)
 
 
 # --- model and state files -------------------------------------------------

@@ -60,12 +60,13 @@ class ObservableDecomposition:
         """Diagonalize a Hermitian operator, merging near-degenerate eigenvalues.
 
         Neighbouring (ascending) eigenvalues share a class when their gap is
-        at most ``DEGENERACY_TOL * max(||x||, 1)``. Raises
+        at most ``DEGENERACY_TOL * max(spread, 1)``, the spread being that of
+        the spectrum, so an offset x + a I merges as x does. Raises
         ``NotHermitianError`` if ``x`` fails the Hermiticity check.
         """
         mat = require_hermitian(x)
-        degeneracy_tol = DEGENERACY_TOL * max(float(np.linalg.norm(mat)), 1.0)
         eigenvalues, eigenvectors = np.linalg.eigh(mat)
+        degeneracy_tol = DEGENERACY_TOL * max(eigenvalues[-1] - eigenvalues[0], 1.0)
         members: list[np.ndarray] = []
         start = 0
         for i in range(1, len(eigenvalues) + 1):
@@ -147,13 +148,24 @@ class ObservableDecomposition:
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
 
+    @property
+    def center(self) -> float:
+        """c, the midpoint of X's spectrum."""
+        return 0.5 * (self.eigenvalues.max() + self.eigenvalues.min())
+
+    @property
+    def centered(self) -> np.ndarray:
+        """X - c I. Every quantity that a shift of X by a multiple of I leaves
+        unchanged is evaluated on it, so a large offset costs no digits."""
+        return self.observable - self.center * np.eye(self.dim)
+
     def phase_operator(self, lam) -> np.ndarray:
         """exp(i lam (X - c)) from the stored eigenbasis, one per entry of an
-        array of (possibly complex) ``lam``. The shift by c, the midpoint of
-        X's spectrum, cancels from every generating function and bounds
-        |exp(+-i lam (x - c))| by exp(|lam| gap / 2) whatever offset X has."""
-        vecs, vals = self.eigenvectors, self.eigenvalues
-        phases = np.exp(1j * np.multiply.outer(lam, vals - 0.5 * (vals.max() + vals.min())))
+        array of (possibly complex) ``lam``. The shift by c cancels from every
+        generating function and bounds |exp(+-i lam (x - c))| by
+        exp(|lam| gap / 2) whatever offset X has."""
+        vecs = self.eigenvectors
+        phases = np.exp(1j * np.multiply.outer(lam, self.eigenvalues - self.center))
         return (vecs * phases[..., None, :]) @ dagger(vecs)
 
     @property
@@ -162,8 +174,7 @@ class ObservableDecomposition:
 
         Values may be stored in caller order, so take the full spread.
         """
-        vals = self.eigenvalues
-        return float(vals.max() - vals.min()) if len(vals) > 1 else 0.0
+        return float(self.eigenvalues.max() - self.eigenvalues.min())
 
 
 def _observable(x, dim: int) -> ObservableDecomposition:

@@ -28,7 +28,7 @@ from .lindblad import (
 from .numdiff import derivative_moment
 from .operators import ObservableDecomposition, _observable
 from .util import (DENSITY_TOL, FLUX_COLUMN_SUM_TOL, anticommutator, change_moment, float_repr,
-                   group_sums, per_lambda, real_part)
+                   group_sums, per_lambda, real_part, write_csv)
 
 FLUX_SUM = "flux_sum"
 OPERATOR_EXPRESSION = "operator_expression"
@@ -58,12 +58,8 @@ class QuasiprobTable:
 
     def to_csv(self, path) -> None:
         """Header row of final labels, first column of initial labels."""
-        with open(path, "w") as fh:
-            fh.write(f"# delta_t={float_repr(self.delta_t)}\n")
-            fh.write("initial," + ",".join(float_repr(y) for y in self.labels) + "\n")
-            for ix, x in enumerate(self.labels):
-                row = ",".join(float_repr(v) for v in self.values[:, ix])
-                fh.write(f"{float_repr(x)},{row}\n")
+        write_csv(path, ["initial", *self.labels], np.column_stack([self.labels, self.values.T]),
+                  comment=f"delta_t={float_repr(self.delta_t)}")
 
 
 @dataclass(frozen=True)
@@ -201,13 +197,15 @@ def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumSta
     """m_X = tr(D^dag(X^2) rho) - tr({D^dag(X), X} rho) with D^dag the adjoint dissipator.
 
     The Hamiltonian part of the adjoint Liouvillian cancels via
-    {[H, X], X} = [H, X^2], so it would give the same value.
+    {[H, X], X} = [H, X^2], so it would give the same value. Evaluated on
+    the centered X - c I, which gives the same value since D^dag(I) = 0, with
+    D^dag applied once to the stack (X^2, X).
     """
-    x = _observable(observable, model.dim).observable
+    x = _observable(observable, model.dim).centered
     _check_dim(state, model.dim)
     rho = state.rho
-    value = (np.trace(apply_adjoint_dissipator(model, x @ x) @ rho)
-             - np.trace(anticommutator(apply_adjoint_dissipator(model, x), x) @ rho))
+    of_square, of_x = apply_adjoint_dissipator(model, np.stack([x @ x, x]))
+    value = np.trace(of_square @ rho) - np.trace(anticommutator(of_x, x) @ rho)
     return MomentReport(order=2, value=real_part(value, "fluctuation"), method=OPERATOR_EXPRESSION)
 
 

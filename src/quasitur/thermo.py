@@ -51,8 +51,10 @@ class CurrentDecomposition:
 
 
 def currents(model: LindbladModel, state: QuantumState, observable) -> CurrentDecomposition:
-    """J_X^H = i tr([H, X] rho) and J_X^d = tr(X D(rho))."""
-    x = _observable(observable, model.dim).observable
+    """J_X^H = i tr([H, X] rho) and J_X^d = tr(X D(rho)), both evaluated on
+    the centered X - c I, which gives the same values: [H, I] = 0 and
+    tr D(rho) = 0."""
+    x = _observable(observable, model.dim).centered
     _check_dim(state, model.dim)
     rho = state.rho
     j_ham = real_part(1j * np.trace(commutator(model.hamiltonian, x) @ rho), "Hamiltonian current")

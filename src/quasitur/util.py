@@ -24,7 +24,7 @@ ZERO_CURRENT_TOL = 1e-10  # |J| at most this is zero when m_X vanishes
 CLOSED_FORM_TOL = 1e-10  # closed-form collective fluxes against summed ones, rel.
 DETAILED_BALANCE_TOL = 1e-8  # ||L_k - exp(s_k/2) L_-k^dag||_F (rel. ||L_k||_F to decompose)
 PROPAGATED_PSD_TOL = 1e-8  # most negative eigenvalue of a propagated rho
-DEGENERACY_TOL = 1e-9  # eigenvalue gap that merges classes, rel. ||X||_F
+DEGENERACY_TOL = 1e-9  # eigenvalue gap that merges classes, rel. the spread of X's spectrum
 ORTHONORMALITY_TOL = 1e-9  # ||V^dag V - I||_F of a supplied basis
 COMMUTATION_TOL = 1e-9  # ||[X, L_k] - w_k L_k||_F, purely rel. spread(X) ||L_k||_F,
 #                         but never below 2 d eps ||X||_F ||L_k||_F, the rounding of [X, L_k]
@@ -159,6 +159,18 @@ def write_json(path, data) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header, rows, comment=None) -> None:
+    """Write comma-separated ``header`` and ``rows``, after a ``# comment``
+    line if one is given. Strings are written as they are, ints with
+    ``str`` and floats with :func:`float_repr`."""
+    with open(path, "w") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        for cells in [header, *rows]:
+            fh.write(",".join(str(c) if isinstance(c, (str, int)) else float_repr(c)
+                              for c in cells) + "\n")
 
 
 def read_json(path):

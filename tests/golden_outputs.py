@@ -12,8 +12,10 @@ reads the demos and the acceptance suite next to it), then compare with
 which names every file that differs and prints, over the numbers parsed
 from both (CSV, JSON and text alike), the largest absolute and relative
 difference, and whether the text around the numbers differs too (hashes,
-verdicts). Each such line ends in ``; rounding`` when every number agrees
-to 1e-12 relative and no other text differs, and in ``; changed``
+verdicts). Each such line ends in ``; rounding`` when no other text
+differs and every pair of numbers agrees to 1e-12 times the largest
+absolute number in the file, so that a residual near zero may move by
+rounding of the quantities it is a difference of; and in ``; changed``
 otherwise. The label does not change the exit status: 0 when the two
 directories are byte-identical, 1 when any file differs or exists on one
 side only.
@@ -151,7 +153,7 @@ def compare(dir_a: str, dir_b: str) -> bool:
         diff = np.abs(a_nums - b_nums)
         scale = np.maximum(np.abs(a_nums), np.abs(b_nums))
         rel = np.divide(diff, scale, out=np.zeros_like(diff), where=diff > 0)
-        rounding = not other and rel.max(initial=0.0) <= 1e-12
+        rounding = not other and diff.max(initial=0.0) <= 1e-12 * scale.max(initial=0.0)
         print(f"{name}: {int(np.sum(diff > 0))} of {len(diff)} numbers differ, "
               f"max abs {diff.max(initial=0.0):.3e}, max rel {rel.max(initial=0.0):.3e}"
               + ("; other text differs" if other else "")

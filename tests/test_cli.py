@@ -124,6 +124,15 @@ class TestPropagate:
                              QuantumState(np.diag([0.7, 0.3]).astype(complex)), 0.65)
         np.testing.assert_allclose(evolved.rho, expected.rho, atol=1e-12)
 
+    def test_has_no_method_option(self, workdir):
+        out = workdir / "evolved.json"
+        with pytest.raises(SystemExit) as exit_info:
+            run(["propagate", "--model", str(workdir / "model.json"),
+                 "--state", str(workdir / "state.json"),
+                 "--time", "0.65", "--method", "ivp", "--output", str(out)])
+        assert exit_info.value.code == 2
+        assert not out.exists()
+
 
 class TestExample:
     def test_quadratic_fluctuation_column(self, workdir):

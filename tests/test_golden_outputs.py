@@ -38,6 +38,14 @@ def test_compare_exits_one_on_any_difference(tmp_path):
     assert last_place.stdout == ("tur.json: 1 of 1 numbers differ, max abs 2.776e-17, "
                                  "max rel 2.220e-16; rounding\n")
 
+    # a residual of 1e-17 that moves by half is rounding next to the 0.125 in its file
+    (a / "tur.json").write_text(REPORT.replace('"ok"', '"ok", "residual": 1e-17'))
+    (b / "tur.json").write_text(REPORT.replace('"ok"', '"ok", "residual": 1.5e-17'))
+    residual = _compare(a, b)
+    assert residual.stdout == ("tur.json: 1 of 2 numbers differ, max abs 5.000e-18, "
+                               "max rel 3.333e-01; rounding\n")
+    (a / "tur.json").write_text(REPORT)
+
     (b / "tur.json").write_text(REPORT.replace("0.125", "0.12500000000000003").replace("ok", "no"))
     verdict = _compare(a, b)
     assert verdict.stdout.endswith("; other text differs; changed\n")

@@ -250,9 +250,9 @@ class TestPropagation:
     def test_integrator_matches_exponential(self):
         rng = np.random.default_rng(10)
         model, state, _ = random_instance(rng)
-        via_expm = propagate(model, state, 0.7, method="auto")
-        via_ivp = propagate(model, state, 0.7, method="ivp")
-        assert np.linalg.norm(via_expm.rho - via_ivp.rho) <= 1e-8
+        via_expm = propagate(model, state, 0.7)
+        via_ivp = lindblad._integrated(model, state, 0.7, heisenberg=False)
+        assert np.linalg.norm(via_expm.rho - via_ivp) <= 1e-8
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -416,8 +416,8 @@ class TestMatrixFreeRoute:
         rng = np.random.default_rng(43)
         model = random_model(rng, 5, 2)
         stack = np.array([random_hermitian(rng, 5) for _ in range(3)])
-        for method in ("auto", "ivp"):
-            apply = heisenberg_propagator(model, 0.4, method=method)
+        for apply in (heisenberg_propagator(model, 0.4),
+                      lambda a: lindblad._integrated(model, a, 0.4, heisenberg=True)):
             together = apply(stack)
             for x, out in zip(stack, together):
                 np.testing.assert_allclose(out, apply(x), atol=1e-9)
@@ -428,10 +428,6 @@ class TestMatrixFreeRoute:
             apply(np.eye(3, dtype=complex))
         with pytest.raises(DimMismatchError):
             apply(np.zeros((2, 2, 2, 2), dtype=complex))
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            propagate(thermal_qubit(), excited_state(), 0.1, method="dense")
 
     def test_reproducible_and_leaves_global_rng_alone(self, lindblad_expm, lindblad_expm_multiply):
         # the norm estimator inside expm_multiply draws from numpy's legacy
@@ -521,7 +517,7 @@ class TestStiffGenerators:
         ops = np.concatenate([projectors, state.rho[None]])
         for adjoint in (True, False):
             expected = mpmath_propagate(model, ops, dt, adjoint)
-            got = lindblad._propagator(model, dt, heisenberg=adjoint, method="auto")(ops)
+            got = lindblad._propagator(model, dt, heisenberg=adjoint)(ops)
             assert np.max(np.abs(got - expected)) <= tol
 
 

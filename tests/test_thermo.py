@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import mpmath
 import numpy as np
@@ -31,6 +32,7 @@ from quasitur.thermo import (
     tur_check,
     tur_report_dict,
 )
+from quasitur.util import operator_hash
 
 from oracles import (
     SIGMA_Z,
@@ -40,6 +42,8 @@ from oracles import (
     excited_state,
     gibbs_state,
     kubo_integral,
+    ladder_model,
+    ladder_state,
     pair_blocks,
     thermal_qubit,
     von_neumann_entropy,
@@ -338,6 +342,18 @@ class TestTURCheck:
         assert report.floor_applied
         assert np.isfinite(report.epr)
         assert report.slack >= -1e-9 * max(report.epr, 1.0)
+
+    @pytest.mark.parametrize("offset", [-3.0, 1e4, 1e6, 1e8, 1e9, 1e10])
+    def test_covariant_under_an_offset(self, offset):
+        # X + a I has the currents and fluctuation of X: [H, I] = 0,
+        # tr D(rho) = 0 and D^dag(I) = 0
+        model, state, x = ladder_model(), ladder_state(), np.diag([0.0, 1.0, 2.0])
+        base = asdict(tur_check(model, state, x))
+        shifted = tur_check(model, state, x + offset * np.eye(3))
+        for name, value in asdict(shifted).items():
+            assert value == pytest.approx(base[name], rel=1e-12, abs=0.0), name
+        payload = tur_report_dict(shifted, model, x + offset * np.eye(3))
+        assert payload["observable_hash"] == operator_hash(x + offset * np.eye(3))
 
     def test_report_dict(self):
         model = thermal_qubit(0.5, 1.0)

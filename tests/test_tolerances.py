@@ -8,6 +8,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from quasitur import thermo
 from quasitur.cli import run
 from quasitur.classical import (
     classical_generating_function,
@@ -17,13 +18,20 @@ from quasitur.classical import (
     validate_rate_matrix,
 )
 from quasitur.degeneracy import (
+    CollectiveModelParams,
     ScalingSweepReport,
+    balanced_p_g,
+    build_plus_minus_state,
     classify_basis_classicality,
+    closed_form_reference,
+    fit_loglog,
     l1_coherence,
     q1_q2_diagnostics,
+    scaling_sweep,
     sweep_summary,
 )
-from quasitur.errors import DimMismatchError, NotHermitianError, TracePreservationError
+from quasitur.errors import (DimMismatchError, InsufficientPointsError, NotHermitianError,
+                             TracePreservationError)
 from quasitur.fcs import (
     commutation_check,
     compare_rates,
@@ -42,6 +50,7 @@ from quasitur.lindblad import (
     save_model,
     validate_local_detailed_balance,
 )
+from quasitur.numdiff import derivative_moment
 from quasitur.operators import ObservableDecomposition
 from quasitur.quasiprob import (
     FluxMatrix,
@@ -104,6 +113,35 @@ REJECTIONS = {
     "from_eigenbasis non-square": (
         lambda: ObservableDecomposition.from_eigenbasis([0.0, 1.0], np.eye(3)[:, :2]),
         DimMismatchError, "square"),
+    "rate matrix non-square": (lambda: validate_rate_matrix(np.zeros((2, 3))),
+                               DimMismatchError, "square"),
+    "negative probability": (lambda: validate_probability([1.5, -0.5]),
+                             ValueError, "negative probability"),
+    "as_operator non-square": (lambda: as_operator(np.zeros((2, 3))), DimMismatchError, "square"),
+    "jump pair shapes": (lambda: JumpPair(SIGMA_PLUS, np.zeros((3, 3)), 0.0),
+                         DimMismatchError, "differ in shape"),
+    "jump pair dimension": (
+        lambda: LindbladModel(np.zeros((3, 3)), (JumpPair(SIGMA_PLUS, SIGMA_MINUS, 0.0),)),
+        DimMismatchError, "jump pair dimension"),
+    "collective n_levels": (lambda: CollectiveModelParams(0), ValueError, "n_levels"),
+    "collective rates": (lambda: CollectiveModelParams(2, gamma_minus=0.0), ValueError, "positive"),
+    "collective p_g": (lambda: CollectiveModelParams(2, p_g=1.5), ValueError, "p_g"),
+    "plus-minus state sign": (lambda: build_plus_minus_state(CollectiveModelParams(2), "diagonal"),
+                              ValueError, "sign"),
+    "closed form sign": (lambda: closed_form_reference(CollectiveModelParams(2), "diagonal"),
+                         ValueError, "sign"),
+    "fit one point": (lambda: fit_loglog([4], [1.0]), InsufficientPointsError, "two points"),
+    # p_g = (1 + 10 / 2) / 2 = 3
+    "balanced p_g out of range": (lambda: balanced_p_g(CollectiveModelParams(2), 2, 10.0),
+                                  ValueError, "drives p_g"),
+    "sweep state kind": (
+        lambda: scaling_sweep(CollectiveModelParams(2), [2, 4], state_kind="mixed"),
+        ValueError, "state_kind"),
+    "derivative order 8": (lambda: derivative_moment(np.exp, 8, 1.0),
+                           ValueError, "unsupported derivative order"),
+    # argparse rejects the option and exits with status 2
+    "three gammas": (lambda: run(["example", "--n", "2", "--gammas", "1,2,3",
+                                  "--output", "unused.csv"]), SystemExit, "^2$"),
 }
 
 
@@ -191,9 +229,17 @@ def _outcome(factor, error=ValueError, match=None):
 
 @pytest.mark.parametrize("factor, n_classes", [(INSIDE, 2), (OUTSIDE, 3)])
 def test_degeneracy_gap_scales_with_the_norm(factor, n_classes):
-    # ||X||_F = 10, so the merging gap is 1e-9 * 10
+    # the spread of X is ||X||_F = 10 to rounding, so the merging gap is 1e-9 * 10
     gap = factor * 1e-8
     x = np.diag([0.0, gap, np.sqrt(100.0 - gap**2)]).astype(complex)
+    assert ObservableDecomposition.from_operator(x).n_classes == n_classes
+
+
+@pytest.mark.parametrize("factor, n_classes", [(INSIDE, 2), (OUTSIDE, 3)])
+def test_degeneracy_gap_scales_with_the_spread(factor, n_classes):
+    # spread 10 under an offset of 1e3: the merging gap is 1e-9 * 10, not 1e-9 * ||X||_F
+    gap = factor * 1e-8
+    x = np.diag([1e3, 1e3 + gap, 1e3 + 10.0])
     assert ObservableDecomposition.from_operator(x).n_classes == n_classes
 
 
@@ -234,6 +280,19 @@ def test_flux_column_sum(factor):
     values = np.array([[-5.0, 5.0], [5.0 + factor * 5e-10, -5.0]])
     with _outcome(factor, TracePreservationError):
         FluxMatrix(labels=np.array([0.0, 1.0]), resolved=values, class_members=([0], [1]))
+
+
+@pytest.mark.parametrize("factor", [INSIDE, OUTSIDE])
+def test_diffusivity_identity(factor, monkeypatch):
+    # the ladder's bound is 0.26 < 1, so the threshold is 1e-10 absolute; D_X
+    # scaled by 1 + e / bound moves J^2 / D_X off the bound by e to first order
+    model, state, x = ladder_model(), ladder_state(), np.diag([0.0, 1.0, 2.0])
+    bound = tur_check(model, state, x).bound
+    diffusivity = thermo.quantum_diffusivity
+    monkeypatch.setattr(thermo, "quantum_diffusivity",
+                        lambda *args: diffusivity(*args) * (1.0 + factor * 1e-10 / bound))
+    with _outcome(factor, match="diffusivity bound .* deviates"):
+        tur_check(model, state, x)
 
 
 @pytest.mark.parametrize("factor", [INSIDE, OUTSIDE])
