@@ -20,7 +20,7 @@ from .lindblad import JumpPair, LindbladModel, QuantumState, _check_dim
 from .operators import ObservableDecomposition, _observable
 from .quasiprob import flux_matrix, short_time_moment
 from .thermo import DEFAULT_EIGENVALUE_FLOOR, entropy_production_rate, tur_bound
-from .util import Q_R2_THRESHOLD, Q_SLOPE_THRESHOLD, ZERO_ELEMENT_TOL, dagger, write_csv
+from .util import Q_R2_THRESHOLD, Q_SLOPE_THRESHOLD, ZERO_ELEMENT_TOL, _rotation, write_csv
 
 #: floor used when taking logs of series that may contain exact zeros
 LOG_CLIP = 1e-30
@@ -54,8 +54,9 @@ def classify_basis_classicality(model: LindbladModel, basis: ObservableDecomposi
     n = v.shape[1]
     max_mag = np.zeros((n, n))
     counts = np.zeros((n, n), dtype=int)
+    rotate = _rotation(v)
     for op in model.jump_operators:
-        mags = np.abs(dagger(v) @ op @ v)
+        mags = np.abs(rotate(op))
         max_mag = np.maximum(max_mag, mags)
         counts += mags > ZERO_ELEMENT_TOL
     classical = bool(np.all(max_mag <= magnitude_bound) and np.all(counts <= count_bound))
@@ -71,8 +72,7 @@ def classify_basis_classicality(model: LindbladModel, basis: ObservableDecomposi
 def l1_coherence(state: QuantumState, basis: ObservableDecomposition) -> float:
     """Sum of absolute off-diagonal elements of rho in the given basis."""
     _check_dim(state, basis.dim)
-    v = basis.eigenvectors
-    mat = dagger(v) @ state.rho @ v
+    mat = _rotation(basis.eigenvectors)(state.rho)
     return float(np.sum(np.abs(mat)) - np.sum(np.abs(np.diag(mat))))
 
 
@@ -148,45 +148,70 @@ def _band_vector(params: CollectiveModelParams, band: int, sign: str) -> np.ndar
     return vec
 
 
+def _band_completion(params: CollectiveModelParams, sign: str) -> np.ndarray:
+    """The (N, N) Householder reflector I - 2 w w^T / w^T w, w = v - e, for
+    the band vector v of ``sign`` within one band and the first basis vector
+    e: its first column is v, and its others complete v orthonormally, in
+    O(N^2). Both bands share it."""
+    n = params.n_levels
+    w = _band_vector(params, 0, sign)[:n]
+    w[0] -= 1.0
+    reflector = np.eye(n)
+    if w.any():  # v = e for the |+> state at N = 1
+        reflector -= np.outer(w, (2.0 / (w @ w)) * w)
+    return reflector
+
+
 def build_plus_minus_state(params: CollectiveModelParams, sign: str) -> QuantumState:
     """rho = p_g |g,sgn><g,sgn| + p_e |e,sgn><e,sgn| with the uniform
-    (+) or alternating (-) superposition within each band."""
+    (+) or alternating (-) superposition within each band.
+
+    The state carries its spectrum without an ``eigh``: p_g and p_e on the
+    two band vectors, and 0 on the rest of each band, which
+    :func:`_band_completion` spans.
+    """
+    n = params.n_levels
     vg = _band_vector(params, 0, sign)
     ve = _band_vector(params, 1, sign)
-    rho = params.p_g * np.outer(vg, vg.conj()) + params.p_e * np.outer(ve, ve.conj())
-    return QuantumState(rho)
+    rho = params.p_g * np.outer(vg, vg) + params.p_e * np.outer(ve, ve)
+    vectors = np.zeros((params.dim, params.dim))
+    vectors[:n, :n] = vectors[n:, n:] = _band_completion(params, sign)
+    values = np.zeros(params.dim)
+    values[[0, n]] = params.p_g, params.p_e
+    return _state_from_spectrum(rho, values, vectors)
 
 
 def build_diagonal_state(params: CollectiveModelParams) -> QuantumState:
-    """The incoherent counterpart: uniform populations within each band."""
+    """The incoherent counterpart: uniform populations within each band.
+
+    Its spectrum is its diagonal, on the standard basis, so no ``eigh``
+    decomposes it."""
     n = params.n_levels
     diag = np.concatenate([
         np.full(n, params.p_g / n),
         np.full(n, params.p_e / n),
     ])
-    return QuantumState(np.diag(diag))
+    return _state_from_spectrum(np.diag(diag), diag, np.eye(params.dim))
+
+
+def _state_from_spectrum(rho: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> QuantumState:
+    """The state rho = sum_j values[j] |vectors_j><vectors_j|, its spectrum
+    sorted ascending by a stable argsort, with no ``eigh``."""
+    order = np.argsort(values, kind="stable")
+    return QuantumState._from_spectrum(rho, values[order], vectors[:, order])
 
 
 def superposition_basis(params: CollectiveModelParams, sign: str) -> ObservableDecomposition:
     """A degenerate basis whose first vector per band is |s,+> (or |s,->).
 
-    The remaining vectors complete each band orthonormally. Collective jump
-    elements between the superposition vectors grow with N, making this
-    basis non-classical.
+    The remaining vectors complete each band orthonormally
+    (:func:`_band_completion`). Collective jump elements between the
+    superposition vectors grow with N, making this basis non-classical.
     """
     n = params.n_levels
-    groups = []
-    for band, value in ((0, 0.0), (1, params.omega)):
-        head = _band_vector(params, band, sign)[band * n:(band + 1) * n]
-        seed = np.eye(n)
-        seed[:, 0] = head
-        q, _ = np.linalg.qr(seed)
-        # fix the first column phase to the requested vector
-        q[:, 0] *= np.vdot(q[:, 0], head)
-        block = np.zeros((params.dim, n))
-        block[band * n:(band + 1) * n, :] = q
-        groups.append((value, block))
-    return ObservableDecomposition.from_groups(groups)
+    blocks = np.zeros((2, params.dim, n))
+    blocks[0, :n] = blocks[1, n:] = _band_completion(params, sign)
+    return ObservableDecomposition.from_groups(((0.0, blocks[0]), (params.omega, blocks[1])))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .lindblad import LindbladModel, QuantumState, _check_dim, apply_adjoint_lio
 from .numdiff import derivative_moment
 from .operators import ObservableDecomposition, _observable
 from .quasiprob import _phase_generating
-from .util import COMMUTATION_TOL, commutator, dagger, per_lambda, write_csv
+from .util import COMMUTATION_TOL, _rotation, commutator, dagger, per_lambda, write_csv
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,10 @@ def predicted_rate_difference(model: LindbladModel, state: QuantumState, observa
     """
     obs = _observable(observable, model.dim)
     _check_dim(state, model.dim)
-    vecs = obs.eigenvectors
+    rotate = _rotation(obs.eigenvectors)
     vals = obs.eigenvalues
-    h_eig = dagger(vecs) @ model.hamiltonian @ vecs
-    rho_eig = dagger(vecs) @ state.rho @ vecs
+    h_eig = rotate(model.hamiltonian)
+    rho_eig = rotate(state.rho)
     weight = h_eig.T * rho_eig  # entry (x, y): H_yx rho_xy
     diffs = vals[None, :] - vals[:, None]  # entry (x, y): y - x
     grid = np.asarray(lambda_grid, dtype=float)

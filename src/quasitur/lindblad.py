@@ -40,9 +40,9 @@ from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from .errors import DegeneratePairError, DimMismatchError, NonConvergenceError, TracePreservationError
 from .operators import require_hermitian
-from .util import (DENSITY_TOL, DETAILED_BALANCE_TOL, PROPAGATED_PSD_TOL, as_operator, dagger,
-                   exact_dtype, lag, matrix_from_json, matrix_to_json, operator_hash, read_json,
-                   write_json)
+from .util import (DENSITY_TOL, DETAILED_BALANCE_TOL, PROPAGATED_PSD_TOL, _rotation, as_operator,
+                   dagger, exact_dtype, lag, matrix_from_json, matrix_to_json, operator_hash,
+                   read_json, write_json)
 
 #: tolerances of :func:`_integrated`, the Runge-Kutta reference of the tests
 IVP_RTOL = 1e-10
@@ -144,8 +144,10 @@ class QuantumState:
     """Density matrix with Hermiticity, positivity and trace invariants.
 
     ``eigenvalues`` (ascending) and ``eigenvectors`` are the spectrum of
-    ``rho`` from the one ``eigh`` that checks its positivity; whatever needs
-    ln rho or the eigenbasis of rho reads them instead of decomposing again.
+    ``rho``, from the one ``eigh`` that checks its positivity, or from a
+    builder that knows it and passes it to :meth:`_from_spectrum`; whatever
+    needs ln rho or the eigenbasis of rho reads them instead of decomposing
+    again.
     """
 
     __slots__ = ("rho", "eigenvalues", "eigenvectors")
@@ -317,18 +319,20 @@ def resolved_fluxes(model: LindbladModel, state: QuantumState, basis: np.ndarray
     :func:`_generator`: with G' = iH' - K'/2 taken apart,
     Re[G'^T o R] = -Im(H'^T o R) - Re(K'^T o R) / 2, so exactly real inputs
     stay in real arithmetic, and no complex d x d G or list of jump adjoints
-    adds to the peak memory of a large collective sweep.
+    adds to the peak memory of a large collective sweep. The rotations go
+    through :func:`quasitur.util._rotation`, so the standard basis (that of
+    the collective model) costs no rotation at all: two d x d products per
+    jump remain.
     """
     _check_dim(state, model.dim)
-    v = exact_dtype(basis)
-    v_dag = dagger(v)
-    r = v_dag @ state.rho @ v
+    rotate = _rotation(exact_dtype(basis))
+    r = rotate(state.rho)
     out, k = np.zeros(r.shape), np.zeros_like(r)
     for op in model.jump_operators:
-        jump = v_dag @ op @ v
+        jump = rotate(op)
         k = k + dagger(jump) @ jump
         out += (jump.conj() * (jump @ r)).real
-    loss = ((v_dag @ model.hamiltonian @ v).T * r).imag + 0.5 * (k.T * r).real  # -Re[G'^T o R]
+    loss = (rotate(model.hamiltonian).T * r).imag + 0.5 * (k.T * r).real  # -Re[G'^T o R]
     out -= loss
     out[np.diag_indices_from(out)] -= loss.sum(axis=1)
     return out

@@ -61,20 +61,25 @@ class ObservableDecomposition:
 
         Neighbouring (ascending) eigenvalues share a class when their gap is
         at most ``DEGENERACY_TOL * max(spread, 1)``, the spread being that of
-        the spectrum, so an offset x + a I merges as x does. Raises
+        the spectrum, so an offset x + a I merges as x does. The ``eigh`` runs
+        on x - s I and s is added back, so such an offset costs the
+        eigenvectors no digits. s is the integer nearest tr x / d: what it
+        leaves of the offset is within the merge's scale max(spread, 1), and
+        an x with |tr x / d| < 1/2 is decomposed as given. Raises
         ``NotHermitianError`` if ``x`` fails the Hermiticity check.
         """
         mat = require_hermitian(x)
-        eigenvalues, eigenvectors = np.linalg.eigh(mat)
-        degeneracy_tol = DEGENERACY_TOL * max(eigenvalues[-1] - eigenvalues[0], 1.0)
+        shift = float(round(mat.trace().real / len(mat)))
+        values, eigenvectors = np.linalg.eigh(mat - shift * np.eye(len(mat)) if shift else mat)
+        degeneracy_tol = DEGENERACY_TOL * max(values[-1] - values[0], 1.0)
         members: list[np.ndarray] = []
         start = 0
-        for i in range(1, len(eigenvalues) + 1):
-            if i == len(eigenvalues) or eigenvalues[i] - eigenvalues[i - 1] > degeneracy_tol:
+        for i in range(1, len(values) + 1):
+            if i == len(values) or values[i] - values[i - 1] > degeneracy_tol:
                 members.append(np.arange(start, i))
                 start = i
-        return cls(eigenvalues=eigenvalues, eigenvectors=eigenvectors,
-                   class_values=np.array([float(np.mean(eigenvalues[m])) for m in members]),
+        return cls(eigenvalues=values + shift, eigenvectors=eigenvectors,
+                   class_values=np.array([float(np.mean(values[m])) for m in members]) + shift,
                    class_members=tuple(members), _observable=mat)
 
     @classmethod

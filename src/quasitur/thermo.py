@@ -32,7 +32,7 @@ from .lindblad import (
 )
 from .operators import _observable, _observable_operator, logarithmic_mean
 from .quasiprob import flux_matrix, short_time_fluctuation_operator_form, short_time_moment
-from .util import (DIFFUSIVITY_IDENTITY_TOL, ZERO_CURRENT_TOL, ZERO_FLUCTUATION_TOL,
+from .util import (DIFFUSIVITY_IDENTITY_TOL, ZERO_CURRENT_TOL, ZERO_FLUCTUATION_TOL, _rotation,
                    commutator, dagger, operator_hash, real_part)
 
 DEFAULT_EIGENVALUE_FLOOR = 1e-12
@@ -119,8 +119,9 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
     # entry (i, j): p_j (ln p_j - ln p_i), the weight of a jump |j> -> |i>
     entropy_change = p * (log_p - log_p[:, None])
     sigma = 0.0
+    rotate = _rotation(u)
     for op, s in zip(model.jump_operators, model.entropy_currents):
-        weights = np.abs(dagger(u) @ op @ u) ** 2
+        weights = np.abs(rotate(op)) ** 2
         sigma += float(np.sum(weights * entropy_change)) + s * float(weights.sum(axis=0) @ p)
     return sigma
 
@@ -265,7 +266,7 @@ class GeometricRepresentation:
         """S_W(M) = U (logmean * U^dag M U) U^dag, entry by entry."""
         u = self.state.eigenvectors
         weights = _log_mean_weights(self.rates, self.state.eigenvalues)
-        return u @ (weights * (dagger(u) @ self._stack(m) @ u)) @ dagger(u)
+        return u @ (weights * _rotation(u)(self._stack(m))) @ dagger(u)
 
     def weighted_inner(self, a, b) -> complex:
         return complex(np.sum(self._stack(a).conj() * self.weighted_apply(b)))
@@ -296,7 +297,7 @@ def geometric_representation(model: LindbladModel, state: QuantumState) -> Geome
     # of T_c times these factors
     flow = (g * p - g[np.arange(len(rates)) ^ 1] * p[:, None]) / 2
     affinity = np.array(model.entropy_currents)[:, None, None] + log_p - log_p[:, None]
-    t_eig = dagger(u) @ structure @ u
+    t_eig = _rotation(u)(structure)
     t_sq = np.abs(t_eig) ** 2
     return GeometricRepresentation(
         current=u @ (flow * t_eig) @ dagger(u),

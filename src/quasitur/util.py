@@ -67,6 +67,18 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def _rotation(v: np.ndarray):
+    """The map A -> V^dag A V into a square basis V, with V^dag formed once.
+    When V is exactly the identity, as the standard basis of the collective
+    model is, it returns A itself, which is what the products would give
+    bit for bit; callers must not write into its result. The test stops at
+    the dtype of a complex V and at the nonzero count of a dense one."""
+    if v.dtype.kind == "f" and np.count_nonzero(v) == len(v) and (v.diagonal() == 1).all():
+        return lambda a: a
+    v_dag = dagger(v)
+    return lambda a: v_dag @ a @ v
+
+
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 

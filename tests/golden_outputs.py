@@ -70,6 +70,8 @@ COMMANDS = {
     "sweep_minus": SWEEP + ["--n", "4,8,16,32", "--sign", "-"],
     "sweep_diagonal": SWEEP + ["--n", "4,8,16,32", "--sign", "diagonal"],
     "sweep_odd": SWEEP + ["--n", "3,5,7,9", "--sign", "+", "--gammas", "0.7,1.3"],
+    # odd N, where the - state's interband flux is nonzero
+    "sweep_minus_odd": SWEEP + ["--n", "3,5,7,9", "--sign", "-"],
     "example_plus": ["example", "--n", "2,3,4,8", "--sign", "+", "--output", "example_plus.csv"],
     "example_minus": ["example", "--n", "2,3,4,8", "--sign", "-", "--output", "example_minus.csv"],
     "fcs_compare": ["fcs-compare", "--model", "ladder.json", "--state", "ladder_state.json",

@@ -179,14 +179,19 @@ def flux_reference(model: LindbladModel, rho: np.ndarray, projectors: np.ndarray
                      for g in generated])
 
 
-def epr_reference(model: LindbladModel, rho: np.ndarray) -> float:
+def epr_reference(model: LindbladModel, rho: np.ndarray, log_rho=None) -> float:
     """sigma = -tr(L(rho) ln rho) + sum_k s_k tr(L_k^dag L_k rho) for a
-    full-rank rho, with L(rho) from the Kronecker superoperator and ln rho
-    from the eigendecomposition of rho."""
-    d = model.dim
-    vals, vecs = np.linalg.eigh(rho)
-    log_rho = (vecs * np.log(vals)) @ vecs.conj().T
-    generated = (superoperator(model, adjoint=False) @ rho.reshape(d * d)).reshape(d, d)
+    full-rank rho, with L(rho) from the master equation term by term, in
+    d x d products at any d, and ln rho from the eigendecomposition of rho
+    unless ``log_rho`` gives it."""
+    if log_rho is None:
+        vals, vecs = np.linalg.eigh(rho)
+        log_rho = (vecs * np.log(vals)) @ vecs.conj().T
+    ham = model.hamiltonian
+    generated = -1j * (ham @ rho - rho @ ham)
+    for op in model.jump_operators:
+        ldl = op.conj().T @ op
+        generated = generated + op @ rho @ op.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
     flow = sum(s * np.trace(op.conj().T @ op @ rho).real
                for op, s in zip(model.jump_operators, model.entropy_currents))
     return float(-np.trace(generated @ log_rho).real + flow)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quasitur.degeneracy import (
+    STATE_KINDS,
     CollectiveModelParams,
     balanced_p_g,
     build_collective_model,
@@ -23,10 +24,45 @@ from quasitur.ensembles import random_model, random_state, random_unitary
 from quasitur.errors import BasisMismatchError, DimMismatchError, InsufficientPointsError
 from quasitur.lindblad import LindbladModel, validate_local_detailed_balance
 from quasitur.quasiprob import ObservableDecomposition, flux_matrix, short_time_moment
+from quasitur.thermo import DEFAULT_EIGENVALUE_FLOOR, entropy_production_rate
 
-from oracles import thermal_qubit
+from oracles import epr_reference, thermal_qubit
 
 STANDARD = dict(omega=1.0, gamma_plus=1.0, gamma_minus=1.0, p_g=0.5)
+P_G_VALUES = (0.0, 0.3, 0.5, 1.0)
+
+
+def collective_state(params, kind):
+    if kind == "diagonal":
+        return build_diagonal_state(params)
+    return build_plus_minus_state(params, kind)
+
+
+def nonzero_spectrum(params, kind):
+    """Orthonormal eigenvectors of a collective state that carry all of its
+    weight, built here from their definition, and their eigenvalues: the two
+    band vectors for + and -, the whole standard basis for the diagonal state."""
+    n, d = params.n_levels, params.dim
+    if kind == "diagonal":
+        return np.eye(d), np.repeat([params.p_g / n, params.p_e / n], n)
+    vecs = np.zeros((d, 2))
+    vecs[:n, 0] = vecs[n:, 1] = (1.0 if kind == "+" else -1.0) ** np.arange(1, n + 1) / np.sqrt(n)
+    return vecs, np.array([params.p_g, params.p_e])
+
+
+def gram_deviation(u):
+    """max |U^T U - I| of a real U with entries in [-1, 1], without the
+    rounding of the product itself, which at d = 512 reaches 1e-14 when a
+    column repeats one small entry.
+
+    The part a of U on the grid 2^-22 has an exact Gram matrix: its terms are
+    multiples of 2^-44, and by Cauchy-Schwarz every partial sum stays below
+    2^9, so all of them fit in 53 bits. The rest b = U - a is below 2^-23,
+    so the rounding of the terms that contain it is below 1e-20.
+    """
+    a = np.round(u * 2.0**22) / 2.0**22
+    b = u - a
+    return np.abs((a.T @ a - np.eye(len(u))) + (a.T @ b + b.T @ a + b.T @ b)).max()
 
 
 def random_degenerate_setup(rng, dim=6, sizes=(3, 2, 1)):
@@ -246,6 +282,39 @@ class TestCollectiveBuilders:
         eigs = np.linalg.eigvalsh(build_plus_minus_state(pure, "+").rho)
         assert np.sum(eigs > 1e-12) == 1
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 256])
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    def test_states_carry_their_spectrum(self, n, kind, eigendecompositions):
+        for p_g in P_G_VALUES:
+            params = CollectiveModelParams(n_levels=n, gamma_plus=0.8, gamma_minus=0.4, p_g=p_g)
+            state = collective_state(params, kind)
+            assert eigendecompositions == []
+            p, u = state.eigenvalues, state.eigenvectors
+            assert np.all(np.diff(p) >= 0)
+            assert np.abs(p - np.linalg.eigvalsh(state.rho)).max() <= 1e-15
+            assert gram_deviation(u) <= 1e-14
+            assert np.abs((u * p) @ u.T - state.rho).max() <= 1e-15
+            eigendecompositions.clear()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 256])
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    def test_state_entropy_production_matches_reference(self, n, kind):
+        # ln rho' of the floored state rho' = (1 - d eps) rho + eps I from the
+        # band vectors alone: eps on the rest of the space, so no eigh rounds
+        # the zero eigenvalues of rho into eps, and no basis of that rest is needed
+        for p_g in P_G_VALUES:
+            params = CollectiveModelParams(n_levels=n, gamma_plus=0.8, gamma_minus=0.4, p_g=p_g)
+            model, state, d = build_collective_model(params), collective_state(params, kind), params.dim
+            vecs, probs = nonzero_spectrum(params, kind)
+            rank_deficient = vecs.shape[1] < d or probs.min() < DEFAULT_EIGENVALUE_FLOOR
+            eps = DEFAULT_EIGENVALUE_FLOOR if rank_deficient else 0.0
+            log_rho = (vecs * np.log((1 - d * eps) * probs + eps)) @ vecs.T
+            if vecs.shape[1] < d:
+                log_rho += np.log(eps) * (np.eye(d) - vecs @ vecs.T)
+            reference = epr_reference(model, (1 - d * eps) * state.rho + eps * np.eye(d), log_rho)
+            assert entropy_production_rate(model, state) == pytest.approx(reference, rel=1e-12,
+                                                                          abs=1e-12)
+
 
 class TestClosedForms:
     def test_plus_reference_point(self):
@@ -320,6 +389,12 @@ class TestScalingSweep:
         sweep = scaling_sweep(params, [4, 8], "+", balance_scale=None)
         # unbalanced: J = omega N^2 (g+ p_g - g- p_e) grows quadratically
         assert sweep.currents[1] / sweep.currents[0] == pytest.approx(4.0, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    def test_sweep_decomposes_no_state(self, kind, eigendecompositions):
+        n_list = [4, 8, 16, 32, 64]
+        scaling_sweep(CollectiveModelParams(n_levels=4, **STANDARD), n_list, kind)
+        assert not {(2 * n, 2 * n) for n in n_list} & set(eigendecompositions)
 
     def test_workers_do_not_change_results(self):
         params = CollectiveModelParams(n_levels=4, **STANDARD)

@@ -11,7 +11,9 @@ from quasitur.ensembles import (
     random_unitary,
 )
 from quasitur.errors import ImaginaryResidueError, QuasiturError, TracePreservationError
-from quasitur.lindblad import JumpPair, LindbladModel, QuantumState, apply_adjoint_liouvillian, propagate
+from quasitur.degeneracy import CollectiveModelParams, build_collective_model, build_plus_minus_state
+from quasitur.lindblad import (JumpPair, LindbladModel, QuantumState, apply_adjoint_liouvillian,
+                               propagate, resolved_fluxes)
 from quasitur.quasiprob import (
     GENERATING_FUNCTION_CONTOUR,
     FluxMatrix,
@@ -24,7 +26,7 @@ from quasitur.quasiprob import (
     tmh_table,
 )
 from quasitur.thermo import currents
-from quasitur.util import DENSITY_TOL, real_part
+from quasitur.util import DENSITY_TOL, _rotation, real_part
 
 from oracles import SIGMA_Z, decay_qubit, excited_state, flux_reference, gibbs_state, thermal_qubit
 
@@ -232,6 +234,27 @@ class TestFluxKernelOracle:
         obs = ObservableDecomposition.from_eigenbasis([0.0, 1.0, 1.0, 2.0, 0.0], u)
         reference = flux_reference(model, state.rho, rank_one_projectors(u))
         assert_matches_reference(flux_matrix(model, state, obs).values, reference)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "collective"])
+    def test_standard_basis_costs_no_rotation(self, kind):
+        # the standard basis is not rotated into; -I is, exactly, so both
+        # must agree bit for bit
+        rng = np.random.default_rng(413)
+        if kind == "collective":
+            params = CollectiveModelParams(n_levels=4, gamma_plus=0.8, gamma_minus=0.4, p_g=0.3)
+            model, state = build_collective_model(params), build_plus_minus_state(params, "+")
+        else:
+            model, state = random_model(rng, 6, 2), random_state(rng, 6)
+        if kind == "real":
+            pairs = tuple(JumpPair(p.forward.real, p.backward.real, p.entropy_current)
+                          for p in model.jump_pairs)
+            model = LindbladModel(model.hamiltonian.real, pairs)
+            state = QuantumState(state.rho.real)
+        eye = np.eye(model.dim)
+        assert _rotation(eye)(state.rho) is state.rho
+        fluxes = resolved_fluxes(model, state, eye)
+        assert np.array_equal(fluxes, resolved_fluxes(model, state, -eye))
+        assert_matches_reference(fluxes, flux_reference(model, state.rho, rank_one_projectors(eye)))
 
     def test_model_without_jumps(self):
         rng = np.random.default_rng(412)

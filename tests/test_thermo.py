@@ -11,7 +11,8 @@ from quasitur.degeneracy import (
     build_collective_model,
     build_plus_minus_state,
 )
-from quasitur.ensembles import random_hermitian, random_instance, random_model, random_state
+from quasitur.ensembles import (random_hermitian, random_instance, random_model, random_state,
+                                random_unitary)
 from quasitur.errors import (DimMismatchError, NotHermitianError, SingularStateError,
                              ZeroFluctuationError)
 from quasitur.lindblad import (
@@ -178,7 +179,7 @@ class TestEntropyProductionOracles:
             p_g = scale * mpmath.mpf(params.p_g) + eps
             p_e = scale * (1 - mpmath.mpf(params.p_g)) + eps
             exact = n**2 * (p_g - p_e) * (mpmath.log(p_g) - mpmath.log(p_e))
-            assert abs((sigma - exact) / exact) <= 5e-12
+            assert abs((sigma - exact) / exact) <= 1e-13
 
     def test_matches_reference_route(self):
         rng = np.random.default_rng(16)
@@ -354,6 +355,25 @@ class TestTURCheck:
             assert value == pytest.approx(base[name], rel=1e-12, abs=0.0), name
         payload = tur_report_dict(shifted, model, x + offset * np.eye(3))
         assert payload["observable_hash"] == operator_hash(x + offset * np.eye(3))
+
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    def test_covariant_under_an_offset_of_a_rotated_observable(self, offset):
+        # X = U diag(0, 1, 2) U^dag rounds to the spacing of a once shifted,
+        # so the unshifted reference is (X + a I) - a I, which is exact. The
+        # operator forms keep 1e-12. The flux route reads class values near
+        # a, whose differences are good to a few spacings of a only, which
+        # moves m_X, the bound and the slack by that much relative to them.
+        model, state = ladder_model(), ladder_state()
+        u = random_unitary(np.random.default_rng(0), 3)
+        shifted_x = (u * [0.0, 1.0, 2.0]) @ u.conj().T + offset * np.eye(3)
+        base = asdict(tur_check(model, state, shifted_x - offset * np.eye(3)))
+        shifted = asdict(tur_check(model, state, shifted_x))
+        label_rounding = 4 * np.spacing(offset)
+        flux_route = {"fluctuation": base["fluctuation"], "bound": base["bound"],
+                      "slack": base["bound"]}
+        for name, value in shifted.items():
+            atol = label_rounding * abs(flux_route.get(name, 0.0))
+            assert value == pytest.approx(base[name], rel=1e-12, abs=atol), name
 
     def test_report_dict(self):
         model = thermal_qubit(0.5, 1.0)
