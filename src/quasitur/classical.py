@@ -17,8 +17,8 @@ import scipy.linalg
 
 from .errors import DimMismatchError
 from .fcs import default_lambda_grid
-from .lindblad import JumpPair, LindbladModel, QuantumState, heisenberg_propagator
-from .quasiprob import ObservableDecomposition, _phase_generating, _table, flux_matrix, short_time_moment
+from .lindblad import JumpPair, LindbladModel, QuantumState
+from .quasiprob import ObservableDecomposition, _transform, flux_matrix, short_time_moment, tmh_table
 from .thermo import currents, entropy_production_rate, tur_bound
 from .util import CLASSICAL_TOL, change_moment, lag, per_lambda, read_json, write_json
 
@@ -224,16 +224,15 @@ def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     m_residual = abs(m_quantum - m_classical)
 
     lams = default_lambda_grid(obs, 21)
-    # one quantum and one classical propagator per lag, shared by the table
-    # and the generating function
+    # one quantum and one classical propagator per lag; the quantum
+    # generating function is the transform of the table
     table_residuals = []
     gen_residual = 0.0
     for dt in delta_ts:
-        heisenberg = heisenberg_propagator(model, float(dt))
         prop = scipy.linalg.expm(r * float(dt))
-        table = _table(heisenberg, obs, state, dt)
+        table = tmh_table(model, state, obs, dt)
         table_residuals.append(float(np.max(np.abs(table.values - prop * p[None, :]))))
-        g_quantum = _phase_generating(heisenberg, obs, state, lams)
+        g_quantum = _transform(table, lams)
         g_classical = _generating(prop, p, f, lams)
         gen_residual = max(gen_residual, float(np.max(np.abs(g_quantum - g_classical), initial=0.0)))
 

@@ -6,23 +6,22 @@ generating rate
 
     g^c(l) = sum_k (exp(i l w_k) - 1) tr(L_k^dag L_k rho),
 
-which differs from the quasiprobability rate only through an odd
-sine series over the Hamiltonian coherences. Even-order moments therefore
-coincide, so the second moment m_X is observable by monitoring jumps.
+which differs from the quasiprobability rate sum_{y,x} e^{il(y - x)} T_yx,
+the transform of the flux matrix, only through an odd sine series over the
+Hamiltonian coherences. Even-order moments therefore coincide, so the
+second moment m_X is observable by monitoring jumps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import CommutationViolatedError, DimMismatchError
-from .lindblad import LindbladModel, QuantumState, _check_dim, apply_adjoint_liouvillian
-from .numdiff import derivative_moment
+from .lindblad import LindbladModel, QuantumState, _check_dim
 from .operators import ObservableDecomposition, _observable
-from .quasiprob import _phase_generating
+from .quasiprob import _transform, flux_matrix, short_time_moment
 from .util import COMMUTATION_TOL, _rotation, commutator, dagger, per_lambda, write_csv
 
 
@@ -85,21 +84,25 @@ def fcs_generating_rate(model: LindbladModel, state: QuantumState, weights, lam)
         raise DimMismatchError(
             f"{weights.size} weights for {len(model.jump_operators)} jump operators"
         )
+    activities = _activities(model, state)
+    return per_lambda(lam, lambda lams: (np.exp(1j * np.outer(lams, weights)) - 1.0) @ activities)
+
+
+def _activities(model: LindbladModel, state: QuantumState) -> np.ndarray:
+    """tr(L_k^dag L_k rho), one per entry of ``model.jump_operators``."""
     _check_dim(state, model.dim)
     rho = state.rho
-    activities = np.array([np.trace(dagger(op) @ op @ rho).real for op in model.jump_operators])
-    return per_lambda(lam, lambda lams: (np.exp(1j * np.outer(lams, weights)) - 1.0) @ activities)
+    return np.array([np.trace(dagger(op) @ op @ rho).real for op in model.jump_operators])
 
 
 def tmh_generating_rate(model: LindbladModel, state: QuantumState, observable, lam):
     """d/d(dt) of the quasiprobability generating function at dt = 0,
 
-    evaluated in closed form as tr({L^dag(e^{ilX}), e^{-ilX}} rho) / 2. A
-    scalar ``lam`` gives a complex number, a 1-D array a complex array from
-    one generator application to the stacked phase operators.
+    sum_{y,x} e^{il(y - x)} T_yx over :func:`quasitur.quasiprob.flux_matrix`,
+    which equals tr({L^dag(e^{ilX}), e^{-ilX}} rho) / 2. A scalar ``lam``
+    gives a complex number, a 1-D array a complex array from one flux matrix.
     """
-    obs = _observable(observable, model.dim)
-    return _phase_generating(partial(apply_adjoint_liouvillian, model), obs, state, lam)
+    return _transform(flux_matrix(model, state, observable), lam)
 
 
 def default_lambda_grid(obs: ObservableDecomposition, n_points: int = 41) -> np.ndarray:
@@ -157,8 +160,9 @@ def compare_rates(model: LindbladModel, state: QuantumState, observable) -> Gene
 
     Raises ``CommutationViolatedError`` when no jump weights exist. The
     residual is the worst absolute deviation of (tmh - fcs) from the
-    prediction over the grid; even-moment agreement is probed at orders 2
-    and 4 by :func:`quasitur.numdiff.derivative_moment`.
+    prediction over the grid. The even-moment gaps, at orders 2 and 4, are
+    |sum (y - x)^n T_yx - sum_k w_k^n tr(L_k^dag L_k rho)|, the moments of
+    the two rates in closed form.
     """
     obs = _observable(observable, model.dim)
     check = commutation_check(model, obs)
@@ -168,14 +172,13 @@ def compare_rates(model: LindbladModel, state: QuantumState, observable) -> Gene
             f"(residual {check.residuals[check.failed_index]:.3e})"
         )
     grid = default_lambda_grid(obs)
-    tmh = tmh_generating_rate(model, state, obs, grid)
+    flux = flux_matrix(model, state, obs)
+    tmh = _transform(flux, grid)
     fcs = fcs_generating_rate(model, state, check.weights, grid)
     predicted = predicted_rate_difference(model, state, obs, grid)
     residual = float(np.max(np.abs((tmh - fcs) - predicted)))
-    tmh_at = partial(tmh_generating_rate, model, state, obs)
-    fcs_at = partial(fcs_generating_rate, model, state, check.weights)
-    gap = obs.max_gap
-    even_diffs = tuple(abs(derivative_moment(tmh_at, n, gap) - derivative_moment(fcs_at, n, gap))
+    weights, activities = np.array(check.weights), _activities(model, state)
+    even_diffs = tuple(abs(short_time_moment(flux, n).value - float(weights**n @ activities))
                        for n in (2, 4))
     return GeneratingRateComparison(
         lambda_grid=grid,

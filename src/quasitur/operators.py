@@ -164,18 +164,9 @@ class ObservableDecomposition:
         unchanged is evaluated on it, so a large offset costs no digits."""
         return self.observable - self.center * np.eye(self.dim)
 
-    def phase_operator(self, lam) -> np.ndarray:
-        """exp(i lam (X - c)) from the stored eigenbasis, one per entry of an
-        array of (possibly complex) ``lam``. The shift by c cancels from every
-        generating function and bounds |exp(+-i lam (x - c))| by
-        exp(|lam| gap / 2) whatever offset X has."""
-        vecs = self.eigenvectors
-        phases = np.exp(1j * np.multiply.outer(lam, self.eigenvalues - self.center))
-        return (vecs * phases[..., None, :]) @ dagger(vecs)
-
     @property
     def max_gap(self) -> float:
-        """Largest eigenvalue separation, the frequency scale of exp(i lam X).
+        """Largest eigenvalue separation, the largest |y - x| of a change.
 
         Values may be stored in caller order, so take the full spread.
         """

@@ -5,14 +5,17 @@ The central objects are the real two-time quasiprobability table
     q(y, t+dt; x, t) = tr({exp(L^dag dt) P_y, P_x} rho) / 2,
 
 its short-time flux matrix T_yx(rho) = tr({L^dag P_y, P_x} rho) / 2 with
-the escape rate and integrated fluxes read from it, the moment generating
-function, and the short-time moments built from them.
+the escape rate and integrated fluxes read from it, and the moments of the
+change y - x under either. The moment generating function is the finite
+sum G(l) = sum_{y,x} e^{il(y - x)} q_yx over the table, and its short-time
+rate the same sum over T_yx; the moments of G have a closed form.
 Entries reproduce the correct single-time marginals but may be negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -25,14 +28,9 @@ from .lindblad import (
     heisenberg_propagator,
     resolved_fluxes,
 )
-from .numdiff import derivative_moment
 from .operators import ObservableDecomposition, _observable
-from .util import (DENSITY_TOL, FLUX_COLUMN_SUM_TOL, anticommutator, change_moment, float_repr,
-                   group_sums, per_lambda, real_part, write_csv)
-
-FLUX_SUM = "flux_sum"
-OPERATOR_EXPRESSION = "operator_expression"
-GENERATING_FUNCTION_CONTOUR = "generating_function_contour"
+from .util import (DENSITY_TOL, FLUX_COLUMN_SUM_TOL, anticommutator, change_moment, dagger,
+                   float_repr, group_sums, per_lambda, real_part, write_csv)
 
 
 @dataclass(frozen=True)
@@ -104,26 +102,20 @@ class FluxMatrix:
 class MomentReport:
     order: int
     value: float
-    method: str = FLUX_SUM
 
 
 def tmh_table(model: LindbladModel, state: QuantumState, observable, delta_t: float) -> QuasiprobTable:
     """Two-time quasiprobability table at lag ``delta_t``.
 
     Marginals reproduce the single-time distributions; entries are checked
-    to be real (``util.real_part``) and may be negative.
+    to be real (``util.real_part``) and may be negative. Raises
+    ``TracePreservationError`` when the evolved projectors, which sum to
+    E^dag(I), miss I by more than ``DENSITY_TOL`` in an entry, beyond the
+    ||sum_y P_y - I||_F that a unital E^dag can carry over from a supplied
+    basis.
     """
     obs = _observable(observable, model.dim)
-    return _table(heisenberg_propagator(model, float(delta_t)), obs, state, delta_t)
-
-
-def _table(heisenberg, obs: ObservableDecomposition, state: QuantumState,
-           delta_t: float) -> QuasiprobTable:
-    """The table of :func:`tmh_table`, with ``heisenberg`` the propagator
-    over ``delta_t`` on a (B, d, d) stack. Raises ``TracePreservationError``
-    when the evolved projectors, which sum to E^dag(I), miss I by more than
-    ``DENSITY_TOL`` in an entry, beyond the ||sum_y P_y - I||_F that a
-    unital E^dag can carry over from a supplied basis."""
+    heisenberg = heisenberg_propagator(model, float(delta_t))
     _check_dim(state, obs.dim)
     projectors = obs.projectors
     evolved = heisenberg(projectors)
@@ -148,35 +140,23 @@ def flux_matrix(model: LindbladModel, state: QuantumState, observable) -> FluxMa
                       class_members=obs.class_members)
 
 
-def _phase_generating(heisenberg, obs: ObservableDecomposition, state: QuantumState, lam):
-    """tr({heisenberg(e^{ilX}), e^{-ilX}} rho) / 2 under the convention of
-    :func:`quasitur.util.per_lambda`.
-
-    ``heisenberg`` maps a (B, d, d) stack of phase operators to their
-    Heisenberg-picture images in one call.
-    """
-    _check_dim(state, obs.dim)
-    rho = state.rho
-
-    def values_at(lams):
-        # tr({E, V} rho) = tr(E (V rho + rho V)) with V the phase at -lam
-        v = obs.phase_operator(-lams)
-        return 0.5 * np.einsum("bij,bji->b", heisenberg(obs.phase_operator(lams)),
-                               v @ rho + rho @ v)
-
-    return per_lambda(lam, values_at)
+def _transform(table, lam):
+    """sum_{y,x} e^{il(y - x)} values[y, x] of a table or a flux matrix,
+    under the convention of :func:`quasitur.util.per_lambda`."""
+    diffs = np.subtract.outer(table.labels, table.labels)
+    return per_lambda(lam, lambda lams: np.sum(np.exp(1j * np.multiply.outer(lams, diffs))
+                                               * table.values, axis=(1, 2)))
 
 
 def generating_function(model: LindbladModel, state: QuantumState, observable,
                         lam, delta_t: float):
-    """Moment generating function tr({exp(L^dag dt) e^{ilX}, e^{-ilX}} rho)/2.
+    """Moment generating function sum_{y,x} e^{il(y - x)} q_yx of the table
+    at lag ``delta_t``, which equals tr({exp(L^dag dt) e^{ilX}, e^{-ilX}} rho)/2.
 
     A scalar ``lam`` gives a complex number. A 1-D array of ``lam`` gives a
-    complex array, all of it from one propagator applied to the stacked
-    phase operators.
+    complex array, all of it from one table.
     """
-    obs = _observable(observable, model.dim)
-    return _phase_generating(heisenberg_propagator(model, float(delta_t)), obs, state, lam)
+    return _transform(tmh_table(model, state, observable, delta_t), lam)
 
 
 def short_time_moment(flux: FluxMatrix, n: int) -> MomentReport:
@@ -189,7 +169,7 @@ def short_time_moment(flux: FluxMatrix, n: int) -> MomentReport:
     if n < 1:
         raise ValueError("moment order must be >= 1")
     value = change_moment(flux.labels, flux.labels, flux.values, n)
-    return MomentReport(order=n, value=value, method=FLUX_SUM)
+    return MomentReport(order=n, value=value)
 
 
 def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumState,
@@ -206,20 +186,31 @@ def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumSta
     rho = state.rho
     of_square, of_x = apply_adjoint_dissipator(model, np.stack([x @ x, x]))
     value = np.trace(of_square @ rho) - np.trace(anticommutator(of_x, x) @ rho)
-    return MomentReport(order=2, value=real_part(value, "fluctuation"), method=OPERATOR_EXPRESSION)
+    return MomentReport(order=2, value=real_part(value, "fluctuation"))
 
 
 def moment_from_generating_function(model: LindbladModel, state: QuantumState, observable,
                                     n: int, delta_t: float) -> MomentReport:
-    """Moment of order n from the Taylor coefficients of the generating
-    function on a circle (:func:`quasitur.numdiff.derivative_moment`).
+    """(-i d/dl)^n G at l = 0, the moment sum_{y,x} (y - x)^n q_yx, in closed form.
 
-    All contour nodes are evaluated in one generating-function call, so
-    they share one propagator application.
+    With X_c = X - c I and (y - x)^n expanded in powers of y - c and x - c,
+    it is sum_k C(n, k) (-1)^(n-k) tr({E^dag(X_c^k), X_c^(n-k)} rho) / 2,
+    where E^dag = exp(L^dag dt) leaves X_c^0 = I as it is. The powers are
+    formed from the stored eigenbasis and evolved by one propagator applied
+    to the stack (X_c, ..., X_c^n), without the table's projectors.
     """
+    if n < 1:
+        raise ValueError("moment order must be >= 1")
     obs = _observable(observable, model.dim)
-    value = derivative_moment(lambda lams: generating_function(model, state, obs, lams, delta_t),
-                              n, obs.max_gap)
-    return MomentReport(order=n, value=real_part(value, "generating-function moment"),
-                        method=GENERATING_FUNCTION_CONTOUR)
-
+    _check_dim(state, obs.dim)
+    vecs = obs.eigenvectors
+    scaled = np.power.outer(obs.eigenvalues - obs.center, np.arange(1, n + 1)).T
+    powers = (vecs * scaled[:, None, :]) @ dagger(vecs)
+    identity = np.eye(obs.dim)[None]
+    evolved = np.concatenate([identity, heisenberg_propagator(model, float(delta_t))(powers)])
+    # entry k pairs E^dag(X_c^k) with X_c^(n-k)
+    others = np.concatenate([identity, powers])[::-1]
+    traces = np.einsum("kij,kji->k", evolved, others @ state.rho + state.rho @ others)
+    coeffs = np.array([comb(n, k) * (-1) ** (n - k) for k in range(n + 1)], dtype=float)
+    value = real_part(0.5 * (coeffs @ traces), "generating-function moment")
+    return MomentReport(order=n, value=value)

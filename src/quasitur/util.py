@@ -94,13 +94,11 @@ def real_part(value, what: str):
     ``IMAG_RESIDUE_TOL * max(max|value|, 1)``, or when the value is not
     finite.
     """
-    if np.ndim(value) == 0:
-        value = complex(value)
-        residue, scale, real = abs(value.imag), abs(value), value.real
-    else:
-        value = np.asarray(value)
-        residue, scale = np.abs(value.imag).max(initial=0.0), np.abs(value).max(initial=0.0)
-        real = np.ascontiguousarray(value.real)
+    # numpy's abs also for a scalar: Python's abs(complex) can raise a bare
+    # OverflowError on NaN, from an errno an earlier overflow left behind
+    value = np.asarray(value)
+    residue, scale = np.abs(value.imag).max(initial=0.0), np.abs(value).max(initial=0.0)
+    real = float(value.real) if value.ndim == 0 else np.ascontiguousarray(value.real)
     if not math.isfinite(scale):
         raise ImaginaryResidueError(f"{what} is not finite")
     if not residue <= IMAG_RESIDUE_TOL * max(scale, 1.0):

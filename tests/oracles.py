@@ -1,5 +1,7 @@
 """Shared model builders and independent oracles for the test suite."""
 
+from math import factorial
+
 import mpmath
 import numpy as np
 import scipy.linalg
@@ -177,6 +179,57 @@ def flux_reference(model: LindbladModel, rho: np.ndarray, projectors: np.ndarray
                  @ superoperator(model, adjoint=True).T).reshape(projectors.shape)
     return np.array([[0.5 * np.trace((g @ p + p @ g) @ rho).real for p in projectors]
                      for g in generated])
+
+
+def phase_generating(heisenberg, obs, state: QuantumState, lams) -> np.ndarray:
+    """tr({heisenberg(e^{il X_c}), e^{-il X_c}} rho) / 2 for each entry of a
+    1-D array of (possibly complex) ``lams``, with X_c = X - c I and c the
+    midpoint of X's spectrum.
+
+    The phase operators are formed from the stored eigenbasis and
+    ``heisenberg`` maps their (B, d, d) stack to its Heisenberg-picture
+    image: a propagator gives the generating function, the adjoint generator
+    its short-time rate. The shift by c cancels, and bounds the phases by
+    exp(|Im l| gap / 2). The library reads both from the table or the flux
+    matrix instead.
+    """
+    vecs, x_c = obs.eigenvectors, obs.eigenvalues - obs.center
+    rho = state.rho
+
+    def phase(ls):
+        return (vecs * np.exp(1j * np.multiply.outer(ls, x_c))[..., None, :]) @ vecs.conj().T
+
+    lams = np.asarray(lams)
+    v = phase(-lams)
+    return 0.5 * np.einsum("bij,bji->b", heisenberg(phase(lams)), v @ rho + rho @ v)
+
+
+#: trapezoidal nodes on the circle |l| = 1/scale
+CONTOUR_NODES = 16
+
+
+def derivative_moment(fn, order: int, scale: float) -> complex:
+    """(-i d/dl)^n of ``fn`` at 0, the moment of order ``n``.
+
+    Each generating function is a finite sum of q e^{il(y - x)} with real q,
+    so it is entire in l, and the trapezoidal rule on a circle gives its
+    Taylor coefficients with geometric convergence and no cancellation
+    (Trefethen & Weideman, SIAM Review 56(3), 2014). ``scale`` should bound
+    the frequencies in ``fn`` (the largest eigenvalue gap). Real weights give
+    fn(-conj(l)) = conj(fn(l)), so ``fn`` is called once, on the 1-D complex
+    array of the nodes with Re l >= 0, and returns one value per node; the
+    other nodes are their mirrors.
+    """
+    if not 0 <= order < CONTOUR_NODES // 2:
+        raise ValueError(f"unsupported derivative order {order}")
+    r = 1.0 / max(scale, 1e-6)
+    k = np.arange(-(CONTOUR_NODES // 4), CONTOUR_NODES // 4 + 1)
+    right = fn(r * np.exp(2j * np.pi * k / CONTOUR_NODES))
+    values = np.empty(CONTOUR_NODES, dtype=complex)
+    values[k] = right
+    values[CONTOUR_NODES // 2 - k[1:-1]] = np.conj(right[1:-1])  # -conj(l_k) = l_{N/2-k}
+    coeff = np.fft.fft(values)[order] / (CONTOUR_NODES * r**order)
+    return complex((-1j) ** order * factorial(order) * coeff)
 
 
 def epr_reference(model: LindbladModel, rho: np.ndarray, log_rho=None) -> float:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import quasitur.classical
 import quasitur.lindblad
 import quasitur.quasiprob
 from quasitur.classical import (
@@ -25,8 +24,9 @@ from quasitur.ensembles import random_probability, random_reversible_rate_matrix
 from quasitur.errors import DimMismatchError
 from quasitur.fcs import commutation_check
 from quasitur.lindblad import validate_local_detailed_balance
-from quasitur.numdiff import derivative_moment
 from quasitur.util import EMBEDDING_TOL
+
+from oracles import derivative_moment
 
 TWO_STATE = np.array([[-1.0, 2.0], [1.0, -2.0]])
 # one-way cycle 1 -> 2 -> 3 -> 1
@@ -278,7 +278,6 @@ class TestQuantization:
                 frame = frame.f_back
             return dense_expm(*args, **kwargs)
 
-        monkeypatch.setattr(quasitur.classical, "heisenberg_propagator", counting)
         monkeypatch.setattr(quasitur.quasiprob, "heisenberg_propagator", counting)
         monkeypatch.setattr(quasitur.lindblad, "heisenberg_propagator", counting)
         monkeypatch.setattr(scipy.linalg, "expm", watched_expm)
@@ -287,7 +286,7 @@ class TestQuantization:
         report = quantize_and_compare(r, random_probability(rng, 4), rng.normal(size=4),
                                       delta_ts=delta_ts)
         assert report.max_residual <= 1e-9
-        # one propagator per lag, shared by the table and the lambda grid
+        # one propagator per lag: the table, whose transform is the lambda grid
         assert len(builds) == len(delta_ts)
         # n = 4 takes the dense route: one exp(tL) of the n^2 x n^2 generator per build
         assert len(lindblad_expm_calls) == len(builds)

@@ -47,6 +47,7 @@ from oracles import (
     excited_state,
     gibbs_state,
     mpmath_propagate,
+    phase_generating,
     superoperator,
     thermal_qubit,
 )
@@ -378,10 +379,8 @@ class TestMatrixFreeRoute:
         assert np.all(errors <= 1e-12 * np.linalg.norm(expected, axis=(1, 2)))
 
         lams = np.linspace(-2.0, 2.0, 9)
-        phases = obs.phase_operator(lams)
-        evolved = dense_propagate(model, phases, 0.3, adjoint=True)
-        reference = np.array([0.5 * np.trace((e @ u.conj().T + u.conj().T @ e) @ state.rho)
-                              for e, u in zip(evolved, phases)])
+        reference = phase_generating(lambda ops: dense_propagate(model, ops, 0.3, adjoint=True),
+                                     obs, state, lams)
         values = generating_function(model, state, obs, lams, 0.3)
         assert values.shape == lams.shape
         assert np.max(np.abs(values - reference)) <= 1e-12 * np.max(np.abs(reference))

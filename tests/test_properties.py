@@ -1,13 +1,16 @@
 """Property tests of the counting-field convention shared by every
 generating function: a scalar lambda gives a complex number, a 1-D array
-gives the same values from one evaluation, and those values match the
-closed forms evaluated one lambda at a time. Complex lambda, which the
-contour moments use, obey the same convention and G(-conj l) = conj G(l)."""
+gives the same values from one evaluation, and those values match
+independent closed forms evaluated one lambda at a time. Complex lambda,
+which the tests' contour moments use, obey the same convention and
+G(-conj l) = conj G(l)."""
+
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasitur.classical import classical_generating_function
@@ -15,6 +18,8 @@ from quasitur.ensembles import random_instance, random_probability, random_rever
 from quasitur.fcs import fcs_generating_rate, tmh_generating_rate
 from quasitur.lindblad import apply_adjoint_liouvillian
 from quasitur.quasiprob import ObservableDecomposition, generating_function
+
+from oracles import phase_generating
 
 # derandomized: every run checks the same examples, so a failure reproduces
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -76,6 +81,8 @@ def test_complex_array_matches_scalar_calls(seed, lams, delta_t):
 
 @PROPERTY_SETTINGS
 @given(seed=seeds, lams=complex_lambda_arrays, delta_t=lags)
+# |Im lam| up to 3 at G = 1: rounding that is not conjugate-symmetric shows here
+@example(seed=56, lams=np.array([0.25 + 2.875j, -1 + 3j, 2 + 1.5j]), delta_t=0.0)
 def test_conjugate_symmetry(seed, lams, delta_t):
     for name, fn in _generating_functions(seed, delta_t).items():
         values = fn(lams)
@@ -84,15 +91,14 @@ def test_conjugate_symmetry(seed, lams, delta_t):
 
 
 def _loop_references(seed, delta_t):
-    """One-lambda-at-a-time evaluations of the closed forms, as lam -> value."""
+    """One-lambda-at-a-time evaluations of the closed forms, as lam -> value;
+    the quasiprobability rate through the phase operators."""
     model, state, obs, weights = _quantum_instance(seed)
     r, p, f = _classical_instance(seed)
     rho = state.rho
 
     def tmh(lam):
-        u = obs.phase_operator(lam)
-        evolved = apply_adjoint_liouvillian(model, u)
-        return 0.5 * np.trace((evolved @ u.conj().T + u.conj().T @ evolved) @ rho)
+        return phase_generating(partial(apply_adjoint_liouvillian, model), obs, state, [lam])[0]
 
     def fcs(lam):
         return sum((np.exp(1j * lam * w) - 1.0) * np.trace(op.conj().T @ op @ rho).real

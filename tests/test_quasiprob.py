@@ -15,7 +15,6 @@ from quasitur.degeneracy import CollectiveModelParams, build_collective_model, b
 from quasitur.lindblad import (JumpPair, LindbladModel, QuantumState, apply_adjoint_liouvillian,
                                propagate, resolved_fluxes)
 from quasitur.quasiprob import (
-    GENERATING_FUNCTION_CONTOUR,
     FluxMatrix,
     ObservableDecomposition,
     flux_matrix,
@@ -290,7 +289,6 @@ class TestGeneratingFunction:
             dt = 0.2
             table = tmh_table(model, state, obs, dt)
             report = moment_from_generating_function(model, state, obs, 2, dt)
-            assert report.method == GENERATING_FUNCTION_CONTOUR
             assert report.value == pytest.approx(table.moment(2), abs=1e-6)
 
     def test_fd_moments_orders_one_to_four(self):
@@ -303,6 +301,22 @@ class TestGeneratingFunction:
             for n in (1, 2, 3, 4):
                 fd = moment_from_generating_function(model, state, obs, n, dt).value
                 assert fd == pytest.approx(table.moment(n), abs=1e-6)
+
+    @pytest.mark.parametrize("dim", [6, 32])
+    def test_closed_form_moment_matches_table(self, dim):
+        # powers of X against projectors: two routes through the propagator.
+        # Dyadic eigenvalues plus an offset, exact in floating point, come last.
+        rng = np.random.default_rng(12 + dim)
+        model, state = random_model(rng, dim, 2), random_state(rng, dim)
+        vecs = random_unitary(rng, dim)
+        observables = [ObservableDecomposition.from_operator(random_observable(rng, dim)),
+                       ObservableDecomposition.from_eigenbasis(
+                           rng.integers(-8, 9, size=dim) / 4 + 1e4, vecs)]
+        for obs in observables:
+            table = tmh_table(model, state, obs, 0.15)
+            for n in (1, 2, 3, 4):
+                m = moment_from_generating_function(model, state, obs, n, 0.15).value
+                assert abs(m - table.moment(n)) <= 1e-12 * max(abs(m), 1.0), n
 
     def test_moments_ignore_an_offset(self):
         # dyadic eigenvalues, so that adding the offset is exact in floating point
@@ -518,8 +532,9 @@ class TestDiagnostics:
         table = tmh_table(model, state, obs, 0.1)
         assert abs(table.values.sum() - 1.0) <= 1e-9
 
-    def test_overflowed_moment_rejected(self):
-        # the contour moment at this lag is NaN, like the table above
+    @pytest.mark.parametrize("lag", [1e50, 1e150])
+    def test_overflowed_moment_rejected(self, lag):
+        # the propagated powers of X overflow to NaN, like the projectors above
         model, state, x = random_instance(np.random.default_rng(1))
         with pytest.raises(ImaginaryResidueError, match="not finite"):
-            moment_from_generating_function(model, state, x, 2, 1e50)
+            moment_from_generating_function(model, state, x, 2, lag)

@@ -50,7 +50,6 @@ from quasitur.lindblad import (
     save_model,
     validate_local_detailed_balance,
 )
-from quasitur.numdiff import derivative_moment
 from quasitur.operators import ObservableDecomposition
 from quasitur.quasiprob import (
     FluxMatrix,
@@ -73,6 +72,7 @@ from quasitur.util import as_operator, matrix_from_json
 from oracles import (
     SIGMA_MINUS,
     SIGMA_PLUS,
+    derivative_moment,
     excited_state,
     ladder_model,
     ladder_state,
@@ -137,8 +137,13 @@ REJECTIONS = {
     "sweep state kind": (
         lambda: scaling_sweep(CollectiveModelParams(2), [2, 4], state_kind="mixed"),
         ValueError, "state_kind"),
+    # the test oracle's contour rule
     "derivative order 8": (lambda: derivative_moment(np.exp, 8, 1.0),
                            ValueError, "unsupported derivative order"),
+    # the stack (X_c, ..., X_c^n) would be empty
+    "moment order 0": (lambda: moment_from_generating_function(
+        ladder_model(), ladder_state(), np.diag([0.0, 1.0, 2.0]), 0, 0.1),
+        ValueError, "moment order must be >= 1"),
     # argparse rejects the option and exits with status 2
     "three gammas": (lambda: run(["example", "--n", "2", "--gammas", "1,2,3",
                                   "--output", "unused.csv"]), SystemExit, "^2$"),
