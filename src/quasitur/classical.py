@@ -1,11 +1,14 @@
 """Classical Markov jump processes and their diagonal quantum embedding.
 
 A rate matrix R (non-negative off-diagonal, zero column sums) drives
-p' = R p. Joint statistics of a state function f over a lag follow from
-[exp(R dt)]_{ji} p_i, with an entrywise-exponential generating function.
-Replacing the generator, observable and state by their quantum counterparts
-maps every classical quantity onto the quasiprobability machinery, which is
-verified here by embedding R as a Hamiltonian-free jump model.
+p' = R p. Joint statistics of a state function f over a lag are those of
+the joint probability [exp(R dt)]_{ji} p_i, held as a ``QuasiprobTable``
+over the states' values of f: its moments are the table's ``moment`` and
+its generating function is the table's transform, as for the quantum
+table. Replacing the generator, observable and state by their quantum
+counterparts maps every classical quantity onto the quasiprobability
+machinery, which is verified here by embedding R as a Hamiltonian-free jump
+model.
 """
 
 from __future__ import annotations
@@ -15,18 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimMismatchError
+from .errors import DimMismatchError, TracePreservationError
 from .fcs import default_lambda_grid
 from .lindblad import JumpPair, LindbladModel, QuantumState
-from .quasiprob import ObservableDecomposition, _transform, flux_matrix, short_time_moment, tmh_table
+from .quasiprob import (ObservableDecomposition, QuasiprobTable, _transform, flux_matrix,
+                        short_time_moment, tmh_table)
 from .thermo import currents, entropy_production_rate, tur_bound
-from .util import CLASSICAL_TOL, change_moment, lag, per_lambda, read_json, write_json
+from .util import CLASSICAL_TOL, DENSITY_TOL, change_moment, lag, read_json, write_json
 
 
 def validate_rate_matrix(r: np.ndarray) -> np.ndarray:
     mat = np.asarray(r, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimMismatchError("rate matrix must be square")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("rate matrix has non-finite entries")
     off = mat - np.diag(np.diag(mat))
     if off.min() < -CLASSICAL_TOL:
         raise ValueError(f"negative off-diagonal rate {off.min():.3e}")
@@ -38,6 +44,8 @@ def validate_rate_matrix(r: np.ndarray) -> np.ndarray:
 
 def validate_probability(p: np.ndarray) -> np.ndarray:
     vec = np.asarray(p, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("probabilities have non-finite entries")
     if vec.min() < -CLASSICAL_TOL:
         raise ValueError(f"negative probability {vec.min():.3e}")
     if abs(vec.sum() - 1.0) > CLASSICAL_TOL:
@@ -50,9 +58,28 @@ def _validated(r, p, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     validated; raises ``DimMismatchError`` unless their lengths match."""
     r, p = validate_rate_matrix(r), validate_probability(p)
     f = np.asarray(f, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("state function has non-finite values")
     if len(p) != len(r) or len(f) != len(r):
         raise DimMismatchError(f"{len(p)} probabilities and {len(f)} values for {len(r)} states")
     return r, p, f
+
+
+def _propagator(r: np.ndarray, t: float) -> np.ndarray:
+    """exp(R t) of a validated R and lag; raises ``TracePreservationError``
+    when a column sum misses 1 by more than ``DENSITY_TOL`` or is not finite."""
+    prop = scipy.linalg.expm(r * t)
+    drift = np.max(np.abs(prop.sum(axis=0) - 1.0))
+    if not drift <= DENSITY_TOL:
+        raise TracePreservationError(f"exp(R t) columns sum to 1 only within {drift:.3e}")
+    return prop
+
+
+def _joint_table(r: np.ndarray, p: np.ndarray, f: np.ndarray, delta_t: float) -> QuasiprobTable:
+    """The joint probability [exp(R dt)]_{ji} p_i of state i before the lag
+    and state j after it, as a table over the values of f indexed by state,
+    like the embedding's ``from_eigenbasis(f, I)`` table."""
+    return QuasiprobTable(labels=f, values=_propagator(r, delta_t) * p[None, :], delta_t=delta_t)
 
 
 def classical_propagate(r: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
@@ -64,7 +91,7 @@ def classical_propagate(r: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
         raise DimMismatchError(f"{len(p0)} probabilities for {len(r)} states")
     if t == 0.0:
         return p0.copy()
-    return scipy.linalg.expm(r * t) @ p0
+    return _propagator(r, t) @ p0
 
 
 def classical_joint_moment(r: np.ndarray, p: np.ndarray, f: np.ndarray,
@@ -72,42 +99,26 @@ def classical_joint_moment(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     """sum_{i,j} (f_j - f_i)^n [exp(R dt)]_{ji} p_i; raises ``ValueError``
     unless 0 <= dt < inf."""
     delta_t = lag(delta_t)
-    r, p, f = _validated(r, p, f)
-    prop = scipy.linalg.expm(r * delta_t)
-    return change_moment(f, f, prop * p[None, :], n)
+    return _joint_table(*_validated(r, p, f), delta_t).moment(n)
 
 
 def classical_generating_function(r: np.ndarray, p: np.ndarray, f: np.ndarray,
                                   lam, delta_t: float):
-    """< exp(R^T dt)(e^{ilf}) e^{-ilf} >_p with entrywise exponential/product.
+    """sum_{i,j} e^{il(f_j - f_i)} [exp(R dt)]_{ji} p_i, the transform of the
+    joint table, which equals < exp(R^T dt)(e^{ilf}) e^{-ilf} >_p.
 
     A scalar ``lam`` gives a complex number. A 1-D array of ``lam`` gives a
-    complex array, all of it from one propagator. Phases are of f minus its
-    midpoint, which cancels and keeps them bounded at complex ``lam``.
-    Raises ``ValueError`` unless 0 <= dt < inf.
+    complex array, all of it from one propagator. Raises ``ValueError``
+    unless 0 <= dt < inf.
     """
     delta_t = lag(delta_t)
-    r, p, f = _validated(r, p, f)
-    return _generating(scipy.linalg.expm(r * delta_t), p, f, lam)
-
-
-def _generating(prop: np.ndarray, p: np.ndarray, f: np.ndarray, lam):
-    """The generating function of :func:`classical_generating_function`,
-    with ``prop`` = exp(R dt) and validated ``p`` and ``f``."""
-    centered = f - 0.5 * (f.max() + f.min())
-
-    # row b of phases @ exp(R dt) is exp(R^T dt) applied to e^{i lam_b f}
-    def values_at(lams):
-        return ((np.exp(1j * np.outer(lams, centered)) @ prop)
-                * np.exp(-1j * np.outer(lams, centered))) @ p
-
-    return per_lambda(lam, values_at)
+    return _transform(_joint_table(*_validated(r, p, f), delta_t), lam)
 
 
 def classical_short_time_second_moment(r: np.ndarray, p: np.ndarray, f: np.ndarray) -> float:
     """m_f = sum (f_j - f_i)^2 R_ji p_i."""
     r, p, f = _validated(r, p, f)
-    return change_moment(f, f, r * p[None, :], 2)
+    return change_moment(f, r * p[None, :], 2)
 
 
 @dataclass(frozen=True)
@@ -224,17 +235,15 @@ def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     m_residual = abs(m_quantum - m_classical)
 
     lams = default_lambda_grid(obs, 21)
-    # one quantum and one classical propagator per lag; the quantum
-    # generating function is the transform of the table
+    # one quantum and one classical table per lag; each generating function
+    # is the transform of its table
     table_residuals = []
     gen_residual = 0.0
     for dt in delta_ts:
-        prop = scipy.linalg.expm(r * float(dt))
-        table = tmh_table(model, state, obs, dt)
-        table_residuals.append(float(np.max(np.abs(table.values - prop * p[None, :]))))
-        g_quantum = _transform(table, lams)
-        g_classical = _generating(prop, p, f, lams)
-        gen_residual = max(gen_residual, float(np.max(np.abs(g_quantum - g_classical), initial=0.0)))
+        quantum, classical = tmh_table(model, state, obs, dt), _joint_table(r, p, f, float(dt))
+        table_residuals.append(float(np.max(np.abs(quantum.values - classical.values))))
+        gen_gap = np.abs(_transform(quantum, lams) - _transform(classical, lams))
+        gen_residual = max(gen_residual, float(np.max(gen_gap, initial=0.0)))
 
     epr = bound = slack = None
     if reversible and p.min() > 0:

@@ -92,8 +92,8 @@ class CollectiveModelParams:
     def __post_init__(self):
         if self.n_levels < 1:
             raise ValueError("n_levels must be >= 1")
-        if self.omega <= 0 or self.gamma_plus <= 0 or self.gamma_minus <= 0:
-            raise ValueError("omega and rates must be positive")
+        if not all(0 < v < np.inf for v in (self.omega, self.gamma_plus, self.gamma_minus)):
+            raise ValueError("omega and rates must be positive and finite")
         if not 0.0 <= self.p_g <= 1.0:
             raise ValueError("p_g must lie in [0, 1]")
 

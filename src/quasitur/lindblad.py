@@ -91,13 +91,6 @@ class JumpPair:
     def dim(self) -> int:
         return self.forward.shape[0]
 
-    def operators(self) -> list[np.ndarray]:
-        """Both members, forward first."""
-        return [self.forward, self.backward]
-
-    def currents(self) -> list[float]:
-        return [self.entropy_current, -self.entropy_current]
-
     def detailed_balance_residual(self) -> float:
         """|| L_k - exp(s_k/2) L_-k^dag ||."""
         return float(
@@ -127,17 +120,12 @@ class LindbladModel:
     @property
     def jump_operators(self) -> list[np.ndarray]:
         """All jump operators, pairwise ordered (forward, backward, ...)."""
-        ops: list[np.ndarray] = []
-        for pair in self.jump_pairs:
-            ops.extend(pair.operators())
-        return ops
+        return [op for pair in self.jump_pairs for op in (pair.forward, pair.backward)]
 
     @property
     def entropy_currents(self) -> list[float]:
-        vals: list[float] = []
-        for pair in self.jump_pairs:
-            vals.extend(pair.currents())
-        return vals
+        """Their entropy currents, in the same order: s_k, then -s_k."""
+        return [s for pair in self.jump_pairs for s in (pair.entropy_current, -pair.entropy_current)]
 
 
 class QuantumState:

@@ -52,7 +52,7 @@ class QuasiprobTable:
 
     def moment(self, n: int) -> float:
         """n-th moment of the change, weight (y - x)^n."""
-        return change_moment(self.labels, self.labels, self.values, n)
+        return change_moment(self.labels, self.values, n)
 
     def to_csv(self, path) -> None:
         """Header row of final labels, first column of initial labels."""
@@ -168,7 +168,7 @@ def short_time_moment(flux: FluxMatrix, n: int) -> MomentReport:
     """
     if n < 1:
         raise ValueError("moment order must be >= 1")
-    value = change_moment(flux.labels, flux.labels, flux.values, n)
+    value = change_moment(flux.labels, flux.values, n)
     return MomentReport(order=n, value=value)
 
 

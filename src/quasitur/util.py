@@ -128,12 +128,10 @@ def group_sums(a: np.ndarray, members) -> np.ndarray:
     return onehot @ a @ onehot.T
 
 
-def change_moment(final_labels: np.ndarray, initial_labels: np.ndarray,
-                  values: np.ndarray, n: int) -> float:
+def change_moment(labels: np.ndarray, values: np.ndarray, n: int) -> float:
     """sum over y, x of (y - x)^n values[y, x], for a table indexed
-    [final, initial] with labels y (final) and x (initial)."""
-    diff = final_labels[:, None] - initial_labels[None, :]
-    return float(np.sum(diff**n * values))
+    [final, initial] with the same ``labels`` on both axes."""
+    return float(np.sum(np.subtract.outer(labels, labels)**n * values))
 
 
 def float_repr(x: float) -> str:

@@ -204,6 +204,21 @@ def phase_generating(heisenberg, obs, state: QuantumState, lams) -> np.ndarray:
     return 0.5 * np.einsum("bij,bji->b", heisenberg(phase(lams)), v @ rho + rho @ v)
 
 
+def classical_generating(prop: np.ndarray, p: np.ndarray, f: np.ndarray, lams) -> np.ndarray:
+    """< exp(R^T dt)(e^{ilf}) e^{-ilf} >_p with entrywise exponential and
+    product, for ``prop`` = exp(R dt) and each entry of a 1-D array of
+    (possibly complex) ``lams``.
+
+    Phases are of f minus its midpoint, which cancels and bounds them by
+    exp(|Im l| spread / 2). The library reads the same sum as the transform
+    of the joint table instead.
+    """
+    centered = f - 0.5 * (f.max() + f.min())
+    # row b of phases @ prop is exp(R^T dt) applied to e^{i lam_b f}
+    return ((np.exp(1j * np.outer(lams, centered)) @ prop)
+            * np.exp(-1j * np.outer(lams, centered))) @ p
+
+
 #: trapezoidal nodes on the circle |l| = 1/scale
 CONTOUR_NODES = 16
 

@@ -21,12 +21,12 @@ from quasitur.classical import (
     validate_rate_matrix,
 )
 from quasitur.ensembles import random_probability, random_reversible_rate_matrix
-from quasitur.errors import DimMismatchError
+from quasitur.errors import DimMismatchError, TracePreservationError
 from quasitur.fcs import commutation_check
 from quasitur.lindblad import validate_local_detailed_balance
 from quasitur.util import EMBEDDING_TOL
 
-from oracles import derivative_moment
+from oracles import classical_generating, derivative_moment
 
 TWO_STATE = np.array([[-1.0, 2.0], [1.0, -2.0]])
 # one-way cycle 1 -> 2 -> 3 -> 1
@@ -85,6 +85,24 @@ class TestClassicalPropagate:
             validate_rate_matrix(np.array([[-1.0, -0.5], [1.0, 0.5]]))
         with pytest.raises(ValueError):
             validate_rate_matrix(np.array([[-1.0, 0.0], [2.0, 0.0]]))
+
+
+LAG_ENTRY_POINTS = {
+    "classical_propagate": lambda t: classical_propagate(TWO_STATE, np.array([0.6, 0.4]), t),
+    "classical_joint_moment": lambda t: classical_joint_moment(
+        TWO_STATE, np.array([0.6, 0.4]), np.array([0.0, 1.0]), 2, t),
+    "classical_generating_function": lambda t: classical_generating_function(
+        TWO_STATE, np.array([0.6, 0.4]), np.array([0.0, 1.0]), 0.3, t),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LAG_ENTRY_POINTS))
+@pytest.mark.parametrize("t", [1e10, 1e50])
+def test_lost_probability_raises(entry, t):
+    # exp(R t) columns sum to 1 only within 8e-7 at t = 1e10 and are NaN at
+    # t = 1e50; both used to be returned, as [0.6666672, 0.3333336] and NaN
+    with pytest.raises(TracePreservationError, match="columns sum to 1 only within"):
+        LAG_ENTRY_POINTS[entry](t)
 
 
 class TestJointMoments:
@@ -151,6 +169,25 @@ class TestClassicalGeneratingFunction:
                     lambda lam: classical_generating_function(r, p, g, lam, 0.2), n, scale).real
                     for g in (f, f + 1e4))
                 assert abs(m_shifted - m) <= 1e-12 * max(abs(m), 1.0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_generating_function_matches_entrywise_phases(offset):
+    # the transform of the joint table against < exp(R^T dt)(e^{ilf}) e^{-ilf} >_p
+    # from midpoint-centered phases; Re l spans the bridge's grid [-pi, pi] / spread
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        r = random_reversible_rate_matrix(rng, n)
+        p = random_probability(rng, n)
+        f = rng.normal(size=n)
+        dt = float(rng.uniform(0.0, 2.0))
+        lams = rng.uniform(-np.pi, np.pi, 8) / float(f.max() - f.min())
+        prop = scipy.linalg.expm(r * dt)
+        for lam in (lams, lams + 1j * rng.uniform(-3.0, 3.0, 8)):
+            g = classical_generating_function(r, p, f + offset, lam, dt)
+            reference = classical_generating(prop, p, f + offset, lam)
+            assert np.all(np.abs(g - reference) <= 1e-14 * np.maximum(np.abs(reference), 1.0))
 
 
 class TestShortTimeSecondMoment:

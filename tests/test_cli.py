@@ -278,6 +278,24 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "expected at least one integer" in capsys.readouterr().err
 
+    def test_classical_nan_rate_exit_two(self, workdir, capsys):
+        # used to print "generating 0.000e+00 -> FAIL" and exit 1
+        bad = workdir / "nan_rates.json"
+        bad.write_text(json.dumps({"rate_matrix": [[float("nan"), 2.0], [1.0, -2.0]],
+                                   "p0": [0.6, 0.4], "f": [0.0, 1.0]}))
+        out = workdir / "report.json"
+        assert run(["classical-check", "--model", str(bad), "--output", str(out)]) == 2
+        assert "error: rate matrix has non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", [["--omega", "nan"], ["--gammas", "inf,1"]])
+    def test_example_non_finite_parameter_exit_two(self, workdir, option, capsys):
+        # used to write m_H = nan or inf fluxes and exit 0 with PASS
+        out = workdir / "example.csv"
+        assert run(["example", "--n", "2,4", *option, "--output", str(out)]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lags", ["", ","])
     def test_empty_lag_list_exit_two(self, workdir, lags, capsys):
         # an empty list used to compare no table and print PASS

@@ -117,6 +117,12 @@ REJECTIONS = {
                                DimMismatchError, "square"),
     "negative probability": (lambda: validate_probability([1.5, -0.5]),
                              ValueError, "negative probability"),
+    # NaN fails every comparison, so each of these used to pass its checks
+    "rate matrix nan": (lambda: validate_rate_matrix(np.array([[np.nan, 2.0], [1.0, -2.0]])),
+                        ValueError, "non-finite"),
+    "probability nan": (lambda: validate_probability([np.nan, 1.0]), ValueError, "non-finite"),
+    "state function inf": (lambda: classical_joint_moment(RATES, P, [0.0, np.inf], 2, 0.1),
+                           ValueError, "non-finite"),
     "as_operator non-square": (lambda: as_operator(np.zeros((2, 3))), DimMismatchError, "square"),
     "jump pair shapes": (lambda: JumpPair(SIGMA_PLUS, np.zeros((3, 3)), 0.0),
                          DimMismatchError, "differ in shape"),
@@ -125,6 +131,9 @@ REJECTIONS = {
         DimMismatchError, "jump pair dimension"),
     "collective n_levels": (lambda: CollectiveModelParams(0), ValueError, "n_levels"),
     "collective rates": (lambda: CollectiveModelParams(2, gamma_minus=0.0), ValueError, "positive"),
+    "collective omega nan": (lambda: CollectiveModelParams(2, omega=np.nan), ValueError, "positive"),
+    "collective rate inf": (lambda: CollectiveModelParams(2, gamma_plus=np.inf),
+                            ValueError, "positive"),
     "collective p_g": (lambda: CollectiveModelParams(2, p_g=1.5), ValueError, "p_g"),
     "plus-minus state sign": (lambda: build_plus_minus_state(CollectiveModelParams(2), "diagonal"),
                               ValueError, "sign"),
