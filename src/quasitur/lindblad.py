@@ -17,8 +17,9 @@ t themselves, in the first of three exact ways that applies:
   column through the generator, when :func:`_dense_is_cheaper` finds it
   cheaper than acting on the stack (small or stiff generators; never for
   d^2 > ``DENSE_MAX_SIZE``);
-- one Taylor segment of t(L - mu I) through batched d x d matrix products,
-  when a bound on its 1-norm is at most ``TAYLOR_SEGMENT_NORM`` (short lags);
+- one Taylor segment of t(L - mu I) on the stack laid out as (d, B, d),
+  where each term is 2 + 2K products of (d, d) by (d, B d) for K jumps, when
+  a bound on its 1-norm is at most ``TAYLOR_SEGMENT_NORM`` (short lags);
 - ``scipy.sparse.linalg.expm_multiply`` otherwise, which estimates norms of
   powers of tL to split the lag into as many segments as it needs.
 
@@ -225,6 +226,13 @@ class _Generator:
     """A -> G A + A G^dag + sum_k outer_k A inner_k on one operator or a
     (B, d, d) stack: L^dag or L as :func:`_generator` builds it.
 
+    :meth:`block` is the one kernel. It acts on a block of B operators laid
+    out as (d, B, d), entry [i, b, j] = A_b[i, j], where X A for the whole
+    block is one (d, d) x (d, B d) product and A Y one (d B, d) x (d, d)
+    product, both on copy-free reshapes: 2 + 2K products per application
+    for K jumps, whatever B is. A call on a stack transposes it into that
+    layout and back; a lone (d, d) operator already has it, as (d, 1, d).
+
     ``trace`` is the exact trace of its d^2 x d^2 matrix. Since
     vec(A X B) = (A kron B^T) vec(X) and ||A kron B||_1 = ||A||_1 ||B||_1,
     ``norm_bound`` = 2 n(G) + sum_k n(outer_k) n(inner_k), n the larger of the
@@ -236,10 +244,18 @@ class _Generator:
         self.g, self.g_dag, self.outer, self.inner = g, dagger(g), outer, inner
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
-        out = self.g @ a + a @ self.g_dag
+        d = len(self.g)
+        cols = np.ascontiguousarray(a.reshape(-1, d, d).transpose(1, 0, 2))
+        return self.block(cols).transpose(1, 0, 2).reshape(a.shape)
+
+    def block(self, cols: np.ndarray) -> np.ndarray:
+        """The generator on a C-contiguous (d, B, d) block, as a new one."""
+        wide, rows = cols.reshape(len(self.g), -1), cols.reshape(-1, len(self.g))
+        out = (self.g @ wide).reshape(rows.shape)
+        out += rows @ self.g_dag
         for left, right in zip(self.outer, self.inner):
-            out += left @ a @ right
-        return out
+            out += (left @ wide).reshape(rows.shape) @ right
+        return out.reshape(cols.shape)
 
     @functools.cached_property
     def trace(self) -> float:
@@ -378,21 +394,23 @@ def _taylor_segment(gen: _Generator, stack: np.ndarray, t: float, mu: float) -> 
     ``TAYLOR_MAX_TERMS`` terms, in scipy's order of operations with the lag
     folded into the factor t / (j + 1): the series stops once two successive
     terms are below unit roundoff relative to the sum, in the inf-norm of
-    the (d^2, B) block.
+    the (d^2, B) block. The terms live in the (d, B, d) layout of
+    :meth:`_Generator.block`, so each costs 2 + 2K products of (d, d) by
+    (d, B d); the stack is transposed into it once and out of it once.
     """
-    def inf_norm(ops):
-        return np.abs(ops).reshape(len(ops), -1).sum(axis=0).max()
+    def inf_norm(cols):
+        return np.abs(cols).sum(axis=1).max()
 
-    out = term = stack
+    out = term = np.ascontiguousarray(stack.transpose(1, 0, 2))
     c1 = inf_norm(term)
     for j in range(TAYLOR_MAX_TERMS):
-        term = t / (j + 1) * (gen(term) + (-mu) * term)
+        term = t / (j + 1) * (gen.block(term) + (-mu) * term)
         c2 = inf_norm(term)
         out = out + term
         if c1 + c2 <= 2.0**-53 * inf_norm(out):
             break
         c1 = c2
-    return np.exp(t * mu) * out
+    return (np.exp(t * mu) * out).transpose(1, 0, 2)
 
 
 def _propagator(model: LindbladModel, t: float, heisenberg: bool):

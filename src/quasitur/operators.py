@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BasisMismatchError, DimMismatchError, NotHermitianError
-from .util import (DEGENERACY_TOL, HERMITICITY_TOL, ORTHONORMALITY_TOL, as_operator, dagger,
-                   exact_dtype)
+from .util import (DEGENERACY_TOL, HERMITICITY_TOL, ORTHONORMALITY_TOL, _permutation, as_operator,
+                   dagger, exact_dtype)
 
 
 def require_hermitian(a) -> np.ndarray:
@@ -104,7 +104,9 @@ class ObservableDecomposition:
             raise BasisMismatchError(
                 f"basis has {full.shape[1]} vectors for dimension {d}; must be complete"
             )
-        if np.linalg.norm(dagger(full) @ full - np.eye(d)) > ORTHONORMALITY_TOL:
+        # an exact identity (the collective bases) is orthonormal as it is
+        identity = np.array_equal(_permutation(full), np.arange(d))
+        if not identity and np.linalg.norm(dagger(full) @ full - np.eye(d)) > ORTHONORMALITY_TOL:
             raise BasisMismatchError("basis vectors are not orthonormal")
         sizes = [vecs.shape[1] for vecs in blocks]
         eigenvalues = np.repeat(values, sizes)

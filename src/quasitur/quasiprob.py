@@ -119,9 +119,12 @@ def tmh_table(model: LindbladModel, state: QuantumState, observable, delta_t: fl
     _check_dim(state, obs.dim)
     projectors = obs.projectors
     evolved = heisenberg(projectors)
-    # q_yx = tr(E_y {P_x, rho}) / 2 with E_y = exp(L^dag dt) P_y
-    sym = projectors @ state.rho + state.rho @ projectors
-    values = real_part(0.5 * np.einsum("yij,xji->yx", evolved, sym), "quasiprobability table")
+    # q_yx = tr(E_y {P_x, rho}) / 2 with E_y = exp(L^dag dt) P_y, as one
+    # (m, d^2) x (d^2, m) product
+    sym = (projectors @ state.rho + state.rho @ projectors).transpose(0, 2, 1)
+    flat = (len(projectors), -1)
+    values = real_part(0.5 * (evolved.reshape(flat) @ sym.reshape(flat).T),
+                       "quasiprobability table")
     drift = float(np.max(np.abs(evolved.sum(axis=0) - np.eye(obs.dim))))
     if drift > DENSITY_TOL + np.linalg.norm(projectors.sum(axis=0) - np.eye(obs.dim)):
         raise TracePreservationError(f"evolved projectors sum to I only within {drift:.3e}")

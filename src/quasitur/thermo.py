@@ -109,8 +109,10 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
 
         sigma = sum_k sum_ij |<i|L_k|j>|^2 p_j (s_k + ln p_j - ln p_i),
 
-    from the state's stored spectrum and two d x d products per jump. The
-    Hamiltonian term tr([H, rho] ln rho) vanishes identically.
+    from the state's stored spectrum and two d x d products per jump, or
+    none when that eigenbasis is a permutation of the standard one, as for a
+    diagonal state. The Hamiltonian term tr([H, rho] ln rho) vanishes
+    identically.
     """
     _check_dim(state, model.dim)
     state, _ = floored_state(state, eigenvalue_floor)

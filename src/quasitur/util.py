@@ -67,16 +67,31 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def _permutation(v: np.ndarray):
+    """perm with V = I[:, perm] when the square V is exactly a real
+    permutation matrix (d nonzeros, the maximum of every row and every
+    column 1), else None. The test stops at the dtype of a complex V and at
+    the nonzero count of a dense one."""
+    if (v.dtype.kind == "f" and np.count_nonzero(v) == len(v)
+            and (v.max(axis=0) == 1).all() and (v.max(axis=1) == 1).all()):
+        return v.argmax(axis=0)
+    return None
+
+
 def _rotation(v: np.ndarray):
-    """The map A -> V^dag A V into a square basis V, with V^dag formed once.
-    When V is exactly the identity, as the standard basis of the collective
-    model is, it returns A itself, which is what the products would give
-    bit for bit; callers must not write into its result. The test stops at
-    the dtype of a complex V and at the nonzero count of a dense one."""
-    if v.dtype.kind == "f" and np.count_nonzero(v) == len(v) and (v.diagonal() == 1).all():
+    """The map A -> V^dag A V on an operator or a stack, into a square basis
+    V, with V^dag formed once. When V is exactly a permutation matrix, as
+    the eigenbasis of a diagonal state is, it indexes A instead, which is
+    what the products would give bit for bit up to the sign of zeros; when
+    V is the identity, as the standard basis of the collective model is, it
+    returns A itself, and callers must not write into its result."""
+    perm = _permutation(v)
+    if perm is None:
+        v_dag = dagger(v)
+        return lambda a: v_dag @ a @ v
+    if np.array_equal(perm, np.arange(len(v))):
         return lambda a: a
-    v_dag = dagger(v)
-    return lambda a: v_dag @ a @ v
+    return lambda a: a[..., perm[:, None], perm]
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

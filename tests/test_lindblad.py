@@ -212,10 +212,17 @@ class TestGeneratorOracle:
         sup = superoperator(reference, adjoint=heisenberg)
         rng = np.random.default_rng(d)
         ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
-        got = self.APPLY[heisenberg, hamiltonian](model, ops)
-        expected = (ops.reshape(3, d * d) @ sup.T).reshape(ops.shape)
-        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
         gen = lindblad._generator(model, heisenberg, hamiltonian)
+        # every block shape the kernel serves: a stack, a lone operator (its
+        # own (d, 1, d) layout) and the real d^2 basis block that the dense
+        # route passes to the generator itself
+        basis = np.eye(d * d).reshape(-1, d, d)
+        for block, got in ((ops, self.APPLY[heisenberg, hamiltonian](model, ops)),
+                           (ops[0], self.APPLY[heisenberg, hamiltonian](model, ops[0])),
+                           (basis, gen(basis))):
+            expected = (block.reshape(-1, d * d) @ sup.T).reshape(block.shape)
+            assert got.shape == block.shape
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
         assert abs(gen.trace - np.trace(sup)) <= 1e-13 * abs(np.trace(sup))
         assert gen.norm_bound >= max(np.linalg.norm(sup, 1), np.linalg.norm(sup, np.inf))
 
@@ -545,6 +552,26 @@ class TestRouteChoice:
             scipy_action = expm_multiply(op, projectors.reshape(32, -1).T, traceA=0.05 * gen.trace)
         scipy_action = scipy_action.T.reshape(projectors.shape)
         assert np.linalg.norm(got - scipy_action) <= 1e-15 * np.linalg.norm(scipy_action)
+
+    def test_taylor_stop_takes_pinned_terms(self, monkeypatch):
+        # the stop test is the inf-norm of the (d^2, B) block; the counts are
+        # those of the stack-by-stack kernel it replaced, so a norm over the
+        # wrong axis of the (d, B, d) layout shows here
+        blocks = []
+        block = lindblad._Generator.block
+        monkeypatch.setattr(lindblad._Generator, "block",
+                            lambda gen, cols: blocks.append(cols) or block(gen, cols))
+        model, projectors = d32_projector_block()
+        heisenberg_propagator(model, 0.05)(projectors)
+        assert [cols.shape for cols in blocks] == [(32, 32, 32)] * 19
+        blocks.clear()
+        state = random_state(np.random.default_rng(33), 32)
+        propagate(model, state, 0.05)
+        assert [cols.shape for cols in blocks] == [(32, 1, 32)] * 18
+        # a lone operator is its own (d, 1, d) block: neither route copies it
+        assert np.shares_memory(blocks[0], state.rho)
+        lindblad._generator(model, heisenberg=False)(state.rho)
+        assert np.shares_memory(blocks[-1], state.rho)
 
     @pytest.mark.parametrize("dt, one_segment", [(0.1, True), (0.2, False)])
     def test_lags_either_side_of_one_segment(self, lindblad_expm_multiply, dt, one_segment):

@@ -254,6 +254,12 @@ class TestFluxKernelOracle:
         fluxes = resolved_fluxes(model, state, eye)
         assert np.array_equal(fluxes, resolved_fluxes(model, state, -eye))
         assert_matches_reference(fluxes, flux_reference(model, state.rho, rank_one_projectors(eye)))
+        # a permuted standard basis is indexed into, -1 times it rotated into
+        permuted = eye[:, np.roll(np.arange(model.dim), 1)]
+        fluxes = resolved_fluxes(model, state, permuted)
+        assert np.array_equal(fluxes, resolved_fluxes(model, state, -permuted))
+        assert_matches_reference(fluxes,
+                                 flux_reference(model, state.rho, rank_one_projectors(permuted)))
 
     def test_model_without_jumps(self):
         rng = np.random.default_rng(412)
