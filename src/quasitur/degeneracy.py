@@ -272,12 +272,18 @@ def fit_loglog(n_values, series) -> ExponentFit:
     """Least-squares slope of log(series) against log(N).
 
     Values are clipped at 1e-300 so identically vanishing series produce
-    a flat, fully determined fit instead of log(0).
+    a flat, fully determined fit instead of log(0). N <= 0 and non-finite
+    entries raise ``ValueError`` instead of giving a NaN slope.
     """
     n_values = np.asarray(n_values, dtype=float)
-    series = np.maximum(np.abs(np.asarray(series, dtype=float)), 1e-300)
+    series = np.asarray(series, dtype=float)
     if len(n_values) < 2:
         raise InsufficientPointsError("need at least two points to fit an exponent")
+    if not np.all((n_values > 0) & (n_values < np.inf)):
+        raise ValueError(f"N must be positive and finite, got {n_values.tolist()}")
+    if not np.all(np.isfinite(series)):
+        raise ValueError(f"series has non-finite entries: {series.tolist()}")
+    series = np.maximum(np.abs(series), 1e-300)
     x = np.log(n_values)
     y = np.log(series)
     slope, intercept = np.polyfit(x, y, 1)

@@ -107,24 +107,41 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
     Evaluated in the eigenbasis of rho = sum_j p_j |j><j| (Spohn, J. Math.
     Phys. 19, 1227, 1978):
 
-        sigma = sum_k sum_ij |<i|L_k|j>|^2 p_j (s_k + ln p_j - ln p_i),
+        sigma = sum_k sum_ij |<i|L_k|j>|^2 p_j (s_k + ln p_j - ln p_i).
 
-    from the state's stored spectrum and two d x d products per jump, or
-    none when that eigenbasis is a permutation of the standard one, as for a
-    diagonal state. The Hamiltonian term tr([H, rho] ln rho) vanishes
-    identically.
+    The bulk B, a leading run of at least two exactly equal smallest p (the
+    floored zeros of a low-rank rho), is one group: with V_M the other m
+    eigenvectors and C = V_M^dag L_k V_M, the jumps out of and into B weigh
+    the rows of V_M^dag L_k - C V_M^dag and the columns of L_k V_M - V_M C,
+    and those within B change no entropy. That costs O(m d^2) per jump, two
+    d x d products with no bulk and none in a permutation basis, as for a
+    diagonal state, which counts no bulk. The Hamiltonian term
+    tr([H, rho] ln rho) vanishes identically.
     """
     _check_dim(state, model.dim)
     state, _ = floored_state(state, eigenvalue_floor)
     p, u = state.eigenvalues, state.eigenvectors
+    bulk = int(np.searchsorted(p, p[0], side="right"))
+    if bulk < 2 or np.count_nonzero(u) == len(u):  # a permutation up to phases: no bulk
+        bulk = 0
+    p_bulk, p, u = p[0], p[bulk:], u[:, bulk:]
     log_p = np.log(p)
     # entry (i, j): p_j (ln p_j - ln p_i), the weight of a jump |j> -> |i>
     entropy_change = p * (log_p - log_p[:, None])
     sigma = 0.0
     rotate = _rotation(u)
     for op, s in zip(model.jump_operators, model.entropy_currents):
-        weights = np.abs(rotate(op)) ** 2
+        rotated = rotate(op)
+        weights = np.abs(rotated) ** 2
         sigma += float(np.sum(weights * entropy_change)) + s * float(weights.sum(axis=0) @ p)
+        if bulk:
+            out_of_bulk = np.sum(np.abs(dagger(u) @ op - rotated @ dagger(u)) ** 2, axis=1)
+            into_bulk = np.sum(np.abs(op @ u - u @ rotated) ** 2, axis=0)
+            from_bulk = np.vdot(op, op).real - weights.sum() - into_bulk.sum()
+            log_bulk = np.log(p_bulk)
+            sigma += (float(p_bulk * out_of_bulk @ (log_bulk - log_p)
+                            + into_bulk @ (p * (log_p - log_bulk)))
+                      + s * float(p_bulk * from_bulk + into_bulk @ p))
     return sigma
 
 

@@ -79,7 +79,7 @@ def _permutation(v: np.ndarray):
 
 
 def _rotation(v: np.ndarray):
-    """The map A -> V^dag A V on an operator or a stack, into a square basis
+    """The map A -> V^dag A V on an operator or a stack, into the columns of
     V, with V^dag formed once. When V is exactly a permutation matrix, as
     the eigenbasis of a diagonal state is, it indexes A instead, which is
     what the products would give bit for bit up to the sign of zeros; when

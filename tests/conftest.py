@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from quasitur import lindblad
+from quasitur import lindblad, thermo
 
 
 @pytest.fixture
@@ -49,3 +49,17 @@ def lindblad_expm_multiply(monkeypatch):
 
     monkeypatch.setattr(lindblad, "expm_multiply", watched_expm_multiply)
     return shapes
+
+
+@pytest.fixture
+def thermo_rotations(monkeypatch):
+    """The bases ``quasitur.thermo`` rotates into through ``_rotation``, in order."""
+    bases = []
+    rotation = thermo._rotation
+
+    def watched_rotation(v):
+        bases.append(v)
+        return rotation(v)
+
+    monkeypatch.setattr(thermo, "_rotation", watched_rotation)
+    return bases

@@ -9,6 +9,8 @@ from scipy.sparse.linalg import expm_multiply
 
 from quasitur.lindblad import JumpPair, LindbladModel, QuantumState
 from quasitur.operators import logarithmic_mean
+from quasitur.thermo import DEFAULT_EIGENVALUE_FLOOR, floored_state
+from quasitur.util import _rotation
 
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |e><g|, basis (g, e)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -263,6 +265,25 @@ def epr_reference(model: LindbladModel, rho: np.ndarray, log_rho=None) -> float:
     flow = sum(s * np.trace(op.conj().T @ op @ rho).real
                for op, s in zip(model.jump_operators, model.entropy_currents))
     return float(-np.trace(generated @ log_rho).real + flow)
+
+
+def epr_full_rotation(model: LindbladModel, state: QuantumState,
+                      eigenvalue_floor=DEFAULT_EIGENVALUE_FLOOR) -> float:
+    """Spohn's sum over every pair of eigenvectors of the (floored) rho,
+    each jump rotated into the whole eigenbasis. The library takes the same
+    products for a state with no bulk of repeated smallest eigenvalues, and
+    reads such a bulk as one group."""
+    state, _ = floored_state(state, eigenvalue_floor)
+    p, u = state.eigenvalues, state.eigenvectors
+    log_p = np.log(p)
+    # entry (i, j): p_j (ln p_j - ln p_i), the weight of a jump |j> -> |i>
+    entropy_change = p * (log_p - log_p[:, None])
+    sigma = 0.0
+    rotate = _rotation(u)
+    for op, s in zip(model.jump_operators, model.entropy_currents):
+        weights = np.abs(rotate(op)) ** 2
+        sigma += float(np.sum(weights * entropy_change)) + s * float(weights.sum(axis=0) @ p)
+    return sigma
 
 
 def pair_blocks(stack: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from quasitur.degeneracy import (
     CollectiveModelParams,
     balanced_p_g,
     build_collective_model,
+    build_diagonal_state,
     build_plus_minus_state,
 )
 from quasitur.ensembles import (random_hermitian, random_instance, random_model, random_state,
@@ -39,6 +40,7 @@ from oracles import (
     SIGMA_Z,
     decay_qubit,
     enlarged,
+    epr_full_rotation,
     epr_reference,
     excited_state,
     gibbs_state,
@@ -181,6 +183,133 @@ class TestEntropyProductionOracles:
             exact = n**2 * (p_g - p_e) * (mpmath.log(p_g) - mpmath.log(p_e))
             assert abs((sigma - exact) / exact) <= 1e-13
 
+    # The relative error of the full rotation (oracles.epr_full_rotation) on
+    # each input of the closed form below, rounded up at the second digit:
+    # (gamma_+, N) -> tolerance at p_g = 1/2 + 1/(4N), 0 and 1.
+    PLUS_CLOSED_FORM_TOL = {
+        (2.0, 16): (1.1e-15, 1.3e-16, 5.2e-16),
+        (2.0, 64): (7.0e-15, 1.3e-16, 3.4e-15),
+        (2.0, 256): (2.9e-14, 2.7e-16, 1.5e-14),
+        (1e3, 16): (8.8e-16, 2.1e-16, 8.6e-16),
+        (1e3, 64): (4.5e-15, 1.5e-16, 4.6e-15),
+        (1e3, 256): (8.8e-15, 2.5e-16, 8.9e-15),
+    }
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("gamma_plus", [2.0, 1e3])
+    def test_collective_plus_closed_form_with_entropy_current(self, gamma_plus, n):
+        # As above with s = ln gamma_+ (gamma_- = 1): the jump out of |g,+>
+        # weighs gamma_+ N^2 p_g' (s + ln p_g' - ln p_e'), its reverse
+        # gamma_- N^2 p_e' (-s + ln p_e' - ln p_g'). At p_g in {0, 1} the empty
+        # band vector joins the bulk, and the surviving jump is one out of or
+        # into it.
+        eps = 1e-12
+        p_g_values = (balanced_p_g(CollectiveModelParams(n_levels=n), n, 0.5), 0.0, 1.0)
+        for p_g, tol in zip(p_g_values, self.PLUS_CLOSED_FORM_TOL[gamma_plus, n]):
+            params = CollectiveModelParams(n_levels=n, gamma_plus=gamma_plus, p_g=p_g)
+            sigma = entropy_production_rate(build_collective_model(params),
+                                            build_plus_minus_state(params, "+"), eps)
+            with mpmath.workdps(50):
+                scale = 1 - 2 * n * mpmath.mpf(eps)
+                p_g, p_e = scale * mpmath.mpf(p_g) + eps, scale * (1 - mpmath.mpf(p_g)) + eps
+                s = mpmath.log(gamma_plus)
+                exact = n**2 * (gamma_plus * p_g * (s + mpmath.log(p_g) - mpmath.log(p_e))
+                                + p_e * (-s + mpmath.log(p_e) - mpmath.log(p_g)))
+                assert abs((sigma - exact) / exact) <= tol
+
+    def test_maximally_mixed_state_is_all_bulk(self):
+        # rho = I/d in a rotated basis: the bulk is everything (m = 0), every
+        # jump changes no entropy, and sigma = sum_k s_k ||L_k||_F^2 / d
+        rng = np.random.default_rng(23)
+        for dim in (2, 5, 8):
+            model = random_model(rng, dim, 2)
+            state = QuantumState._from_spectrum(np.eye(dim) / dim, np.full(dim, 1.0 / dim),
+                                                random_unitary(rng, dim))
+            exact = sum(s * np.linalg.norm(op) ** 2 / dim
+                        for op, s in zip(model.jump_operators, model.entropy_currents))
+            sigma = entropy_production_rate(model, state)
+            assert sigma == pytest.approx(exact, rel=1e-12, abs=1e-14)
+            assert sigma == pytest.approx(epr_full_rotation(model, state), rel=1e-12, abs=1e-14)
+
+    def test_rank_one_state_has_bulk_of_all_but_one(self):
+        # |psi><psi| from its spectrum: after the floor the bulk is d - 1, and
+        # ln rho' = ln(1 - (d - 1) eps) |psi><psi| + ln(eps) (I - |psi><psi|)
+        rng = np.random.default_rng(24)
+        eps = 1e-12
+        for dim in (2, 3, 6, 9):
+            model = random_model(rng, dim, 2)
+            basis = random_unitary(rng, dim)
+            psi = basis[:, -1:]
+            projector = psi @ psi.conj().T
+            state = QuantumState._from_spectrum(projector, np.eye(dim)[-1], basis)
+            rest = np.eye(dim) - projector
+            log_rho = np.log(1 - (dim - 1) * eps) * projector + np.log(eps) * rest
+            reference = epr_reference(model, (1 - (dim - 1) * eps) * projector + eps * rest, log_rho)
+            sigma = entropy_production_rate(model, state, eps)
+            assert sigma == pytest.approx(reference, rel=1e-12)
+            assert sigma == pytest.approx(epr_full_rotation(model, state, eps), rel=1e-12)
+
+    def test_weak_leak_out_of_the_bulk(self):
+        # L swaps psi_1 and psi_2 (equal populations, so no entropy change)
+        # and leaks a weak amplitude from a bulk vector b into psi_1; L^T
+        # returns it. sigma = leak^2 (p_1 - p_b)(ln p_1 - ln p_b) is then
+        # carried by the cross weights alone, which a difference of norms
+        # (||row of V_M^T L||^2 - sum |C|^2) loses to 1e-8 against
+        # ||L||^2 ~ 100, while the projected residuals keep it to 2e-12
+        # (the full rotation: 5.8e-12 at d = 4)
+        rng = np.random.default_rng(27)
+        big, leak = 10.0, 1e-3
+        for dim in (4, 6, 9):
+            basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            p = np.full(dim, 0.1)
+            p[-2:] = (1 - 0.1 * (dim - 2)) / 2
+            psi_1, psi_2, b = basis[:, -1], basis[:, -2], basis[:, 0]
+            jump = (big * (np.outer(psi_1, psi_2) + np.outer(psi_2, psi_1))
+                    + leak * np.outer(psi_1, b))
+            model = LindbladModel(np.zeros((dim, dim)), (JumpPair(jump, jump.T.copy(), 0.0),))
+            rho = (basis * p) @ basis.T
+            state = QuantumState._from_spectrum((rho + rho.T) / 2, p, basis)
+            exact = leak**2 * (p[-1] - p[0]) * (np.log(p[-1]) - np.log(p[0]))
+            assert entropy_production_rate(model, state) == pytest.approx(exact, rel=2e-12, abs=0)
+
+    def test_bulk_free_states_take_the_full_rotation_bitwise(self):
+        # no repeated smallest eigenvalue, or a permutation basis: the same
+        # products (or indexing) in the same order as the full rotation
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            model, state, _ = random_instance(rng, max_dim=8)
+            assert entropy_production_rate(model, state) == epr_full_rotation(model, state)
+        for n in (1, 2, 16):
+            params = CollectiveModelParams(n_levels=n, gamma_plus=0.8, gamma_minus=0.4, p_g=0.3)
+            model, state = build_collective_model(params), build_diagonal_state(params)
+            assert entropy_production_rate(model, state) == epr_full_rotation(model, state)
+
+    def test_bulk_states_match_the_full_rotation(self):
+        # a repeated smallest eigenvalue, from the floor or from the spectrum
+        # itself, in rotated real and complex bases
+        rng = np.random.default_rng(25)
+        states = []
+        for n in (2, 3, 16, 64):
+            for p_g in (0.0, 0.3, 1.0):
+                params = CollectiveModelParams(n_levels=n, gamma_plus=0.8, gamma_minus=0.4, p_g=p_g)
+                model = build_collective_model(params)
+                states += [(model, build_plus_minus_state(params, sign)) for sign in ("+", "-")]
+        for _ in range(40):
+            dim = int(rng.integers(3, 9))
+            bulk = int(rng.integers(2, dim))
+            p = np.sort(np.concatenate([np.full(bulk, rng.choice([0.0, rng.uniform(0.01, 0.1)])),
+                                        rng.uniform(0.2, 1.0, size=dim - bulk)]))
+            p /= p.sum()
+            basis = random_unitary(rng, dim)
+            if rng.integers(2):
+                basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            rho = (basis * p) @ basis.conj().T
+            state = QuantumState._from_spectrum((rho + rho.conj().T) / 2, p, basis)
+            states.append((random_model(rng, dim, int(rng.integers(1, 4))), state))
+        for model, state in states:
+            assert entropy_production_rate(model, state) == pytest.approx(
+                epr_full_rotation(model, state), rel=1e-12, abs=1e-12)
+
     def test_matches_reference_route(self):
         rng = np.random.default_rng(16)
         for _ in range(100):
@@ -199,6 +328,29 @@ class TestEntropyProductionOracles:
             floored = (1.0 - dim * eps) * state.rho + eps * np.eye(dim)
             sigma = entropy_production_rate(model, state, eps)
             assert sigma == pytest.approx(epr_reference(model, floored), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_plus_minus_states_make_no_full_rotation(self, thermo_rotations, n, sign):
+        # rank 2: the floored zeros are the bulk, and only the two band
+        # vectors are rotated into
+        params = CollectiveModelParams(n_levels=n, gamma_plus=0.8, gamma_minus=0.4, p_g=0.3)
+        state = build_plus_minus_state(params, sign)
+        entropy_production_rate(build_collective_model(params), state)
+        assert [basis.shape for basis in thermo_rotations] == [(2 * n, 2)]
+
+    def test_bulk_free_states_rotate_as_before(self, thermo_rotations):
+        rng = np.random.default_rng(26)
+        model, state, _ = random_instance(rng, max_dim=8)
+        entropy_production_rate(model, state)
+        params = CollectiveModelParams(n_levels=16, gamma_plus=0.8, gamma_minus=0.4, p_g=0.3)
+        diagonal = build_diagonal_state(params)
+        entropy_production_rate(build_collective_model(params), diagonal)
+        # the diagonal state repeats its smallest population, but its
+        # permutation basis is indexed rather than read as a bulk
+        assert len(thermo_rotations) == 2
+        for basis, expected in zip(thermo_rotations, (state.eigenvectors, diagonal.eigenvectors)):
+            assert np.array_equal(basis, expected)
 
     def test_entropy_production_rate_does_not_decompose_rho(self, eigendecompositions):
         # sigma and the floor read the spectrum the state was validated with

@@ -140,6 +140,11 @@ REJECTIONS = {
     "closed form sign": (lambda: closed_form_reference(CollectiveModelParams(2), "diagonal"),
                          ValueError, "sign"),
     "fit one point": (lambda: fit_loglog([4], [1.0]), InsufficientPointsError, "two points"),
+    # each used to give a NaN slope or a RuntimeWarning, and a silent verdict
+    "fit zero N": (lambda: fit_loglog([0, 1, 2], [1.0, 2.0, 3.0]), ValueError, "positive"),
+    "fit negative N": (lambda: fit_loglog([-2, 4], [1.0, 2.0]), ValueError, "positive"),
+    "fit nan series": (lambda: fit_loglog([1, 2], [np.nan, 1.0]), ValueError, "non-finite"),
+    "fit inf series": (lambda: fit_loglog([1, 2, 4], [1.0, np.inf, 3.0]), ValueError, "non-finite"),
     # p_g = (1 + 10 / 2) / 2 = 3
     "balanced p_g out of range": (lambda: balanced_p_g(CollectiveModelParams(2), 2, 10.0),
                                   ValueError, "drives p_g"),
