@@ -84,6 +84,8 @@ def fcs_generating_rate(model: LindbladModel, state: QuantumState, weights, lam)
         raise DimMismatchError(
             f"{weights.size} weights for {len(model.jump_operators)} jump operators"
         )
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"weights have non-finite entries: {weights.tolist()}")
     activities = _activities(model, state)
     return per_lambda(lam, lambda lams: (np.exp(1j * np.outer(lams, weights)) - 1.0) @ activities)
 

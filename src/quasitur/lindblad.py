@@ -85,6 +85,8 @@ class JumpPair:
         object.__setattr__(self, "forward", as_operator(self.forward))
         object.__setattr__(self, "backward", as_operator(self.backward))
         object.__setattr__(self, "entropy_current", float(self.entropy_current))
+        if not np.isfinite(self.entropy_current):
+            raise ValueError(f"entropy current {self.entropy_current!r} is non-finite")
         if self.forward.shape != self.backward.shape:
             raise DimMismatchError("forward and backward operators differ in shape")
 
@@ -93,10 +95,10 @@ class JumpPair:
         return self.forward.shape[0]
 
     def detailed_balance_residual(self) -> float:
-        """|| L_k - exp(s_k/2) L_-k^dag ||."""
-        return float(
-            np.linalg.norm(self.forward - np.exp(self.entropy_current / 2) * dagger(self.backward))
-        )
+        """|| L_k - exp(s_k/2) L_-k^dag ||, not finite where exp(s_k/2) overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.exp(self.entropy_current / 2) * dagger(self.backward)
+            return float(np.linalg.norm(self.forward - scaled))
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ def decompose_pair(pair: JumpPair) -> tuple[float, float, np.ndarray]:
     norm_b = float(np.linalg.norm(pair.backward))
     if norm_f == 0.0 or norm_b == 0.0:
         raise DegeneratePairError("jump pair contains a zero operator")
-    if pair.detailed_balance_residual() > DETAILED_BALANCE_TOL * max(norm_f, 1.0):
+    if not pair.detailed_balance_residual() <= DETAILED_BALANCE_TOL * max(norm_f, 1.0):
         raise ValueError("pair violates local detailed balance; cannot decompose")
     gamma_f = norm_f**2
     gamma_b = norm_b**2

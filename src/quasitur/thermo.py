@@ -94,6 +94,14 @@ def floored_state(state: QuantumState,
     return state, applied
 
 
+def _pair_sum(forward: np.ndarray, backward: np.ndarray, s: float, p: np.ndarray) -> float:
+    """sum_IJ (forward[I, J] p_J - backward[J, I] p_I)(s + ln p_J - ln p_I):
+    one pair's flow J -> I times its affinity (Schnakenberg, Rev. Mod. Phys.
+    48, 571, 1976), over groups I, J of eigenvectors of equal population p."""
+    log_p = np.log(p)
+    return float(np.sum((forward * p - backward.T * p[:, None]) * (s + log_p - log_p[:, None])))
+
+
 def entropy_production_rate(model: LindbladModel, state: QuantumState,
                             eigenvalue_floor: float | None = DEFAULT_EIGENVALUE_FLOOR) -> float:
     """Entropy production rate -tr(L(rho) ln rho) + sum_k s_k tr(L_k^dag L_k rho).
@@ -105,18 +113,16 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
     flooring and raise ``SingularStateError`` instead.
 
     Evaluated in the eigenbasis of rho = sum_j p_j |j><j| (Spohn, J. Math.
-    Phys. 19, 1227, 1978):
-
-        sigma = sum_k sum_ij |<i|L_k|j>|^2 p_j (s_k + ln p_j - ln p_i).
-
-    The bulk B, a leading run of at least two exactly equal smallest p (the
-    floored zeros of a low-rank rho), is one group: with V_M the other m
-    eigenvectors and C = V_M^dag L_k V_M, the jumps out of and into B weigh
-    the rows of V_M^dag L_k - C V_M^dag and the columns of L_k V_M - V_M C,
-    and those within B change no entropy. That costs O(m d^2) per jump, two
-    d x d products with no bulk and none in a permutation basis, as for a
-    diagonal state, which counts no bulk. The Hamiltonian term
-    tr([H, rho] ln rho) vanishes identically.
+    Phys. 19, 1227, 1978) one pair at a time, as :func:`_pair_sum` of the
+    weights |<i|L_k|j>|^2 and |<i|L_-k|j>|^2, so s_k sits in the affinity; a
+    model with no pairs gives 0.0. The bulk B, a leading run of at least two
+    exactly equal smallest p (the floored zeros of a low-rank rho), is one
+    more group: with V_M the other m eigenvectors and C = V_M^dag L V_M, the
+    jumps into M from B weigh the rows of V_M^dag L - C V_M^dag, those out of
+    M into B the columns of L V_M - V_M C, and the rest of ||L||_F^2 stays
+    within B. That costs O(m d^2) per jump, two d x d products with no bulk
+    and none in a permutation basis, as for a diagonal state, which counts no
+    bulk. The Hamiltonian term tr([H, rho] ln rho) vanishes identically.
     """
     _check_dim(state, model.dim)
     state, _ = floored_state(state, eigenvalue_floor)
@@ -124,25 +130,22 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
     bulk = int(np.searchsorted(p, p[0], side="right"))
     if bulk < 2 or np.count_nonzero(u) == len(u):  # a permutation up to phases: no bulk
         bulk = 0
-    p_bulk, p, u = p[0], p[bulk:], u[:, bulk:]
-    log_p = np.log(p)
-    # entry (i, j): p_j (ln p_j - ln p_i), the weight of a jump |j> -> |i>
-    entropy_change = p * (log_p - log_p[:, None])
-    sigma = 0.0
+    # the bulk's population p[bulk - 1] = p[0] leads the groups
+    p, u = p[max(bulk - 1, 0):], u[:, bulk:]
     rotate = _rotation(u)
-    for op, s in zip(model.jump_operators, model.entropy_currents):
+
+    def grouped_weights(op):
         rotated = rotate(op)
         weights = np.abs(rotated) ** 2
-        sigma += float(np.sum(weights * entropy_change)) + s * float(weights.sum(axis=0) @ p)
-        if bulk:
-            out_of_bulk = np.sum(np.abs(dagger(u) @ op - rotated @ dagger(u)) ** 2, axis=1)
-            into_bulk = np.sum(np.abs(op @ u - u @ rotated) ** 2, axis=0)
-            from_bulk = np.vdot(op, op).real - weights.sum() - into_bulk.sum()
-            log_bulk = np.log(p_bulk)
-            sigma += (float(p_bulk * out_of_bulk @ (log_bulk - log_p)
-                            + into_bulk @ (p * (log_p - log_bulk)))
-                      + s * float(p_bulk * from_bulk + into_bulk @ p))
-    return sigma
+        if not bulk:
+            return weights
+        into_m = np.sum(np.abs(dagger(u) @ op - rotated @ dagger(u)) ** 2, axis=1)
+        into_bulk = np.sum(np.abs(op @ u - u @ rotated) ** 2, axis=0)
+        within_bulk = np.vdot(op, op).real - weights.sum() - into_m.sum() - into_bulk.sum()
+        return np.block([[within_bulk, into_bulk], [into_m[:, None], weights]])
+
+    return sum((_pair_sum(grouped_weights(pair.forward), grouped_weights(pair.backward),
+                          pair.entropy_current, p) for pair in model.jump_pairs), 0.0)
 
 
 def quantum_diffusivity(model: LindbladModel, state: QuantumState, observable) -> float:

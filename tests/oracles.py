@@ -269,10 +269,11 @@ def epr_reference(model: LindbladModel, rho: np.ndarray, log_rho=None) -> float:
 
 def epr_full_rotation(model: LindbladModel, state: QuantumState,
                       eigenvalue_floor=DEFAULT_EIGENVALUE_FLOOR) -> float:
-    """Spohn's sum over every pair of eigenvectors of the (floored) rho,
-    each jump rotated into the whole eigenbasis. The library takes the same
-    products for a state with no bulk of repeated smallest eigenvalues, and
-    reads such a bulk as one group."""
+    """Spohn's sum over every pair of eigenvectors of the (floored) rho, one
+    jump at a time, each rotated into the whole eigenbasis, with the entropy
+    current summed apart from the entropy change. The library sums flow times
+    affinity pair by pair instead, and reads a bulk of repeated smallest
+    eigenvalues as one group."""
     state, _ = floored_state(state, eigenvalue_floor)
     p, u = state.eigenvalues, state.eigenvectors
     log_p = np.log(p)
@@ -284,6 +285,46 @@ def epr_full_rotation(model: LindbladModel, state: QuantumState,
         weights = np.abs(rotate(op)) ** 2
         sigma += float(np.sum(weights * entropy_change)) + s * float(weights.sum(axis=0) @ p)
     return sigma
+
+
+def gibbs_network(rng, dim: int) -> tuple[LindbladModel, np.ndarray]:
+    """A classical network at beta = 1 and its Gibbs populations p ~ e^(-E).
+
+    Levels E ~ U(0, 2); one pair per i < j, the jump |j> -> |i> at rate
+    g e^(s/2) against its reverse at g e^(-s/2), with g ~ U(0.5, 2) and
+    s = E_j - E_i, so every pair satisfies local detailed balance and the
+    Gibbs state balances every pair.
+    """
+    energy = rng.uniform(0.0, 2.0, size=dim)
+    pairs = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            g, s = rng.uniform(0.5, 2.0), energy[j] - energy[i]
+            forward, backward = np.zeros((dim, dim)), np.zeros((dim, dim))
+            forward[i, j], backward[j, i] = np.sqrt(g * np.exp(s / 2)), np.sqrt(g * np.exp(-s / 2))
+            pairs.append(JumpPair(forward, backward, s))
+    p = np.exp(-energy)
+    return LindbladModel(np.diag(energy), tuple(pairs)), p / p.sum()
+
+
+def schnakenberg_reference(model: LindbladModel, state: QuantumState, dps: int = 60):
+    """sum_k sum_ij (|<i|L_k|j>|^2 p_j - |<j|L_-k|i>|^2 p_i)(s_k + ln p_j - ln p_i)
+    at ``dps`` digits (Schnakenberg, Rev. Mod. Phys. 48, 571, 1976), on the
+    float spectrum of the unfloored state and its jumps rotated into the
+    eigenbasis in floats, which rounds nothing for a basis of signed unit
+    vectors, as a diagonal rho has."""
+    p, u = state.eigenvalues, state.eigenvectors
+    with mpmath.workdps(dps):
+        p_mp = [mpmath.mpf(x) for x in p]
+        log_p = [mpmath.log(x) for x in p_mp]
+        sigma = mpmath.mpf(0)
+        for pair in model.jump_pairs:
+            forward, backward = (u.conj().T @ op @ u for op in (pair.forward, pair.backward))
+            for i, j in np.argwhere((forward != 0) | (backward.T != 0)):
+                flow = (abs(mpmath.mpc(forward[i, j])) ** 2 * p_mp[j]
+                        - abs(mpmath.mpc(backward[j, i])) ** 2 * p_mp[i])
+                sigma += flow * (pair.entropy_current + log_p[j] - log_p[i])
+        return sigma
 
 
 def pair_blocks(stack: np.ndarray) -> np.ndarray:

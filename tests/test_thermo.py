@@ -43,11 +43,13 @@ from oracles import (
     epr_full_rotation,
     epr_reference,
     excited_state,
+    gibbs_network,
     gibbs_state,
     kubo_integral,
     ladder_model,
     ladder_state,
     pair_blocks,
+    schnakenberg_reference,
     thermal_qubit,
     von_neumann_entropy,
 )
@@ -272,17 +274,84 @@ class TestEntropyProductionOracles:
             exact = leak**2 * (p[-1] - p[0]) * (np.log(p[-1]) - np.log(p[0]))
             assert entropy_production_rate(model, state) == pytest.approx(exact, rel=2e-12, abs=0)
 
-    def test_bulk_free_states_take_the_full_rotation_bitwise(self):
+    def test_bulk_free_states_match_the_full_rotation(self):
         # no repeated smallest eigenvalue, or a permutation basis: the same
-        # products (or indexing) in the same order as the full rotation
+        # weights as the full rotation, summed pair by pair (4.2e-16 apart)
         rng = np.random.default_rng(16)
         for _ in range(100):
             model, state, _ = random_instance(rng, max_dim=8)
-            assert entropy_production_rate(model, state) == epr_full_rotation(model, state)
-        for n in (1, 2, 16):
-            params = CollectiveModelParams(n_levels=n, gamma_plus=0.8, gamma_minus=0.4, p_g=0.3)
-            model, state = build_collective_model(params), build_diagonal_state(params)
-            assert entropy_production_rate(model, state) == epr_full_rotation(model, state)
+            assert entropy_production_rate(model, state) == pytest.approx(
+                epr_full_rotation(model, state), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
+    def test_diagonal_state_closed_form(self, n):
+        # populations p_g / N and p_e / N, and every jump |e,i><g,j| weighs
+        # gamma_+: sigma = N (gamma_+ p_g - gamma_- p_e)(s + ln p_g - ln p_e).
+        # Measured at most 3.8e-15 (epr_full_rotation, one jump at a time: 1.4e-14)
+        params = CollectiveModelParams(n_levels=n, gamma_plus=0.8, gamma_minus=0.4, p_g=0.3)
+        sigma = entropy_production_rate(build_collective_model(params),
+                                        build_diagonal_state(params))
+        with mpmath.workdps(50):
+            gamma_plus, gamma_minus = mpmath.mpf(0.8), mpmath.mpf(0.4)
+            p_g, p_e = mpmath.mpf(0.3), 1 - mpmath.mpf(0.3)
+            exact = n * (gamma_plus * p_g - gamma_minus * p_e) * (
+                mpmath.log(gamma_plus / gamma_minus) + mpmath.log(p_g) - mpmath.log(p_e))
+            assert abs((sigma - exact) / exact) <= 3.8e-15
+
+    # (gamma_+, N) -> the relative error measured at the balance, rounded up
+    # at the second digit; beside it, that of the per-jump sum with the bulk
+    # as one group, which the pair sum replaced
+    BALANCED_CLOSED_FORM_TOL = {
+        (2.0, 16): 1.6e-14,     # 5.8e-14
+        (2.0, 64): 1.6e-13,     # 2.5e-13
+        (2.0, 256): 3.1e-12,    # 7.0e-12
+        (1e3, 16): 1.8e-14,     # 2.8e-13
+        (1e3, 64): 3.1e-13,     # 2.4e-11
+        (1e3, 256): 3.7e-12,    # 1.75e-10
+    }
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("gamma_plus", [2.0, 1e3])
+    def test_collective_plus_closed_form_at_the_balance(self, gamma_plus, n):
+        # p_g from balanced_p_g at this gamma_+, so gamma_+ p_g - p_e = 1/(2N):
+        # sigma = N^2 (gamma_+ p_g' - p_e')(s + ln p_g' - ln p_e') is a product
+        # of two O(1/N) factors, while each jump alone gives O(N^2) terms
+        eps = 1e-12
+        params = CollectiveModelParams(n_levels=n, gamma_plus=gamma_plus)
+        params = CollectiveModelParams(n_levels=n, gamma_plus=gamma_plus,
+                                       p_g=balanced_p_g(params, n, 0.5))
+        sigma = entropy_production_rate(build_collective_model(params),
+                                        build_plus_minus_state(params, "+"), eps)
+        with mpmath.workdps(50):
+            scale = 1 - 2 * n * mpmath.mpf(eps)
+            p_g = scale * mpmath.mpf(params.p_g) + eps
+            p_e = scale * (1 - mpmath.mpf(params.p_g)) + eps
+            exact = n**2 * (gamma_plus * p_g - p_e) * (
+                mpmath.log(gamma_plus) + mpmath.log(p_g) - mpmath.log(p_e))
+            assert abs((sigma - exact) / exact) <= self.BALANCED_CLOSED_FORM_TOL[gamma_plus, n]
+
+    # delta -> the relative error measured, rounded up at the second digit;
+    # beside it, that of epr_full_rotation, one jump at a time. sigma ~ 450 delta^2
+    NEAR_EQUILIBRIUM_TOL = {
+        1e-2: 1.4e-16,     # 1.6e-15
+        1e-4: 2.8e-14,     # 6.2e-12
+        1e-6: 2.5e-12,     # 1.3e-7
+        1e-8: 7.2e-10,     # 2.9e-3
+    }
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_near_equilibrium_schnakenberg_sum(self, delta):
+        # rho = diag(p_eq + delta v) on a d = 6 Gibbs network: every flow and
+        # affinity is O(delta). Summed one jump at a time, O(1) terms cancel
+        # to O(delta^2) and lose eps / delta^2; flow times affinity loses
+        # eps / delta, from the rounding of w p and of ln p
+        rng = np.random.default_rng(0)
+        model, p_eq = gibbs_network(rng, 6)
+        v = rng.normal(size=6)
+        state = QuantumState(np.diag(p_eq + delta * (v - v.mean())).astype(complex))
+        sigma = entropy_production_rate(model, state)
+        reference = schnakenberg_reference(model, state)
+        assert abs((sigma - reference) / reference) <= self.NEAR_EQUILIBRIUM_TOL[delta]
 
     def test_bulk_states_match_the_full_rotation(self):
         # a repeated smallest eigenvalue, from the floor or from the spectrum

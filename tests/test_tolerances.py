@@ -129,6 +129,20 @@ REJECTIONS = {
     "jump pair dimension": (
         lambda: LindbladModel(np.zeros((3, 3)), (JumpPair(SIGMA_PLUS, SIGMA_MINUS, 0.0),)),
         DimMismatchError, "jump pair dimension"),
+    # a NaN current made the balance residual NaN, which passed
+    # decompose_pair's check and left sigma and the TUR slack NaN
+    "entropy current nan": (lambda: JumpPair(SIGMA_MINUS, SIGMA_MINUS.T, np.nan),
+                            ValueError, "non-finite"),
+    "entropy current inf": (lambda: JumpPair(SIGMA_MINUS, SIGMA_MINUS.T, np.inf),
+                            ValueError, "non-finite"),
+    # exp(s / 2) overflows: the residual is not finite and fails the check
+    "entropy current 2000": (lambda: decompose_pair(JumpPair(SIGMA_MINUS, SIGMA_MINUS.T, 2000.0)),
+                             ValueError, "local detailed balance"),
+    # each used to give nan+nanj with only a RuntimeWarning
+    "fcs weights nan": (lambda: fcs_generating_rate(thermal_qubit(), excited_state(),
+                                                    [np.nan, 1.0], 0.3), ValueError, "non-finite"),
+    "fcs weights inf": (lambda: fcs_generating_rate(thermal_qubit(), excited_state(),
+                                                    [1.0, np.inf], 0.3), ValueError, "non-finite"),
     "collective n_levels": (lambda: CollectiveModelParams(0), ValueError, "n_levels"),
     "collective rates": (lambda: CollectiveModelParams(2, gamma_minus=0.0), ValueError, "positive"),
     "collective omega nan": (lambda: CollectiveModelParams(2, omega=np.nan), ValueError, "positive"),
