@@ -63,3 +63,17 @@ def thermo_rotations(monkeypatch):
 
     monkeypatch.setattr(thermo, "_rotation", watched_rotation)
     return bases
+
+
+@pytest.fixture
+def flux_boxes(monkeypatch):
+    """The support boxes ``quasitur.lindblad.resolved_fluxes`` finds, in order."""
+    boxes = []
+    support_box = lindblad._support_box
+
+    def watched_support_box(jump):
+        boxes.append(support_box(jump))
+        return boxes[-1]
+
+    monkeypatch.setattr(lindblad, "_support_box", watched_support_box)
+    return boxes

@@ -11,9 +11,13 @@ from quasitur.ensembles import (
     random_unitary,
 )
 from quasitur.errors import ImaginaryResidueError, QuasiturError, TracePreservationError
-from quasitur.degeneracy import CollectiveModelParams, build_collective_model, build_plus_minus_state
-from quasitur.lindblad import (JumpPair, LindbladModel, QuantumState, apply_adjoint_liouvillian,
-                               propagate, resolved_fluxes)
+from quasitur import lindblad
+from quasitur.classical import quantize_rate_matrix
+from quasitur.degeneracy import (CollectiveModelParams, build_collective_model,
+                                 build_diagonal_state, build_plus_minus_state,
+                                 closed_form_reference, collective_basis, superposition_basis)
+from quasitur.lindblad import (FLUX_BOX_MIN_DIM, JumpPair, LindbladModel, QuantumState,
+                               apply_adjoint_liouvillian, propagate, resolved_fluxes)
 from quasitur.quasiprob import (
     FluxMatrix,
     ObservableDecomposition,
@@ -25,7 +29,7 @@ from quasitur.quasiprob import (
     tmh_table,
 )
 from quasitur.thermo import currents
-from quasitur.util import DENSITY_TOL, _rotation, real_part
+from quasitur.util import CLOSED_FORM_TOL, DENSITY_TOL, _rotation, real_part
 
 from oracles import SIGMA_Z, decay_qubit, excited_state, flux_reference, gibbs_state, thermal_qubit
 
@@ -271,6 +275,115 @@ class TestFluxKernelOracle:
         assert_matches_reference(flux_matrix(model, state, obs).values, reference)
         basis = ObservableDecomposition.from_groups(((0.0, u[:, :4]), (1.0, u[:, 4:])))
         assert_matches_reference(flux_matrix(model, state, basis).resolved, reference)
+
+
+def assert_both_routes_match_reference(monkeypatch, model, state, basis):
+    """Both routes of ``resolved_fluxes`` against the Kronecker oracle, whatever
+    d is, to 1e-12 relative to the largest flux, or absolute where none exceeds
+    1: the - state at even N carries no flux in its own basis, so the oracle's
+    rounding is all there is to compare."""
+    reference = flux_reference(model, state.rho, rank_one_projectors(basis))
+    tol = 1e-12 * max(np.max(np.abs(reference), initial=0.0), 1.0)
+    for min_dim in (np.inf, 0):  # every d on the stack, then every d on its boxes
+        monkeypatch.setattr(lindblad, "FLUX_BOX_MIN_DIM", min_dim)
+        assert np.max(np.abs(resolved_fluxes(model, state, basis) - reference)) <= tol
+
+
+class TestFluxRoutes:
+    """The stacked and the support-box routes of ``resolved_fluxes`` against
+    the Kronecker oracle, and the route each input takes."""
+
+    @pytest.mark.parametrize("kind", ["+", "-", "diagonal"])
+    @pytest.mark.parametrize("basis_kind", ["standard", "permuted", "superposition"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16])
+    def test_collective(self, monkeypatch, n, basis_kind, kind):
+        params = CollectiveModelParams(n_levels=n, omega=1.3, gamma_plus=0.8, gamma_minus=0.45,
+                                       p_g=0.3)
+        model = build_collective_model(params)
+        state = build_diagonal_state(params) if kind == "diagonal" else \
+            build_plus_minus_state(params, kind)
+        eye = np.eye(params.dim)
+        if basis_kind == "standard":
+            basis = eye
+        elif basis_kind == "permuted":
+            basis = eye[:, np.random.default_rng(n).permutation(params.dim)]
+        else:
+            basis = superposition_basis(params, "-" if kind == "-" else "+").eigenvectors
+        assert_both_routes_match_reference(monkeypatch, model, state, basis)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_single_entry_jumps(self, monkeypatch, n):
+        # the edge 0 -> n-1 is irreversible: its backward jump is zero, an empty box
+        rng = np.random.default_rng(420 + n)
+        rates = rng.uniform(0.2, 1.5, (n, n))
+        rates[0, n - 1] = 0.0
+        np.fill_diagonal(rates, 0.0)
+        np.fill_diagonal(rates, -rates.sum(axis=0))
+        model, reversible = quantize_rate_matrix(rates)
+        assert not reversible
+        assert_both_routes_match_reference(monkeypatch, model, random_state(rng, n), np.eye(n))
+
+    def test_box_strictly_inside(self, monkeypatch):
+        rng = np.random.default_rng(421)
+        d = FLUX_BOX_MIN_DIM
+        jump = np.zeros((d, d), complex)
+        jump[5:12, 20:29] = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
+        pair = JumpPair(jump, 0.5 * jump.conj().T, np.log(4.0))
+        model = LindbladModel(random_hermitian(rng, d), (pair,))
+        assert_both_routes_match_reference(monkeypatch, model, random_state(rng, d), np.eye(d))
+
+    def test_zero_jump(self, monkeypatch):
+        rng = np.random.default_rng(422)
+        d = FLUX_BOX_MIN_DIM
+        model = random_model(rng, d, 1)
+        pair = model.jump_pairs[0]
+        model = LindbladModel(model.hamiltonian, (JumpPair(pair.forward, np.zeros((d, d)), 0.0),))
+        assert_both_routes_match_reference(monkeypatch, model, random_state(rng, d),
+                                           random_unitary(rng, d))
+
+    @pytest.mark.parametrize("dim", [6, FLUX_BOX_MIN_DIM])
+    def test_model_without_jumps(self, monkeypatch, dim):
+        rng = np.random.default_rng(423)
+        model = LindbladModel(random_hermitian(rng, dim), ())
+        assert_both_routes_match_reference(monkeypatch, model, random_state(rng, dim),
+                                           random_unitary(rng, dim))
+
+    @pytest.mark.parametrize("dim", [FLUX_BOX_MIN_DIM - 1, FLUX_BOX_MIN_DIM])
+    def test_either_side_of_the_switch(self, dim):
+        rng = np.random.default_rng(424)
+        model, state = random_model(rng, dim, 3), random_state(rng, dim)
+        u = random_unitary(rng, dim)
+        assert_matches_reference(resolved_fluxes(model, state, u),
+                                 flux_reference(model, state.rho, rank_one_projectors(u)))
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_collective_closed_form_at_n_256(self, sign):
+        params = CollectiveModelParams(n_levels=256, omega=1.3, gamma_plus=0.8, gamma_minus=0.45,
+                                       p_g=0.3)
+        flux = flux_matrix(build_collective_model(params), build_plus_minus_state(params, sign),
+                           collective_basis(params))
+        ref = closed_form_reference(params, sign)
+        got = {"t_eg": flux.integrated[1, 0], "t_gg": flux.integrated[0, 0],
+               "t_ge": flux.integrated[0, 1], "t_ee": flux.integrated[1, 1],
+               "escape_rate": flux.escape_rate, "m_h": short_time_moment(flux, 2).value}
+        for name, value in got.items():
+            expected = getattr(ref, name)
+            assert abs(value - expected) <= CLOSED_FORM_TOL * max(abs(expected), 1.0), name
+
+    def test_collective_jumps_take_their_quadrants(self, flux_boxes):
+        n = 64
+        params = CollectiveModelParams(n_levels=n, gamma_plus=0.8, gamma_minus=0.45, p_g=0.3)
+        flux_matrix(build_collective_model(params), build_plus_minus_state(params, "+"),
+                    collective_basis(params))
+        assert flux_boxes == [(slice(n, 2 * n), slice(0, n)), (slice(0, n), slice(n, 2 * n))]
+
+    @pytest.mark.parametrize("dim", [FLUX_BOX_MIN_DIM - 1, FLUX_BOX_MIN_DIM])
+    def test_dense_jumps_take_the_stack_or_the_whole_matrix(self, flux_boxes, dim):
+        rng = np.random.default_rng(425)
+        model = random_model(rng, dim, 2)
+        resolved_fluxes(model, random_state(rng, dim), random_unitary(rng, dim))
+        whole = (slice(0, dim), slice(0, dim))
+        assert flux_boxes == ([] if dim < FLUX_BOX_MIN_DIM else [whole] * 4)
 
 
 class TestGeneratingFunction:

@@ -348,6 +348,23 @@ def test_detailed_balance_verdict(factor, tmp_path):
     assert run(["validate", "--model", str(tmp_path / "model.json")]) == (factor == OUTSIDE)
 
 
+# exp(s / 2) overflows at s = 2000, so that pair's residual is NaN: the
+# verdict fails, and the largest residual shows the NaN wherever it stands
+BALANCED_PAIR = JumpPair(SIGMA_MINUS, SIGMA_MINUS.T, 0.0)
+OVERFLOWING_PAIR = JumpPair(SIGMA_MINUS, SIGMA_MINUS.T, 2000.0)
+
+
+@pytest.mark.parametrize("pairs", [(BALANCED_PAIR, OVERFLOWING_PAIR),
+                                   (OVERFLOWING_PAIR, BALANCED_PAIR)], ids=["last", "first"])
+def test_nan_residual_shows_in_the_verdict(pairs, tmp_path, capsys):
+    model = LindbladModel(np.zeros((2, 2)), pairs)
+    report = validate_local_detailed_balance(model)
+    assert not report.passed and np.isnan(report.max_residual)
+    save_model(model, tmp_path / "model.json")
+    assert run(["validate", "--model", str(tmp_path / "model.json")]) == 1
+    assert "FAIL (max residual nan," in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("factor", [INSIDE, OUTSIDE])
 def test_commutation_verdict(factor):
     # X = diag(0, 4) and L = s (sigma_+ + eps P_g): ||[X, L] - w L||_F = 4 s eps / sqrt(1 + eps^2)
