@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import __version__
@@ -80,7 +81,8 @@ def cmd_validate(args) -> int:
     model = load_model(args.model)
     report = validate_local_detailed_balance(model)
     result = {
-        "residuals": list(report.residuals),
+        # a residual that overflowed is not a number; strict JSON writes it as null
+        "residuals": [r if math.isfinite(r) else None for r in report.residuals],
         "tolerance": DETAILED_BALANCE_TOL,
         "passed": report.passed,
     }

@@ -18,7 +18,7 @@ t themselves, in the first of three exact ways that applies:
   cheaper than acting on the stack (small or stiff generators; never for
   d^2 > ``DENSE_MAX_SIZE``);
 - one Taylor segment of t(L - mu I) on the stack laid out as (d, B, d),
-  where each term is 2 + 2K products of (d, d) by (d, B d) for K jumps, when
+  where each term is 3 + K products for K jumps (:class:`_Generator`), when
   a bound on its 1-norm is at most ``TAYLOR_SEGMENT_NORM`` (short lags);
 - ``scipy.sparse.linalg.expm_multiply`` otherwise, which estimates norms of
   powers of tL to split the lag into as many segments as it needs.
@@ -53,7 +53,8 @@ IVP_ATOL = 1e-12
 NEGLIGIBLE_GENERATOR_NORM = np.finfo(float).tiny / np.finfo(float).eps
 #: largest d^2 whose d^2 x d^2 generator the dense route exponentiates
 #: (16 MiB per complex work array at the cap); larger d always take the
-#: action route
+#: action route. :meth:`_Generator.block` keeps its stacked jump product
+#: within one such array, DENSE_MAX_SIZE^2 entries
 DENSE_MAX_SIZE = 1024
 #: theta_55 of Al-Mohy & Higham (2011, table 3.1): when ||tL - mu I||_1 is at
 #: most this, one Taylor segment of at most ``TAYLOR_MAX_TERMS`` terms of
@@ -238,9 +239,16 @@ class _Generator:
     :meth:`block` is the one kernel. It acts on a block of B operators laid
     out as (d, B, d), entry [i, b, j] = A_b[i, j], where X A for the whole
     block is one (d, d) x (d, B d) product and A Y one (d B, d) x (d, d)
-    product, both on copy-free reshapes: 2 + 2K products per application
-    for K jumps, whatever B is. A call on a stack transposes it into that
-    layout and back; a lone (d, d) operator already has it, as (d, 1, d).
+    product, both on copy-free reshapes. ``outer`` and ``inner`` hold the
+    K jump factors as (K, d, d) arrays in the jumps' common dtype, so all K
+    products outer_k A are one (K d, d) x (d, B d) product, whose (d B, d)
+    slabs each take their ``inner_k``: 3 + K products per application,
+    whatever B is. Only when K blocks would exceed DENSE_MAX_SIZE^2 entries
+    (the dense build of a many-jump classical embedding) does that product
+    go in as many slices of jumps as keep it within. G stays out of the
+    stack: it is complex, and would make the real jumps of a classical
+    embedding complex. A call on a stack transposes it into that layout and
+    back; a lone (d, d) operator already has it, as (d, 1, d).
 
     ``trace`` is the exact trace of its d^2 x d^2 matrix. Since
     vec(A X B) = (A kron B^T) vec(X) and ||A kron B||_1 = ||A||_1 ||B||_1,
@@ -249,7 +257,7 @@ class _Generator:
     Both pick the route of the module docstring and are computed on first read.
     """
 
-    def __init__(self, g: np.ndarray, outer: list, inner: list):
+    def __init__(self, g: np.ndarray, outer: np.ndarray, inner: np.ndarray):
         self.g, self.g_dag, self.outer, self.inner = g, dagger(g), outer, inner
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
@@ -259,26 +267,29 @@ class _Generator:
 
     def block(self, cols: np.ndarray) -> np.ndarray:
         """The generator on a C-contiguous (d, B, d) block, as a new one."""
-        wide, rows = cols.reshape(len(self.g), -1), cols.reshape(-1, len(self.g))
+        d = len(self.g)
+        wide, rows = cols.reshape(d, -1), cols.reshape(-1, d)
         out = (self.g @ wide).reshape(rows.shape)
         out += rows @ self.g_dag
-        for left, right in zip(self.outer, self.inner):
-            out += (left @ wide).reshape(rows.shape) @ right
+        step = max(1, DENSE_MAX_SIZE**2 // cols.size)
+        for k in range(0, len(self.inner), step):
+            lefts = (self.outer[k:k + step].reshape(-1, d) @ wide).reshape(-1, *rows.shape)
+            for left, right in zip(lefts, self.inner[k:k + step]):
+                out += left @ right
         return out.reshape(cols.shape)
 
     @functools.cached_property
     def trace(self) -> float:
-        d = len(self.g)
-        jumps = np.reshape([*self.outer, *self.inner], (2, -1, d, d))
-        outer, inner = np.trace(jumps, axis1=2, axis2=3)
-        return float(2 * d * np.trace(self.g).real + np.real(outer @ inner))
+        outer, inner = (np.trace(jumps, axis1=1, axis2=2) for jumps in (self.outer, self.inner))
+        return float(2 * len(self.g) * np.trace(self.g).real + np.real(outer @ inner))
 
     @functools.cached_property
     def norm_bound(self) -> float:
-        mags = np.abs(np.reshape([self.g, *self.outer, *self.inner], (-1, *self.g.shape)))
-        n = np.maximum(mags.sum(axis=1).max(axis=1), mags.sum(axis=2).max(axis=1))
-        outer, inner = n[1:].reshape(2, -1)
-        return float(2 * n[0] + outer @ inner)
+        def n(ops):
+            mags = np.abs(ops)
+            return np.maximum(mags.sum(axis=-2).max(axis=-1), mags.sum(axis=-1).max(axis=-1))
+
+        return float(2 * n(self.g) + n(self.outer) @ n(self.inner))
 
 
 def _generator(model: LindbladModel, heisenberg: bool, hamiltonian: bool = True) -> _Generator:
@@ -286,9 +297,10 @@ def _generator(model: LindbladModel, heisenberg: bool, hamiltonian: bool = True)
     part only if ``hamiltonian``: the one place G = iH - K/2 is formed, with
     K = sum_k L_k^dag L_k subtracted jump by jump. L^dag has outer_k = L_k^dag
     and inner_k = L_k; its adjoint L swaps G <-> G^dag and outer <-> inner.
+    The jumps and their adjoints are stacked once here, as (K, d, d) arrays.
     """
-    jumps = model.jump_operators
-    adjoints = [dagger(op) for op in jumps]
+    jumps = np.array(model.jump_operators).reshape(-1, model.dim, model.dim)
+    adjoints = np.ascontiguousarray(jumps.conj().transpose(0, 2, 1))
     g = 1j * model.hamiltonian if hamiltonian else np.zeros((model.dim, model.dim), dtype=complex)
     for op, op_dag in zip(jumps, adjoints):
         g -= 0.5 * (op_dag @ op)
@@ -436,8 +448,8 @@ def _taylor_segment(gen: _Generator, stack: np.ndarray, t: float, mu: float) -> 
     folded into the factor t / (j + 1): the series stops once two successive
     terms are below unit roundoff relative to the sum, in the inf-norm of
     the (d^2, B) block. The terms live in the (d, B, d) layout of
-    :meth:`_Generator.block`, so each costs 2 + 2K products of (d, d) by
-    (d, B d); the stack is transposed into it once and out of it once.
+    :meth:`_Generator.block`, so each costs 3 + K products for K jumps; the
+    stack is transposed into it once and out of it once.
     """
     def inf_norm(cols):
         return np.abs(cols).sum(axis=1).max()

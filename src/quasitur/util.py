@@ -178,10 +178,12 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def write_json(path, data) -> None:
-    """Write ``data`` as indented JSON with sorted keys and a final newline."""
+    """Write ``data`` as indented JSON with sorted keys and a final newline.
+    Raises ``ValueError``, and writes nothing, if ``data`` holds a NaN or an
+    infinity, which strict JSON has no literal for."""
+    text = json.dumps(data, indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path, header, rows, comment=None) -> None:

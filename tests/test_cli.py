@@ -13,7 +13,7 @@ from quasitur.lindblad import (
     save_model,
     save_state,
 )
-from quasitur.util import matrix_to_json
+from quasitur.util import matrix_to_json, write_json
 
 from oracles import SIGMA_MINUS, SIGMA_PLUS, thermal_qubit
 
@@ -48,6 +48,32 @@ class TestValidate:
         payload = json.loads(out.read_text())
         assert payload["result"]["passed"] is True
         assert payload["config"]["tol"] == 1e-8
+
+    def test_non_finite_residual_written_as_null(self, workdir):
+        # exp(s/2) overflows at s = 2000, so the second residual is NaN; the
+        # report must still parse as strict JSON
+        overflowing = JumpPair(SIGMA_PLUS, SIGMA_MINUS, 2000.0)
+        model = thermal_qubit(0.5, 1.0)
+        save_model(LindbladModel(model.hamiltonian, (*model.jump_pairs, overflowing)),
+                   workdir / "overflow.json")
+        out = workdir / "validate.json"
+        code = run(["validate", "--model", str(workdir / "overflow.json"), "--output", str(out)])
+        assert code == 1
+
+        def strict(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        result = json.loads(out.read_text(), parse_constant=strict)["result"]
+        assert result["residuals"][1] is None
+        assert 0.0 <= result["residuals"][0] <= 1e-8
+        assert result["passed"] is False
+
+    def test_write_json_refuses_non_finite(self, tmp_path):
+        out = tmp_path / "report.json"
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                write_json(out, {"result": [0.0, value]})
+            assert not out.exists()
 
 
 class TestTUR:

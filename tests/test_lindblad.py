@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -225,6 +226,76 @@ class TestGeneratorOracle:
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
         assert abs(gen.trace - np.trace(sup)) <= 1e-13 * abs(np.trace(sup))
         assert gen.norm_bound >= max(np.linalg.norm(sup, 1), np.linalg.norm(sup, np.inf))
+
+
+def kernel_models():
+    """Complex models at d = 3, 8 and 32, the 240 real single-entry jumps of
+    a 16-state classical embedding, a 5-state one with a complex pair added,
+    and a model without jumps."""
+    rng = np.random.default_rng(61)
+    models = [pytest.param(random_model(rng, d, 2), id=f"complex-d{d}") for d in (3, 8, 32)]
+    embedding, _ = quantize_rate_matrix(random_reversible_rate_matrix(rng, 16))
+    small, _ = quantize_rate_matrix(random_reversible_rate_matrix(rng, 5))
+    mixed = LindbladModel(random_hermitian(rng, 5),
+                          small.jump_pairs + random_model(rng, 5, 1).jump_pairs)
+    no_jumps = LindbladModel(random_hermitian(rng, 4), ())
+    return models + [pytest.param(embedding, id="embedding-n16"),
+                     pytest.param(mixed, id="mixed-d5"), pytest.param(no_jumps, id="no-jumps-d4")]
+
+
+class TestGeneratorKernel:
+    """``_Generator.block`` on the (d, B, d) layout and ``__call__`` on a
+    (B, d, d) stack, against the d^2 x d^2 Kronecker matrix of
+    ``oracles.superoperator``, for the block sizes the routes pass: one
+    operator, two, the d projectors of a table and the real d^2 basis of the
+    dense build. The dense builds of the 16-state embedding (16 of its 240
+    jumps a slice) and of the d = 32 models (one jump a slice) are the
+    blocks whose stacked product goes in slices."""
+
+    @pytest.mark.parametrize("heisenberg", [True, False])
+    @pytest.mark.parametrize("model", kernel_models())
+    def test_matches_kronecker_matrix(self, model, heisenberg):
+        d = model.dim
+        sup = superoperator(model, adjoint=heisenberg)
+        gen = lindblad._generator(model, heisenberg)
+        rng = np.random.default_rng(d)
+        stacks = [rng.normal(size=(b, d, d)) + 1j * rng.normal(size=(b, d, d)) for b in (1, 2, d)]
+        for stack in [*stacks, np.eye(d * d).reshape(-1, d, d)]:
+            expected = (stack.reshape(-1, d * d) @ sup.T).reshape(stack.shape)
+            cols = np.ascontiguousarray(stack.transpose(1, 0, 2))
+            for got in (gen(stack), gen.block(cols).transpose(1, 0, 2)):
+                assert got.shape == stack.shape
+                assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+        lone = stacks[0][0]
+        expected = (sup @ lone.ravel()).reshape(d, d)
+        assert np.linalg.norm(gen(lone) - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("heisenberg", [True, False])
+    def test_stack_keeps_the_jumps_dtype(self, heisenberg):
+        # real jumps stay real, so the real basis block of the dense build
+        # takes real products; one complex jump makes the whole stack complex
+        embedding, mixed, no_jumps = (p.values[0] for p in kernel_models()[3:])
+        gen = lindblad._generator(embedding, heisenberg)
+        assert gen.outer.shape == gen.inner.shape == (240, 16, 16)
+        assert gen.outer.dtype == gen.inner.dtype == np.float64
+        gen = lindblad._generator(mixed, heisenberg)
+        assert gen.outer.dtype == gen.inner.dtype == np.complex128
+        gen = lindblad._generator(no_jumps, heisenberg)
+        assert gen.outer.shape == gen.inner.shape == (0, 4, 4)
+
+    def test_many_jumps_stay_within_one_dense_work_array(self):
+        # in one piece, the stacked product of the embedding's dense build
+        # (K = 240, B = 256) would take 120 MiB; a slice takes at most one
+        # work array, and the output block the rest of the allowance
+        gen = lindblad._generator(kernel_models()[3].values[0], heisenberg=True)
+        basis = np.ascontiguousarray(np.eye(256).reshape(-1, 16, 16).transpose(1, 0, 2))
+        tracemalloc.start()
+        try:
+            gen.block(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * lindblad.DENSE_MAX_SIZE**2
 
 
 class TestPropagation:
