@@ -24,13 +24,12 @@ from .lindblad import (
     LindbladModel,
     QuantumState,
     _check_dim,
-    apply_adjoint_dissipator,
     heisenberg_propagator,
     resolved_fluxes,
 )
 from .operators import ObservableDecomposition, _observable
-from .util import (DENSITY_TOL, FLUX_COLUMN_SUM_TOL, anticommutator, change_moment, dagger,
-                   float_repr, group_sums, per_lambda, real_part, write_csv)
+from .util import (DENSITY_TOL, FLUX_COLUMN_SUM_TOL, change_moment, commutator, dagger,
+                   float_repr, group_sums, moment_order, per_lambda, real_part, write_csv)
 
 
 @dataclass(frozen=True)
@@ -169,27 +168,23 @@ def short_time_moment(flux: FluxMatrix, n: int) -> MomentReport:
     generating-function derivative convention; even orders are unaffected
     by this choice.
     """
-    if n < 1:
-        raise ValueError("moment order must be >= 1")
+    n = moment_order(n, 1)
     value = change_moment(flux.labels, flux.values, n)
     return MomentReport(order=n, value=value)
 
 
 def short_time_fluctuation_operator_form(model: LindbladModel, state: QuantumState,
                                          observable) -> MomentReport:
-    """m_X = tr(D^dag(X^2) rho) - tr({D^dag(X), X} rho) with D^dag the adjoint dissipator.
+    """m_X = sum_k tr(rho [X, L_k]^dag [X, L_k]), a sum of non-negative terms.
 
-    The Hamiltonian part of the adjoint Liouvillian cancels via
-    {[H, X], X} = [H, X^2], so it would give the same value. Evaluated on
-    the centered X - c I, which gives the same value since D^dag(I) = 0, with
-    D^dag applied once to the stack (X^2, X).
+    Term for term the operator form tr(D^dag(X^2) rho) - tr({D^dag(X), X} rho),
+    D^dag the adjoint dissipator, without its cancellation where X nearly
+    commutes with every jump. Evaluated on the centered X - c I, in one stack.
     """
     x = _observable(observable, model.dim).centered
     _check_dim(state, model.dim)
-    rho = state.rho
-    of_square, of_x = apply_adjoint_dissipator(model, np.stack([x @ x, x]))
-    value = np.trace(of_square @ rho) - np.trace(anticommutator(of_x, x) @ rho)
-    return MomentReport(order=2, value=real_part(value, "fluctuation"))
+    comm = commutator(x, np.reshape(model.jump_operators, (-1, model.dim, model.dim)))
+    return MomentReport(order=2, value=real_part(np.vdot(comm, comm @ state.rho), "fluctuation"))
 
 
 def moment_from_generating_function(model: LindbladModel, state: QuantumState, observable,
@@ -202,8 +197,7 @@ def moment_from_generating_function(model: LindbladModel, state: QuantumState, o
     formed from the stored eigenbasis and evolved by one propagator applied
     to the stack (X_c, ..., X_c^n), without the table's projectors.
     """
-    if n < 1:
-        raise ValueError("moment order must be >= 1")
+    n = moment_order(n, 1)
     obs = _observable(observable, model.dim)
     _check_dim(state, obs.dim)
     vecs = obs.eigenvectors

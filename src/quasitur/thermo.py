@@ -17,7 +17,7 @@ its validation; nothing here decomposes rho, and :func:`floored_state` floors.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -149,8 +149,8 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
 
 
 def quantum_diffusivity(model: LindbladModel, state: QuantumState, observable) -> float:
-    """D_X = tr(rho (D^dag(X^2) - {D^dag(X), X})) / 2, half the operator form
-    of the short-time fluctuation."""
+    """D_X = tr(rho (D^dag(X^2) - {D^dag(X), X})) / 2, half the operator form of
+    the short-time fluctuation, read as sum_k tr(rho [X, L_k]^dag [X, L_k]) / 2."""
     return short_time_fluctuation_operator_form(model, state, observable).value / 2
 
 
@@ -197,16 +197,18 @@ def tur_check(model: LindbladModel, state: QuantumState, observable,
     All quantities are evaluated on the same (floored, if necessary) state
     so the inequality applies to the instance exactly; the floor decision
     and the entropy production rate read the state's stored spectrum. The
-    fluctuation is computed from the flux sum; the diffusivity from its own
-    operator expression, making the reported D_X = m_X / 2 identity a live
-    check. ``eigenvalue_floor=None`` disables flooring, as for
-    :func:`entropy_production_rate`.
+    fluctuation is the second flux moment of the model with H zeroed, as
+    i[H, X^2] = {i[H, X], X} cancels the Hamiltonian fluxes in every even
+    moment; the diffusivity comes from its own operator expression, making
+    the reported D_X = m_X / 2 identity a live check. ``eigenvalue_floor=None``
+    disables flooring, as for :func:`entropy_production_rate`.
     """
     obs = _observable(observable, model.dim)
     use, applied = floored_state(state, eigenvalue_floor)
     epr = entropy_production_rate(model, use, None)
     j_d = currents(model, use, obs).dissipative_part
-    m_x = short_time_moment(flux_matrix(model, use, obs), 2).value
+    m_x = short_time_moment(flux_matrix(replace(model, hamiltonian=0 * model.hamiltonian),
+                                        use, obs), 2).value
     d_x = quantum_diffusivity(model, use, obs)
     bound = tur_bound(j_d, m_x)
     diff_bound = j_d**2 / d_x if bound > 0.0 and d_x > 0 else 0.0
@@ -232,7 +234,7 @@ def tur_report_dict(report: TURReport, model: LindbladModel, observable) -> dict
     return {
         **asdict(report),
         "model_hash": model_hash(model),
-        "observable_hash": operator_hash(_observable(observable, model.dim).observable),
+        "observable_hash": operator_hash(_observable_operator(observable, model.dim)),
     }
 
 

@@ -98,10 +98,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
-
-
 def real_part(value, what: str):
     """Real part of a scalar (as ``float``) or an array that must be real.
 
@@ -143,10 +139,17 @@ def group_sums(a: np.ndarray, members) -> np.ndarray:
     return onehot @ a @ onehot.T
 
 
+def moment_order(n, lowest: int = 0) -> int:
+    """``n`` as an ``int``; ``ValueError`` unless an integer (numpy's too) >= ``lowest``."""
+    if not isinstance(n, (int, np.integer)) or n < lowest:
+        raise ValueError(f"moment order must be >= {lowest} and an integer, got {n!r}")
+    return int(n)
+
+
 def change_moment(labels: np.ndarray, values: np.ndarray, n: int) -> float:
     """sum over y, x of (y - x)^n values[y, x], for a table indexed
     [final, initial] with the same ``labels`` on both axes."""
-    return float(np.sum(np.subtract.outer(labels, labels)**n * values))
+    return float(np.sum(np.subtract.outer(labels, labels)**moment_order(n) * values))
 
 
 def float_repr(x: float) -> str:

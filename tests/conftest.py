@@ -77,3 +77,18 @@ def flux_boxes(monkeypatch):
 
     monkeypatch.setattr(lindblad, "_support_box", watched_support_box)
     return boxes
+
+
+@pytest.fixture
+def generator_builds(monkeypatch):
+    """(heisenberg, hamiltonian) of each generator ``quasitur.lindblad._generator``
+    builds, in order."""
+    builds = []
+    generator = lindblad._generator
+
+    def watched_generator(model, heisenberg, hamiltonian=True):
+        builds.append((heisenberg, hamiltonian))
+        return generator(model, heisenberg, hamiltonian)
+
+    monkeypatch.setattr(lindblad, "_generator", watched_generator)
+    return builds

@@ -7,6 +7,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import expm_multiply
 
+from quasitur.ensembles import random_hermitian, random_state, random_unitary
 from quasitur.lindblad import JumpPair, LindbladModel, QuantumState
 from quasitur.operators import logarithmic_mean
 from quasitur.thermo import DEFAULT_EIGENVALUE_FLOOR, floored_state
@@ -343,3 +344,103 @@ def enlarged(geo) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     The weight is block diagonal, with block c equal to (g_c / 2) rho."""
     weight = scipy.linalg.block_diag(*(g / 2 * geo.state.rho for g in geo.rates))
     return pair_blocks(geo.current), pair_blocks(geo.force), pair_blocks(geo.structure), weight
+
+
+def near_conserved_instance(seed: int, eta: float):
+    """(model, state, X) with X = X_0 + eta Y near an observable X_0 that
+    commutes with every jump, drawn from ``default_rng(seed)`` independently
+    of ``eta``.
+
+    X_0 = U diag(0, 1, 2, 3.5) U^dag at d = 4. Each of two pairs takes
+    f = U diag(z) U^dag, z complex standard normal, and rates
+    (g_f, g_b) = exp(U(-1, 1)), with the forward jump sqrt(g_f) f, the
+    backward one sqrt(g_b) f^dag and s = ln(g_f / g_b), so both satisfy
+    local detailed balance and [X_0, L_k] = 0. H and Y are random Hermitian
+    and the state full rank. J ~ eta and m_X ~ eta^2, so the bound
+    2 J^2 / m_X stays O(1) as eta -> 0.
+    """
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 4)
+    pairs = []
+    for _ in range(2):
+        f = (u * (rng.normal(size=4) + 1j * rng.normal(size=4))) @ u.conj().T
+        gamma_f, gamma_b = np.exp(rng.uniform(-1.0, 1.0, 2))
+        pairs.append(JumpPair(np.sqrt(gamma_f) * f, np.sqrt(gamma_b) * f.conj().T,
+                              float(np.log(gamma_f / gamma_b))))
+    model = LindbladModel(random_hermitian(rng, 4), tuple(pairs))
+    state = random_state(rng, 4)
+    x = (u * [0.0, 1.0, 2.0, 3.5]) @ u.conj().T + eta * random_hermitian(rng, 4)
+    return model, state, x
+
+
+def tur_reference(model: LindbladModel, state: QuantumState, x, dps: int = 50):
+    """(m_X, J_X^d, 2 J^2 / m_X) as ``mpmath`` numbers at ``dps`` digits on
+    the float inputs as given: m_X = sum_k tr(rho [X, L_k]^dag [X, L_k]) and
+    J_X^d = tr(X D(rho)), D(rho) = sum_k L_k rho L_k^dag - {L_k^dag L_k, rho} / 2,
+    with X itself, not centered, in every product."""
+    with mpmath.workdps(dps):
+        def mat(a):
+            return mpmath.matrix(np.asarray(a, dtype=complex).tolist())
+
+        def trace(a):
+            return mpmath.fsum(a[i, i] for i in range(a.rows))
+
+        rho, xm = mat(state.rho), mat(x)
+        m_x = j_d = mpmath.mpf(0)
+        for op in model.jump_operators:
+            jump = mat(op)
+            comm = xm * jump - jump * xm
+            m_x += mpmath.re(trace(rho * comm.H * comm))
+            loss = jump.H * jump
+            j_d += mpmath.re(trace(xm * (jump * rho * jump.H - (loss * rho + rho * loss) / 2)))
+        return m_x, j_d, 2 * j_d**2 / m_x
+
+
+def _traceless_hermitian_basis(d: int) -> np.ndarray:
+    """(d^2 - 1, d, d) basis of the traceless Hermitian matrices: E_ii - E_dd
+    and, for i < j, E_ij + E_ji and i(E_ij - E_ji)."""
+    basis = []
+    for i in range(d):
+        for j in range(i, d):
+            if i == j and i < d - 1:
+                b = np.zeros((d, d), complex)
+                b[i, i], b[-1, -1] = 1.0, -1.0
+                basis.append(b)
+            elif i < j:
+                for phase in (1.0, 1j):
+                    b = np.zeros((d, d), complex)
+                    b[i, j], b[j, i] = phase, np.conj(phase)
+                    basis.append(b)
+    return np.array(basis)
+
+
+def optimal_bound(model: LindbladModel, state: QuantumState) -> tuple[float, np.ndarray]:
+    """sup_X 2 J_X^2 / m_X = 2 j^T M^+ j and the observable X* = sum_a (M^+ j)_a B_a
+    that attains it, for d <= 6 (Manikandan, Gupta & Krishnamurthy, PRL 124,
+    120603, 2020).
+
+    J_X = tr(X D(rho)) is linear and m_X = sum_k tr(rho [X, L_k]^dag [X, L_k])
+    quadratic in the real coordinates of X over the traceless Hermitian
+    basis B_a, with j_a = tr(B_a D(rho)) and M_ab = Re sum_k
+    tr(rho [B_a, L_k]^dag [B_b, L_k]). Both come from Kronecker matrices on
+    row-major vectors, vec(A Y B) = (A kron B^T) vec(Y), independently of the
+    library: vec([Y, L]) = (I kron L^T - L kron I) vec(Y), and
+    tr(C^dag C rho) = vec(C)^H (I kron rho^T) vec(C). Dropping I, which
+    commutes with every jump and carries no current, leaves M invertible
+    whenever nothing else commutes with every jump, so M^+ = M^-1.
+    """
+    d = model.dim
+    if d > 6:
+        raise ValueError(f"optimal_bound builds a (d^2 - 1)^2 Gram matrix; d = {d} > 6")
+    eye = np.eye(d)
+    basis = _traceless_hermitian_basis(d)
+    vecs = basis.reshape(len(basis), -1).T
+    weight = np.kron(eye, state.rho.T)
+    gram = np.zeros((len(basis), len(basis)))
+    for op in model.jump_operators:
+        comms = (np.kron(eye, op.T) - np.kron(op, eye)) @ vecs
+        gram += (comms.conj().T @ weight @ comms).real
+    dissipator = superoperator(LindbladModel(np.zeros((d, d)), model.jump_pairs), adjoint=False)
+    j = (vecs.conj().T @ (dissipator @ state.rho.reshape(-1))).real
+    coords = np.linalg.solve(gram, j)
+    return float(2.0 * j @ coords), np.tensordot(coords, basis, axes=1)

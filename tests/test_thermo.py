@@ -20,10 +20,11 @@ from quasitur.lindblad import (
     JumpPair,
     LindbladModel,
     QuantumState,
+    apply_adjoint_dissipator,
     apply_dissipator,
     propagate,
 )
-from quasitur.quasiprob import ObservableDecomposition
+from quasitur.quasiprob import ObservableDecomposition, short_time_fluctuation_operator_form
 from quasitur.thermo import (
     currents,
     entropy_production_rate,
@@ -520,6 +521,24 @@ class TestDiffusivity:
             ).value
             assert abs(2 * d_x - m_x) <= 1e-10 * max(abs(m_x), 1.0)
 
+    def test_operator_form_builds_no_generator(self, generator_builds):
+        # the commutator Gram sum applies no dissipator
+        model, state, x = random_instance(np.random.default_rng(8))
+        short_time_fluctuation_operator_form(model, state, x)
+        quantum_diffusivity(model, state, x)
+        assert generator_builds == []
+
+    def test_operator_form_is_the_commutator_gram_sum(self):
+        # tr(D^dag(X^2) rho) - tr({D^dag(X), X} rho), with D^dag applied
+        # through the library, equals the Gram sum term for term
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            model, state, x = random_instance(rng)
+            of_square, of_x = apply_adjoint_dissipator(model, np.stack([x @ x, x]))
+            operator_form = np.trace(of_square @ state.rho - (of_x @ x + x @ of_x) @ state.rho)
+            assert short_time_fluctuation_operator_form(model, state, x).value == pytest.approx(
+                operator_form.real, rel=1e-12, abs=1e-12)
+
 
 class TestTURBound:
     def test_regular(self):
@@ -609,6 +628,22 @@ class TestTURCheck:
         assert set(payload) == expected_keys
         json.dumps(payload)  # serializable
         assert payload["epr"] == report.epr
+
+    def test_report_dict_hashes_the_matrix_without_decomposing(self, eigendecompositions):
+        model, state = ladder_model(), ladder_state()
+        x = random_hermitian(np.random.default_rng(3), 3)
+        obs = ObservableDecomposition.from_operator(x)
+        report = tur_check(model, state, obs)
+        eigendecompositions.clear()
+        hashes = {tur_report_dict(report, model, arg)["observable_hash"] for arg in (x, obs)}
+        assert eigendecompositions == []
+        assert hashes == {operator_hash(obs.observable)}
+
+    def test_builds_one_generator(self, generator_builds):
+        # the dissipator for the current; m_X and D_X come from closed forms
+        model, state, x = random_instance(np.random.default_rng(10))
+        tur_check(model, state, x)
+        assert generator_builds == [(False, False)]
 
 
 class TestGeometricRepresentation:

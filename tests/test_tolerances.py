@@ -57,6 +57,7 @@ from quasitur.quasiprob import (
     generating_function,
     moment_from_generating_function,
     short_time_fluctuation_operator_form,
+    short_time_moment,
     tmh_table,
 )
 from quasitur.thermo import (
@@ -172,6 +173,18 @@ REJECTIONS = {
     "moment order 0": (lambda: moment_from_generating_function(
         ladder_model(), ladder_state(), np.diag([0.0, 1.0, 2.0]), 0, 0.1),
         ValueError, "moment order must be >= 1"),
+    # each used to give inf or NaN with only a RuntimeWarning, or a TypeError
+    "flux moment order 2.5": (lambda: short_time_moment(
+        flux_matrix(ladder_model(), ladder_state(), np.diag([0.0, 1.0, 2.0])), 2.5),
+        ValueError, "moment order"),
+    "table moment order -1": (lambda: tmh_table(
+        ladder_model(), ladder_state(), np.diag([0.0, 1.0, 2.0]), 0.1).moment(-1),
+        ValueError, "moment order"),
+    "classical moment order -1": (lambda: classical_joint_moment(RATES, P, F, -1, 0.1),
+                                  ValueError, "moment order"),
+    "generating-function moment order 2.5": (lambda: moment_from_generating_function(
+        ladder_model(), ladder_state(), np.diag([0.0, 1.0, 2.0]), 2.5, 0.1),
+        ValueError, "moment order"),
     # argparse rejects the option and exits with status 2
     "three gammas": (lambda: run(["example", "--n", "2", "--gammas", "1,2,3",
                                   "--output", "unused.csv"]), SystemExit, "^2$"),
@@ -183,6 +196,19 @@ def test_malformed_input_rejected(case):
     call, error, match = REJECTIONS[case]
     with pytest.raises(error, match=match):
         call()
+
+
+def test_moment_order_takes_numpy_integers():
+    model, state, x = ladder_model(), ladder_state(), np.diag([0.0, 1.0, 2.0])
+    table, flux = tmh_table(model, state, x, 0.1), flux_matrix(model, state, x)
+    for n in (2, np.int64(2), np.uint8(2)):
+        assert table.moment(n) == table.moment(2)
+        assert short_time_moment(flux, n).order == 2
+        assert (classical_joint_moment(RATES, P, F, n, 0.1)
+                == classical_joint_moment(RATES, P, F, 2, 0.1))
+        assert moment_from_generating_function(model, state, x, n, 0.1).value == pytest.approx(
+            table.moment(2), rel=1e-12)
+    assert table.moment(0) == pytest.approx(1.0, rel=1e-12)
 
 
 # each entry point called as (model, state, observable)
