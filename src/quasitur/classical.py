@@ -23,7 +23,7 @@ from .fcs import default_lambda_grid
 from .lindblad import JumpPair, LindbladModel, QuantumState
 from .quasiprob import (ObservableDecomposition, QuasiprobTable, _transform, flux_matrix,
                         short_time_moment, tmh_table)
-from .thermo import currents, entropy_production_rate, tur_bound
+from .thermo import entropy_production_rate, tur_bound
 from .util import CLASSICAL_TOL, DENSITY_TOL, change_moment, lag, read_json, write_json
 
 
@@ -222,7 +222,8 @@ def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     lags (state-indexed, so repeated f values stay distinct), and the
     generating functions over a lambda grid. On reversible rate matrices the
     entropy production rate and uncertainty-relation fields are evaluated
-    as well; otherwise they are reported as None.
+    as well, J as the first flux moment sum (f_j - f_i) R_ji p_i (H = 0),
+    which builds no generator; otherwise they are reported as None.
     """
     r, p, f = _validated(r, p, f)
     n = r.shape[0]
@@ -230,7 +231,8 @@ def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     state = QuantumState(np.diag(p))
     obs = ObservableDecomposition.from_eigenbasis(f, np.eye(n))
 
-    m_quantum = short_time_moment(flux_matrix(model, state, obs), 2).value
+    flux = flux_matrix(model, state, obs)
+    m_quantum = short_time_moment(flux, 2).value
     m_classical = classical_short_time_second_moment(r, p, f)
     m_residual = abs(m_quantum - m_classical)
 
@@ -248,7 +250,7 @@ def quantize_and_compare(r: np.ndarray, p: np.ndarray, f: np.ndarray,
     epr = bound = slack = None
     if reversible and p.min() > 0:
         epr = entropy_production_rate(model, state)
-        bound = tur_bound(currents(model, state, obs).dissipative_part, m_quantum)
+        bound = tur_bound(short_time_moment(flux, 1).value, m_quantum)
         slack = epr - bound
     return EmbeddingComparison(
         reversible=reversible,

@@ -7,8 +7,8 @@ generating rate
     g^c(l) = sum_k (exp(i l w_k) - 1) tr(L_k^dag L_k rho),
 
 which differs from the quasiprobability rate sum_{y,x} e^{il(y - x)} T_yx,
-the transform of the flux matrix, only through an odd sine series over the
-Hamiltonian coherences. Even-order moments therefore coincide, so the
+the transform of the flux matrix, only by the transform of H's own fluxes,
+an odd sine series over its coherences. Even-order moments coincide, so the
 second moment m_X is observable by monitoring jumps.
 """
 
@@ -22,7 +22,7 @@ from .errors import CommutationViolatedError, DimMismatchError
 from .lindblad import LindbladModel, QuantumState, _check_dim
 from .operators import ObservableDecomposition, _observable
 from .quasiprob import _transform, flux_matrix, short_time_moment
-from .util import COMMUTATION_TOL, _rotation, commutator, dagger, per_lambda, write_csv
+from .util import COMMUTATION_TOL, commutator, dagger, per_lambda, write_csv
 
 
 @dataclass(frozen=True)
@@ -36,31 +36,32 @@ class CommutationCheckResult:
 
 
 def commutation_check(model: LindbladModel, observable) -> CommutationCheckResult:
-    """Fit w_k = tr(L_k^dag [X, L_k]) / tr(L_k^dag L_k) and verify the relation
+    """Fit w_k = tr(L_k^dag [X_c, L_k]) / tr(L_k^dag L_k) and verify the relation
     to ``COMMUTATION_TOL`` times spread(X) ||L_k||_F, which bounds
     ||[X, L_k]||_F, so rescaling X or L_k leaves the verdict alone. The
     rounding of [X, L_k], 2 d eps ||X||_F ||L_k||_F, floors the threshold:
-    a constant X in a rotated basis passes.
-
-    Failure is a result, not an exception; the first violating jump index is
-    recorded. Only an exactly zero L_k, the missing member of an irreversible
-    classical edge, has weight 0.
+    a constant X in a rotated basis passes. One commutator per jump, with
+    the centered X_c = X - c I, gives w_k and the residual, so an offset of X
+    costs them no digits. Failure is a result, not an exception; the first
+    violating jump index is recorded. Only an exactly zero L_k, the missing
+    member of an irreversible classical edge, has weight 0.
     """
     obs = _observable(observable, model.dim)
-    x = obs.observable
+    x = obs.centered
     scale = max(COMMUTATION_TOL * obs.max_gap,
-                2 * model.dim * np.finfo(float).eps * float(np.linalg.norm(x)))
+                2 * model.dim * np.finfo(float).eps * float(np.linalg.norm(obs.observable)))
     weights = []
     residuals = []
     failed = None
     for i, op in enumerate(model.jump_operators):
-        comm = commutator(x, op)
-        w = 0.0
+        w = residual = 0.0
         if op.any():
             # a power of two rescales exactly and keeps tr(L^dag L) of a tiny L_k off zero
-            u = op / np.ldexp(1.0, np.frexp(np.abs(op).max())[1] - 1)
-            w = float((np.trace(dagger(u) @ commutator(x, u)) / np.trace(dagger(u) @ u).real).real)
-        residual = float(np.linalg.norm(comm - w * op))
+            unit = np.ldexp(1.0, np.frexp(np.abs(op).max())[1] - 1)
+            u = op / unit
+            comm = commutator(x, u)
+            w = float((np.trace(dagger(u) @ comm) / np.trace(dagger(u) @ u).real).real)
+            residual = float(np.linalg.norm(comm - w * u)) * unit
         weights.append(w)
         residuals.append(residual)
         if failed is None and residual > scale * float(np.linalg.norm(op)):
@@ -138,27 +139,20 @@ class GeneratingRateComparison:
 
 
 def predicted_rate_difference(model: LindbladModel, state: QuantumState, observable,
-                              lambda_grid) -> np.ndarray:
-    """sum_{x,y} H_yx rho_xy sin(l (y - x)) over the observable eigenbasis.
-
-    This sine series equals the quasiprobability rate minus the counting
-    rate whenever the commutation condition holds; it vanishes identically
-    when H or rho commutes with X.
+                              lambda_grid):
+    """The transform (:func:`quasitur.util.per_lambda` convention) of the fluxes
+    T^H of the model without jumps. As T = T^H + T^D and T^D transforms into
+    the counting rate under the commutation condition, this is the
+    quasiprobability rate minus the counting rate: the sine series
+    sum_{x,y} H_yx rho_xy sin(l (y - x)) over eigenvalue classes (pairs within
+    one class weigh e^0). It vanishes when H or rho commutes with X.
     """
-    obs = _observable(observable, model.dim)
-    _check_dim(state, model.dim)
-    rotate = _rotation(obs.eigenvectors)
-    vals = obs.eigenvalues
-    h_eig = rotate(model.hamiltonian)
-    rho_eig = rotate(state.rho)
-    weight = h_eig.T * rho_eig  # entry (x, y): H_yx rho_xy
-    diffs = vals[None, :] - vals[:, None]  # entry (x, y): y - x
-    grid = np.asarray(lambda_grid, dtype=float)
-    return np.einsum("xy,bxy->b", weight, np.sin(np.multiply.outer(grid, diffs)))
+    return _transform(flux_matrix(LindbladModel(model.hamiltonian, ()), state, observable),
+                      lambda_grid)
 
 
 def compare_rates(model: LindbladModel, state: QuantumState, observable) -> GeneratingRateComparison:
-    """Evaluate both generating rates and the sine-series difference formula.
+    """Evaluate both generating rates and their predicted difference over classes.
 
     Raises ``CommutationViolatedError`` when no jump weights exist. The
     residual is the worst absolute deviation of (tmh - fcs) from the

@@ -222,6 +222,23 @@ def classical_generating(prop: np.ndarray, p: np.ndarray, f: np.ndarray, lams) -
             * np.exp(-1j * np.outer(lams, centered))) @ p
 
 
+def sine_series(hamiltonian: np.ndarray, rho: np.ndarray, eigenvalues, eigenvectors,
+                lams) -> np.ndarray:
+    """sum_{x,y} H_yx rho_xy sin(l (y - x)) over the given eigenvectors of X,
+    with their eigenvalues y and x, for each entry of a 1-D array of
+    (possibly complex) ``lams``.
+
+    The quasiprobability rate minus the counting rate when the commutation
+    condition holds, summed term by term over eigenvectors. The library
+    reads it as the transform of the Hamiltonian's fluxes over eigenvalue
+    classes instead.
+    """
+    v = np.asarray(eigenvectors)
+    weight = (v.conj().T @ hamiltonian @ v).T * (v.conj().T @ rho @ v)  # (x, y): H_yx rho_xy
+    diffs = np.subtract.outer(eigenvalues, eigenvalues).T  # (x, y): y - x
+    return np.einsum("xy,bxy->b", weight, np.sin(np.multiply.outer(np.asarray(lams), diffs)))
+
+
 #: trapezoidal nodes on the circle |l| = 1/scale
 CONTOUR_NODES = 16
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from quasitur.ensembles import random_state, random_unitary
+from quasitur.ensembles import random_instance, random_model, random_state, random_unitary
 from quasitur.errors import CommutationViolatedError, DimMismatchError
 from quasitur.fcs import (
     commutation_check,
@@ -33,6 +33,7 @@ from oracles import (
     ladder_model,
     ladder_state,
     phase_generating,
+    sine_series,
     thermal_qubit,
 )
 
@@ -91,6 +92,21 @@ class TestCommutationCheck:
             assert commutation_check(model, observable(scale * np.eye(2))).ok
         assert commutation_check(model, observable(np.diag([1e8, 1e8 + 1.0]))).ok
         assert not commutation_check(model, observable(SIGMA_X + 1e8 * np.eye(2))).ok
+
+    @pytest.mark.parametrize("offset", [1e4, 1e6, 1e8])
+    def test_an_offset_of_the_observable_costs_no_digits(self, offset):
+        # the weights come from [X_c, L_k] with X_c = X - c I, so X + a I gives the weights,
+        # residuals, rate residual and even-moment gaps of X; [X, L_k] would cost them eps a
+        model, state = ladder_model(), ladder_state()
+        x = np.diag([0.0, 1.0, 2.0])
+        base, shifted = commutation_check(model, x), commutation_check(model, x + offset * np.eye(3))
+        assert shifted.ok
+        np.testing.assert_allclose(shifted.weights, base.weights, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(shifted.residuals, base.residuals, rtol=0.0, atol=1e-15)
+        base, shifted = compare_rates(model, state, x), compare_rates(model, state, x + offset * np.eye(3))
+        assert shifted.residual == pytest.approx(base.residual, rel=0.0, abs=1e-15)
+        np.testing.assert_allclose(shifted.even_moment_differences, base.even_moment_differences,
+                                   rtol=0.0, atol=1e-15)
 
     def test_transverse_observable_fails(self):
         # [sigma_x, sigma_-] is proportional to sigma_z, not sigma_-
@@ -229,6 +245,61 @@ class TestCompareRates:
         assert len(lines) == 1 + len(comparison.lambda_grid)
         cells = lines[1].split(",")
         assert float(cells[0]) == pytest.approx(comparison.lambda_grid[0])
+
+
+# the transform of H's fluxes against the per-eigenvector sine series, rel. max(|series|, 1):
+# at most 7.06e-16 on random_instance seeds 0-199
+SINE_SERIES_TOL = 7.1e-16
+
+
+def _sine_series(model, state, obs, lams):
+    return sine_series(model.hamiltonian, state.rho, obs.eigenvalues, obs.eigenvectors, lams)
+
+
+class TestPredictedDifference:
+    def test_is_the_sine_series(self):
+        for seed in range(200):
+            model, state, x = random_instance(np.random.default_rng(seed))
+            obs = ObservableDecomposition.from_operator(x)
+            grid = default_lambda_grid(obs)
+            series = _sine_series(model, state, obs, grid)
+            got = predicted_rate_difference(model, state, obs, grid)
+            assert np.max(np.abs(got - series)) <= SINE_SERIES_TOL * max(np.max(np.abs(series)), 1.0)
+
+    def test_lambda_convention(self):
+        # util.per_lambda, as for every rate: a scalar gives a complex, a complex lambda is taken
+        model, state, x = random_instance(np.random.default_rng(5))
+        obs = ObservableDecomposition.from_operator(x)
+        scalar = predicted_rate_difference(model, state, obs, 0.4)
+        assert type(scalar) is complex
+        assert scalar == predicted_rate_difference(model, state, obs, np.array([0.4]))[0]
+        lams = np.array([0.4 + 0.3j, -1.1 - 0.2j])
+        series = _sine_series(model, state, obs, lams)
+        got = predicted_rate_difference(model, state, obs, lams)
+        assert np.max(np.abs(got - series)) <= SINE_SERIES_TOL * max(np.max(np.abs(series)), 1.0)
+        assert predicted_rate_difference(model, state, obs, 0.4 + 0.3j) == got[0]
+
+    def test_within_a_merged_class_the_terms_weigh_one(self):
+        # eigenvalues 1 and 1 + 5e-10 merge into one class; the difference reads classes, as
+        # the quasiprobability rate does, so the pairs within it weigh e^0 and add nothing,
+        # while the per-eigenvector series keeps their sin(l 5e-10) terms
+        rng = np.random.default_rng(3)
+        u = random_unitary(rng, 4)
+        x = u @ np.diag([0.0, 1.0, 1.0 + 5e-10, 2.5]) @ u.conj().T
+        obs = ObservableDecomposition.from_operator((x + x.conj().T) / 2)
+        assert [len(m) for m in obs.class_members] == [1, 2, 1]
+        model, state = random_model(rng, 4, 2), random_state(rng, 4)
+        grid = default_lambda_grid(obs)
+        got = predicted_rate_difference(model, state, obs, grid)
+        class_values = np.repeat(obs.class_values, [len(m) for m in obs.class_members])
+        series = sine_series(model.hamiltonian, state.rho, class_values, obs.eigenvectors, grid)
+        assert np.max(np.abs(got - series)) <= SINE_SERIES_TOL * max(np.max(np.abs(series)), 1.0)
+        assert np.max(np.abs(got - _sine_series(model, state, obs, grid))) > 1e-12
+
+    def test_builds_no_generator(self, generator_builds):
+        obs = ObservableDecomposition.from_operator(np.diag([0.0, 1.0, 2.0]))
+        predicted_rate_difference(ladder_model(), ladder_state(), obs, default_lambda_grid(obs))
+        assert generator_builds == []
 
 
 class TestLambdaGrid:
