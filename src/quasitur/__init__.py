@@ -32,7 +32,6 @@ from .errors import (
     DimMismatchError,
     ImaginaryResidueError,
     InsufficientPointsError,
-    NonConvergenceError,
     NotHermitianError,
     QuasiturError,
     SingularStateError,

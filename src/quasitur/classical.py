@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimMismatchError, TracePreservationError
 from .fcs import default_lambda_grid
@@ -68,6 +67,8 @@ def _validated(r, p, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _propagator(r: np.ndarray, t: float) -> np.ndarray:
     """exp(R t) of a validated R and lag; raises ``TracePreservationError``
     when a column sum misses 1 by more than ``DENSITY_TOL`` or is not finite."""
+    import scipy.linalg
+
     prop = scipy.linalg.expm(r * t)
     drift = np.max(np.abs(prop.sum(axis=0) - 1.0))
     if not drift <= DENSITY_TOL:

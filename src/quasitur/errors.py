@@ -17,10 +17,6 @@ class DegeneratePairError(QuasiturError):
     """A jump pair cannot be decomposed because an operator vanishes."""
 
 
-class NonConvergenceError(QuasiturError):
-    """An adaptive integrator failed to meet its tolerance."""
-
-
 class SingularStateError(QuasiturError):
     """A state is rank deficient where full rank is required."""
 

@@ -5,6 +5,7 @@ from math import factorial
 import mpmath
 import numpy as np
 import scipy.linalg
+from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
 from quasitur.ensembles import random_hermitian, random_state, random_unitary
@@ -161,6 +162,20 @@ def action_propagate(model: LindbladModel, ops: np.ndarray, t: float, adjoint: b
     d = model.dim
     out = expm_multiply(superoperator(model, adjoint) * t, ops.reshape(len(ops), d * d).T)
     return out.T.reshape(ops.shape)
+
+
+def integrated(model: LindbladModel, a, t: float, heisenberg: bool) -> np.ndarray:
+    """exp(L^dag t) or exp(L t) applied to a state, an operator or a stack by
+    adaptive Runge-Kutta (RK45) integration of the Kronecker matrix, so it
+    shares neither the library's generator nor any exponential algorithm."""
+    ops = np.asarray(a.rho if isinstance(a, QuantumState) else a, dtype=complex)
+    d = model.dim
+    sup = superoperator(model, heisenberg)
+    sol = solve_ivp(lambda _t, y: (y.reshape(-1, d * d) @ sup.T).ravel(), (0.0, t), ops.ravel(),
+                    method="RK45", rtol=1e-10, atol=1e-12)
+    if not sol.success:
+        raise RuntimeError(f"integrator failed: {sol.message}")
+    return sol.y[:, -1].reshape(ops.shape)
 
 
 def mpmath_propagate(model: LindbladModel, ops: np.ndarray, t: float, adjoint: bool,

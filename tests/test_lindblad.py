@@ -47,6 +47,7 @@ from oracles import (
     dense_propagate,
     excited_state,
     gibbs_state,
+    integrated,
     mpmath_propagate,
     phase_generating,
     superoperator,
@@ -330,7 +331,7 @@ class TestPropagation:
         rng = np.random.default_rng(10)
         model, state, _ = random_instance(rng)
         via_expm = propagate(model, state, 0.7)
-        via_ivp = lindblad._integrated(model, state, 0.7, heisenberg=False)
+        via_ivp = integrated(model, state, 0.7, heisenberg=False)
         assert np.linalg.norm(via_expm.rho - via_ivp) <= 1e-8
 
     def test_negative_time_rejected(self):
@@ -494,7 +495,7 @@ class TestMatrixFreeRoute:
         model = random_model(rng, 5, 2)
         stack = np.array([random_hermitian(rng, 5) for _ in range(3)])
         for apply in (heisenberg_propagator(model, 0.4),
-                      lambda a: lindblad._integrated(model, a, 0.4, heisenberg=True)):
+                      lambda a: integrated(model, a, 0.4, heisenberg=True)):
             together = apply(stack)
             for x, out in zip(stack, together):
                 np.testing.assert_allclose(out, apply(x), atol=1e-9)
