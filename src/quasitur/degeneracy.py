@@ -50,11 +50,11 @@ def classify_basis_classicality(model: LindbladModel, basis: ObservableDecomposi
     """Classify a basis as classical if every transition is touched by at
     most ``count_bound`` jumps (elements above ``ZERO_ELEMENT_TOL``), each
     with matrix element at most ``magnitude_bound`` in magnitude."""
-    v = _observable(basis, model.dim).eigenvectors
-    n = v.shape[1]
+    obs = _observable(basis, model.dim)
+    n = obs.dim
     max_mag = np.zeros((n, n))
     counts = np.zeros((n, n), dtype=int)
-    rotate = _rotation(v)
+    rotate = _rotation(obs.eigenvectors, obs._perm)
     for op in model.jump_operators:
         mags = np.abs(rotate(op))
         max_mag = np.maximum(max_mag, mags)
@@ -72,7 +72,7 @@ def classify_basis_classicality(model: LindbladModel, basis: ObservableDecomposi
 def l1_coherence(state: QuantumState, basis: ObservableDecomposition) -> float:
     """Sum of absolute off-diagonal elements of rho in the given basis."""
     _check_dim(state, basis.dim)
-    mat = _rotation(basis.eigenvectors)(state.rho)
+    mat = _rotation(basis.eigenvectors, basis._perm)(state.rho)
     return float(np.sum(np.abs(mat)) - np.sum(np.abs(np.diag(mat))))
 
 
@@ -121,7 +121,7 @@ def build_collective_model(params: CollectiveModelParams) -> LindbladModel:
     n = params.n_levels
     d = params.dim
     ham = np.zeros((d, d))
-    ham[n:, n:] = params.omega * np.eye(n)
+    np.fill_diagonal(ham[n:, n:], params.omega)
     l_plus = np.zeros((d, d))
     l_plus[n:, :n] = np.sqrt(params.gamma_plus)
     l_minus = np.zeros((d, d))
@@ -134,8 +134,8 @@ def build_collective_model(params: CollectiveModelParams) -> LindbladModel:
 def collective_basis(params: CollectiveModelParams) -> ObservableDecomposition:
     """The product basis {|g,j>, |e,j>} with exact groups."""
     n = params.n_levels
-    eye = np.eye(params.dim)
-    return ObservableDecomposition.from_groups(((0.0, eye[:, :n]), (params.omega, eye[:, n:])))
+    return ObservableDecomposition._from_columns(np.eye(params.dim), (0.0, float(params.omega)),
+                                                 (n, n))
 
 
 def _band_vector(params: CollectiveModelParams, band: int, sign: str) -> np.ndarray:
@@ -168,37 +168,56 @@ def build_plus_minus_state(params: CollectiveModelParams, sign: str) -> QuantumS
 
     The state carries its spectrum without an ``eigh``: p_g and p_e on the
     two band vectors, and 0 on the rest of each band, which
-    :func:`_band_completion` spans.
+    :func:`_band_completion` spans. rho is written as its two N x N band
+    blocks, and the eigenvectors straight into their ascending order.
     """
     n = params.n_levels
-    vg = _band_vector(params, 0, sign)
-    ve = _band_vector(params, 1, sign)
-    rho = params.p_g * np.outer(vg, vg) + params.p_e * np.outer(ve, ve)
-    vectors = np.zeros((params.dim, params.dim))
-    vectors[:n, :n] = vectors[n:, n:] = _band_completion(params, sign)
+    band = _band_vector(params, 0, sign)[:n]
+    rho = np.zeros((params.dim, params.dim))
+    for block, p in ((rho[:n, :n], params.p_g), (rho[n:, n:], params.p_e)):
+        np.outer(band, band, out=block)
+        block *= p
     values = np.zeros(params.dim)
     values[[0, n]] = params.p_g, params.p_e
-    return _state_from_spectrum(rho, values, vectors)
+    order = np.argsort(values, kind="stable")
+    position = np.argsort(order)  # the column of vectors[:, order] that each vector takes
+    vectors = np.zeros((params.dim, params.dim))
+    reflector = _band_completion(params, sign)
+    for first in (0, n):
+        # the stable order keeps a band's columns 1..N-1, all of population 0, in one run
+        run = position[first + 1] if n > 1 else 0
+        vectors[first:first + n, position[first]] = reflector[:, 0]
+        vectors[first:first + n, run:run + n - 1] = reflector[:, 1:]
+    # the vectors are a permutation matrix only where the reflector is I
+    perm = order if n == 1 and sign == "+" else None
+    return _state_from_spectrum(rho, values[order], vectors, perm)
 
 
 def build_diagonal_state(params: CollectiveModelParams) -> QuantumState:
     """The incoherent counterpart: uniform populations within each band.
 
-    Its spectrum is its diagonal, on the standard basis, so no ``eigh``
-    decomposes it."""
-    n = params.n_levels
+    Its spectrum is its diagonal, on the standard basis sorted by it, a
+    permutation matrix that the state records, so no ``eigh`` decomposes it
+    and nothing searches its eigenvectors."""
+    n, d = params.n_levels, params.dim
     diag = np.concatenate([
         np.full(n, params.p_g / n),
         np.full(n, params.p_e / n),
     ])
-    return _state_from_spectrum(np.diag(diag), diag, np.eye(params.dim))
+    order = np.argsort(diag, kind="stable")
+    vectors = np.zeros((d, d))
+    vectors[order, np.arange(d)] = 1.0
+    return _state_from_spectrum(np.diag(diag), diag[order], vectors, order)
 
 
-def _state_from_spectrum(rho: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> QuantumState:
+def _state_from_spectrum(rho: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+                         perm) -> QuantumState:
     """The state rho = sum_j values[j] |vectors_j><vectors_j|, its spectrum
-    sorted ascending by a stable argsort, with no ``eigh``."""
-    order = np.argsort(values, kind="stable")
-    return QuantumState._from_spectrum(rho, values[order], vectors[:, order])
+    given in ascending order with no ``eigh``, whose eigenvectors are the
+    permutation matrix I[:, perm], or no permutation matrix if perm is None."""
+    state = QuantumState._from_spectrum(rho, values, vectors)
+    state._recorded_perm = perm
+    return state
 
 
 def superposition_basis(params: CollectiveModelParams, sign: str) -> ObservableDecomposition:

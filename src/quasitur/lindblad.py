@@ -41,10 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePairError, DimMismatchError, TracePreservationError
-from .operators import require_hermitian
-from .util import (DENSITY_TOL, DETAILED_BALANCE_TOL, PROPAGATED_PSD_TOL, _rotation, as_operator,
-                   dagger, exact_dtype, lag, matrix_from_json, matrix_to_json, operator_hash,
-                   read_json, write_json)
+from .operators import ObservableDecomposition, require_hermitian
+from .util import (DENSITY_TOL, DETAILED_BALANCE_TOL, PROPAGATED_PSD_TOL, _permutation, _rotation,
+                   as_operator, dagger, exact_dtype, lag, matrix_from_json, matrix_to_json,
+                   operator_hash, read_json, write_json)
 
 #: below this bound on ||t L||_1, ||exp(t L) X - X|| < 1e-292 ||X||: the
 #: propagator returns X, and expm_multiply never sees subnormal entries
@@ -146,7 +146,7 @@ class QuantumState:
     again.
     """
 
-    __slots__ = ("rho", "eigenvalues", "eigenvectors")
+    __slots__ = ("rho", "eigenvalues", "eigenvectors", "_recorded_perm")
 
     def __init__(self, rho, *, psd_tol=DENSITY_TOL):
         mat = require_hermitian(rho)
@@ -172,6 +172,14 @@ class QuantumState:
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
+
+    @property
+    def _perm(self):
+        """:func:`quasitur.util._permutation` of the eigenvectors, which a
+        builder that knows it records and anything else searches once."""
+        if not hasattr(self, "_recorded_perm"):
+            self._recorded_perm = _permutation(self.eigenvectors)
+        return self._recorded_perm
 
     @classmethod
     def pure(cls, vector) -> "QuantumState":
@@ -338,10 +346,11 @@ def _support_box(jump: np.ndarray) -> tuple[slice, slice]:
     return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
-def resolved_fluxes(model: LindbladModel, state: QuantumState, basis: np.ndarray) -> np.ndarray:
+def resolved_fluxes(model: LindbladModel, state: QuantumState, basis) -> np.ndarray:
     """resolved[b, a] = Re <v_a| L^dag(|v_b><v_b|) rho |v_a>, the flux
     tr({L^dag P_b, P_a} rho) / 2 between the rank-one projectors of the
-    orthonormal, complete columns v of ``basis``.
+    orthonormal, complete columns v of ``basis``, an array or the
+    eigenvectors of an :class:`~quasitur.operators.ObservableDecomposition`.
 
     Closed form in that basis, with R = V^dag rho V, G' = V^dag G V and
     L'_k = V^dag L_k V (G as in :func:`_generator`), o the entrywise product:
@@ -355,7 +364,8 @@ def resolved_fluxes(model: LindbladModel, state: QuantumState, basis: np.ndarray
     and no complex d x d G, transpose or list of jump adjoints adds to the
     peak memory of a large collective sweep. The rotations go through
     :func:`quasitur.util._rotation`, so the standard basis (that of the
-    collective model) costs no rotation at all.
+    collective model) costs no rotation at all; a decomposition's basis is
+    not searched again for its permutation.
 
     The jumps take one of two routes, chosen by d alone. Below
     ``FLUX_BOX_MIN_DIM`` all K of them go as one (K d, d) stack, so K' and
@@ -367,8 +377,12 @@ def resolved_fluxes(model: LindbladModel, state: QuantumState, basis: np.ndarray
     lives in one quadrant of the d = 2N space, and d x d for a dense jump.
     """
     _check_dim(state, model.dim)
-    v = exact_dtype(basis)
-    rotate = _rotation(v)
+    if isinstance(basis, ObservableDecomposition):
+        v = exact_dtype(basis.eigenvectors)
+        rotate = _rotation(v, basis._perm)
+    else:
+        v = exact_dtype(basis)
+        rotate = _rotation(v)
     r = rotate(state.rho)
     d = len(r)
     if d < FLUX_BOX_MIN_DIM:
@@ -376,15 +390,21 @@ def resolved_fluxes(model: LindbladModel, state: QuantumState, basis: np.ndarray
         k = dagger(flat) @ flat
         out = (flat.conj() * (flat @ r)).real.reshape(-1, d, d).sum(axis=0)
     else:
-        k, out = np.zeros(r.shape, np.result_type(v, *model.jump_operators)), np.zeros(r.shape)
+        # written with zeros rather than allocated zero, so the += below faults each
+        # page in once, not once to read the zero page and once more to write it
+        k = np.full(r.shape, 0.0, np.result_type(v, *model.jump_operators))
+        out = np.full(r.shape, 0.0)
         for op in model.jump_operators:
             jump = rotate(op)
             rows, cols = _support_box(jump)
             box = jump[rows, cols]
             k[cols, cols] += dagger(box) @ box
             out[rows, cols] += (box.conj() * (box @ r[cols, cols])).real
-    # -Re[G'^T o R], with H'^T = conj(H') and K'^T = conj(K')
-    loss = 0.5 * (k.conj() * r).real
+    # -Re[G'^T o R], with H'^T = conj(H') and K'^T = conj(K'), formed in K'
+    # unless only a complex R makes the product complex
+    in_k = k.dtype.kind == "c" or r.dtype.kind == "f"
+    loss = np.multiply(k.conj(), r, out=k if in_k else None).real
+    loss *= 0.5
     h = rotate(model.hamiltonian)
     if np.iscomplexobj(h) or np.iscomplexobj(r):
         loss += (h.conj() * r).imag

@@ -24,7 +24,11 @@ def require_hermitian(a) -> np.ndarray:
     ||a - a^dag||_F <= ``HERMITICITY_TOL`` ||a||_F."""
     mat = as_operator(a)
     norm = float(np.linalg.norm(mat))
-    error = float(np.linalg.norm(mat - dagger(mat)))
+    # the transposed read goes into a contiguous copy, so the difference is
+    # formed in one order
+    diff = np.ascontiguousarray(dagger(mat))
+    diff -= mat
+    error = float(np.linalg.norm(diff))
     if error > HERMITICITY_TOL * max(norm, 1e-300):
         raise NotHermitianError(
             f"operator deviates from Hermiticity by {error:.3e} "
@@ -98,20 +102,30 @@ class ObservableDecomposition:
                 raise BasisMismatchError("group vectors must be a (dim, n_s) array")
             values.append(float(value))
             blocks.append(vecs)
-        full = exact_dtype(np.hstack(blocks))
+        return cls._from_columns(np.hstack(blocks), values, [vecs.shape[1] for vecs in blocks])
+
+    @classmethod
+    def _from_columns(cls, vectors, values, sizes) -> "ObservableDecomposition":
+        """:meth:`from_groups` of the columns of ``vectors``, the first
+        ``sizes[0]`` of them in the class of ``values[0]`` and so on, which
+        a caller that has the whole basis in one array passes without a copy.
+        The orthonormality check searches the basis for its permutation,
+        which the decomposition keeps as ``_perm``."""
+        full = exact_dtype(vectors)
         d = full.shape[0]
         if full.shape[1] != d:
             raise BasisMismatchError(
                 f"basis has {full.shape[1]} vectors for dimension {d}; must be complete"
             )
-        # an exact identity (the collective bases) is orthonormal as it is
-        identity = np.array_equal(_permutation(full), np.arange(d))
-        if not identity and np.linalg.norm(dagger(full) @ full - np.eye(d)) > ORTHONORMALITY_TOL:
+        # a permutation matrix (the collective bases) is orthonormal as it is
+        perm = _permutation(full)
+        if perm is None and np.linalg.norm(dagger(full) @ full - np.eye(d)) > ORTHONORMALITY_TOL:
             raise BasisMismatchError("basis vectors are not orthonormal")
-        sizes = [vecs.shape[1] for vecs in blocks]
-        eigenvalues = np.repeat(values, sizes)
-        return cls(eigenvalues=eigenvalues, eigenvectors=full, class_values=np.array(values),
-                   class_members=tuple(np.split(np.arange(d), np.cumsum(sizes)[:-1])))
+        obs = cls(eigenvalues=np.repeat(values, sizes), eigenvectors=full,
+                  class_values=np.array(values, dtype=float),
+                  class_members=tuple(np.split(np.arange(d), np.cumsum(sizes)[:-1])))
+        object.__setattr__(obs, "_recorded_perm", perm)
+        return obs
 
     @classmethod
     def from_eigenbasis(cls, values, vectors) -> "ObservableDecomposition":
@@ -134,6 +148,14 @@ class ObservableDecomposition:
         if self._observable is None:
             object.__setattr__(self, "_observable", self.reconstruct())
         return self._observable
+
+    @property
+    def _perm(self):
+        """:func:`quasitur.util._permutation` of the eigenvectors, which
+        :meth:`from_groups` records and anything else searches once."""
+        if not hasattr(self, "_recorded_perm"):
+            object.__setattr__(self, "_recorded_perm", _permutation(self.eigenvectors))
+        return self._recorded_perm
 
     @property
     def dim(self) -> int:

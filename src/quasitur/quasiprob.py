@@ -87,9 +87,13 @@ class FluxMatrix:
     @property
     def integrated(self) -> np.ndarray:
         """``values`` without the self-terms (s, j) -> (s, j), which depend on
-        the basis inside each class; its grand sum is ``escape_rate``."""
-        resolved = self.resolved
-        return group_sums(resolved - np.diag(np.diag(resolved)), self.class_members)
+        the basis inside each class; its grand sum is ``escape_rate``.
+        Summed from a copy of ``resolved`` with its diagonal set to zero:
+        taking the self-terms' class sums off ``values`` instead would leave
+        their rounding, which dwarfs a vanishing within-class flux."""
+        off_diagonal = self.resolved.copy()
+        np.fill_diagonal(off_diagonal, 0.0)
+        return group_sums(off_diagonal, self.class_members)
 
     @property
     def escape_rate(self) -> float:
@@ -138,7 +142,7 @@ def flux_matrix(model: LindbladModel, state: QuantumState, observable) -> FluxMa
     """
     obs = _observable(observable, model.dim)
     return FluxMatrix(labels=obs.class_values.copy(),
-                      resolved=resolved_fluxes(model, state, obs.eigenvectors),
+                      resolved=resolved_fluxes(model, state, obs),
                       class_members=obs.class_members)
 
 

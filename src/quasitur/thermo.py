@@ -75,31 +75,51 @@ def floored_state(state: QuantumState,
     means any rank-deficient state, and ``ValueError`` unless the floor is
     None or lies in [0, 1/d].
     """
+    p, applied = _floored_spectrum(state, eigenvalue_floor)
+    if applied:
+        d, eps = state.dim, float(eigenvalue_floor)
+        floored = QuantumState._from_spectrum((1.0 - d * eps) * state.rho + eps * np.eye(d), p,
+                                              state.eigenvectors)
+        floored._recorded_perm = state._perm
+        state = floored
+    return state, applied
+
+
+def _floored_spectrum(state: QuantumState,
+                      eigenvalue_floor: float | None) -> tuple[np.ndarray, bool]:
+    """The spectrum of :func:`floored_state` and whether the floor applied,
+    with its checks, for code that needs no floored rho."""
     d = state.dim
     if eigenvalue_floor is not None and not 0.0 <= eigenvalue_floor <= 1.0 / d:
         raise ValueError(f"eigenvalue floor {eigenvalue_floor!r} is not in [0, 1/{d}]")
     applied = eigenvalue_floor is not None and bool(state.eigenvalues[0] < eigenvalue_floor)
+    p = state.eigenvalues
     if applied:
         eps = float(eigenvalue_floor)
-        state = QuantumState._from_spectrum((1.0 - d * eps) * state.rho + eps * np.eye(d),
-                                            (1.0 - d * eps) * state.eigenvalues + eps,
-                                            state.eigenvectors)
-    p_min = state.eigenvalues[0]
-    if p_min <= 0.0:
+        p = (1.0 - d * eps) * p + eps
+    if p[0] <= 0.0:
         if eigenvalue_floor is None:
-            raise SingularStateError(f"state has eigenvalue {p_min:.3e}; full rank is required")
+            raise SingularStateError(f"state has eigenvalue {p[0]:.3e}; full rank is required")
         raise SingularStateError(
             f"state remains non-positive after flooring at {eigenvalue_floor:.1e}; increase the floor"
         )
-    return state, applied
+    return p, applied
 
 
 def _pair_sum(forward: np.ndarray, backward: np.ndarray, s: float, p: np.ndarray) -> float:
     """sum_IJ (forward[I, J] p_J - backward[J, I] p_I)(s + ln p_J - ln p_I):
     one pair's flow J -> I times its affinity (Schnakenberg, Rev. Mod. Phys.
-    48, 571, 1976), over groups I, J of eigenvectors of equal population p."""
+    48, 571, 1976), over groups I, J of eigenvectors of equal population p.
+    The backward weights are read transposed once, into a C-ordered copy,
+    so the flow and the affinity are formed in one order."""
     log_p = np.log(p)
-    return float(np.sum((forward * p - backward.T * p[:, None]) * (s + log_p - log_p[:, None])))
+    scratch = backward.T.copy()
+    scratch *= p[:, None]
+    flow = forward * p
+    flow -= scratch
+    np.subtract(s + log_p, log_p[:, None], out=scratch)
+    flow *= scratch
+    return float(flow.sum())
 
 
 def entropy_production_rate(model: LindbladModel, state: QuantumState,
@@ -122,28 +142,44 @@ def entropy_production_rate(model: LindbladModel, state: QuantumState,
     M into B the columns of L V_M - V_M C, and the rest of ||L||_F^2 stays
     within B. That costs O(m d^2) per jump, two d x d products with no bulk
     and none in a permutation basis, as for a diagonal state, which counts no
-    bulk. The Hamiltonian term tr([H, rho] ln rho) vanishes identically.
+    bulk: there the jumps are weighed as they stand, p is put in their
+    order, and each run of equal neighbours in p is summed into one group,
+    so the two bands of the collective diagonal state weigh as a 2 x 2
+    table. The Hamiltonian term tr([H, rho] ln rho) vanishes identically.
     """
     _check_dim(state, model.dim)
-    state, _ = floored_state(state, eigenvalue_floor)
-    p, u = state.eigenvalues, state.eigenvectors
+    p, _ = _floored_spectrum(state, eigenvalue_floor)
+    u, perm = state.eigenvectors, state._perm
     bulk = int(np.searchsorted(p, p[0], side="right"))
-    if bulk < 2 or np.count_nonzero(u) == len(u):  # a permutation up to phases: no bulk
+    # a permutation basis, even up to phases, counts no bulk
+    if bulk < 2 or perm is not None or np.count_nonzero(u) == len(u):
         bulk = 0
-    # the bulk's population p[bulk - 1] = p[0] leads the groups
-    p, u = p[max(bulk - 1, 0):], u[:, bulk:]
-    rotate = _rotation(u)
+    else:  # the bulk's population p[bulk - 1] = p[0] leads the groups
+        p, u, perm = p[bulk - 1:], u[:, bulk:], None
+    rotate, runs = _rotation(u, perm), None
+    if perm is not None:
+        # rho is diagonal: the jumps need no rotation, p only their order,
+        # and each run of equal neighbours in p is one more group
+        p, rotate = p[np.argsort(perm)], lambda a: a
+        changes = p[1:] != p[:-1]
+        if not changes.all():
+            runs = np.flatnonzero(np.concatenate(([True], changes)))
 
     def grouped_weights(op):
         rotated = rotate(op)
-        weights = np.abs(rotated) ** 2
-        if not bulk:
-            return weights
-        into_m = np.sum(np.abs(dagger(u) @ op - rotated @ dagger(u)) ** 2, axis=1)
-        into_bulk = np.sum(np.abs(op @ u - u @ rotated) ** 2, axis=0)
-        within_bulk = np.vdot(op, op).real - weights.sum() - into_m.sum() - into_bulk.sum()
-        return np.block([[within_bulk, into_bulk], [into_m[:, None], weights]])
+        weights = np.abs(rotated)
+        np.square(weights, out=weights)
+        if bulk:
+            into_m = np.sum(np.abs(dagger(u) @ op - rotated @ dagger(u)) ** 2, axis=1)
+            into_bulk = np.sum(np.abs(op @ u - u @ rotated) ** 2, axis=0)
+            within_bulk = np.vdot(op, op).real - weights.sum() - into_m.sum() - into_bulk.sum()
+            weights = np.block([[within_bulk, into_bulk], [into_m[:, None], weights]])
+        if runs is not None:
+            weights = np.add.reduceat(np.add.reduceat(weights, runs, axis=0), runs, axis=1)
+        return weights
 
+    if runs is not None:
+        p = p[runs]
     return sum((_pair_sum(grouped_weights(pair.forward), grouped_weights(pair.backward),
                           pair.entropy_current, p) for pair in model.jump_pairs), 0.0)
 
@@ -290,7 +326,7 @@ class GeometricRepresentation:
         """S_W(M) = U (logmean * U^dag M U) U^dag, entry by entry."""
         u = self.state.eigenvectors
         weights = _log_mean_weights(self.rates, self.state.eigenvalues)
-        return u @ (weights * _rotation(u)(self._stack(m))) @ dagger(u)
+        return u @ (weights * _rotation(u, self.state._perm)(self._stack(m))) @ dagger(u)
 
     def weighted_inner(self, a, b) -> complex:
         return complex(np.sum(self._stack(a).conj() * self.weighted_apply(b)))
@@ -321,7 +357,7 @@ def geometric_representation(model: LindbladModel, state: QuantumState) -> Geome
     # of T_c times these factors
     flow = (g * p - g[np.arange(len(rates)) ^ 1] * p[:, None]) / 2
     affinity = np.array(model.entropy_currents)[:, None, None] + log_p - log_p[:, None]
-    t_eig = _rotation(u)(structure)
+    t_eig = _rotation(u, state._perm)(structure)
     t_sq = np.abs(t_eig) ** 2
     return GeometricRepresentation(
         current=u @ (flow * t_eig) @ dagger(u),

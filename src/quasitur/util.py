@@ -68,24 +68,37 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def _permutation(v: np.ndarray):
-    """perm with V = I[:, perm] when the square V is exactly a real
-    permutation matrix (d nonzeros, the maximum of every row and every
-    column 1), else None. The test stops at the dtype of a complex V and at
-    the nonzero count of a dense one."""
-    if (v.dtype.kind == "f" and np.count_nonzero(v) == len(v)
-            and (v.max(axis=0) == 1).all() and (v.max(axis=1) == 1).all()):
-        return v.argmax(axis=0)
+    """perm with V = I[:, perm] when V is exactly a real square permutation
+    matrix (d nonzeros, each row's largest entry 1 and in a column of its
+    own), else None. It reads V in its own row order, and stops at the dtype
+    of a complex V, the shape of a rectangular one and the nonzero count of
+    a dense one."""
+    d = len(v)
+    if v.dtype.kind != "f" or v.shape != (d, d) or np.count_nonzero(v) != d:
+        return None
+    cols = v.argmax(axis=1)  # the column of each row's 1: the inverse of perm
+    perm = np.full(d, -1)
+    perm[cols] = np.arange(d)
+    if (v[np.arange(d), cols] == 1).all() and (perm >= 0).all():
+        return perm
     return None
 
 
-def _rotation(v: np.ndarray):
+#: the default ``perm`` of :func:`_rotation`: search V for it
+_SEARCH = object()
+
+
+def _rotation(v: np.ndarray, perm=_SEARCH):
     """The map A -> V^dag A V on an operator or a stack, into the columns of
-    V, with V^dag formed once. When V is exactly a permutation matrix, as
-    the eigenbasis of a diagonal state is, it indexes A instead, which is
-    what the products would give bit for bit up to the sign of zeros; when
-    V is the identity, as the standard basis of the collective model is, it
-    returns A itself, and callers must not write into its result."""
-    perm = _permutation(v)
+    V, with V^dag formed once. ``perm`` is :func:`_permutation` of V, as the
+    owner of V recorded it; an unowned V is searched. When V is a
+    permutation matrix, as the eigenbasis of a diagonal state is, the map
+    indexes A instead, which is what the products would give bit for bit up
+    to the sign of zeros; when V is the identity, as the standard basis of
+    the collective model is, it returns A itself, and callers must not write
+    into its result."""
+    if perm is _SEARCH:
+        perm = _permutation(v)
     if perm is None:
         v_dag = dagger(v)
         return lambda a: v_dag @ a @ v

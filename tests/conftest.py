@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from quasitur import lindblad, thermo
+from quasitur import lindblad, operators, thermo, util
 
 
 @pytest.fixture
@@ -60,12 +60,28 @@ def thermo_rotations(monkeypatch):
     bases = []
     rotation = thermo._rotation
 
-    def watched_rotation(v):
+    def watched_rotation(v, *perm):
         bases.append(v)
-        return rotation(v)
+        return rotation(v, *perm)
 
     monkeypatch.setattr(thermo, "_rotation", watched_rotation)
     return bases
+
+
+@pytest.fixture
+def permutation_searches(monkeypatch):
+    """The shapes of the bases ``quasitur.util._permutation`` searches, in order,
+    from every module that calls it."""
+    shapes = []
+    search = util._permutation
+
+    def watched_search(v):
+        shapes.append(v.shape)
+        return search(v)
+
+    for module in (util, operators, lindblad):
+        monkeypatch.setattr(module, "_permutation", watched_search)
+    return shapes
 
 
 @pytest.fixture

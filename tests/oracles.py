@@ -476,3 +476,75 @@ def optimal_bound(model: LindbladModel, state: QuantumState) -> tuple[float, np.
     j = (vecs.conj().T @ (dissipator @ state.rho.reshape(-1))).real
     coords = np.linalg.solve(gram, j)
     return float(2.0 * j @ coords), np.tensordot(coords, basis, axes=1)
+
+
+def permutation_reference(v) -> np.ndarray | None:
+    """perm with V = I[:, perm], read off column by column from the
+    definition, or None unless V is a real square array whose every column
+    is a distinct standard basis vector, with entries exactly 0 and 1."""
+    v = np.asarray(v)
+    if v.dtype.kind != "f" or v.ndim != 2 or v.shape[0] != v.shape[1]:
+        return None
+    perm = []
+    for column in v.T:
+        rows = [i for i, x in enumerate(column) if x != 0]
+        if len(rows) != 1 or column[rows[0]] != 1.0:
+            return None
+        perm.append(rows[0])
+    return np.array(perm) if sorted(perm) == list(range(len(v))) else None
+
+
+# The collective builders as they stood before they came to write each array
+# once: d x d outer products summed for rho, the eigenvectors assembled in
+# band order and copied into ascending order by fancy indexing, the basis
+# hstacked from two slices of an identity.
+
+def collective_model_reference(params):
+    """(H, L_+, L_-) of ``build_collective_model``."""
+    n, d = params.n_levels, params.dim
+    ham = np.zeros((d, d))
+    ham[n:, n:] = params.omega * np.eye(n)
+    l_plus = np.zeros((d, d))
+    l_plus[n:, :n] = np.sqrt(params.gamma_plus)
+    l_minus = np.zeros((d, d))
+    l_minus[:n, n:] = np.sqrt(params.gamma_minus)
+    return ham, l_plus, l_minus
+
+
+def collective_basis_reference(params) -> np.ndarray:
+    """The eigenvectors of ``collective_basis``."""
+    eye = np.eye(params.dim)
+    return np.hstack([eye[:, :params.n_levels], eye[:, params.n_levels:]])
+
+
+def _band_vector_reference(params, band: int, sign: str) -> np.ndarray:
+    n = params.n_levels
+    vec = np.zeros(params.dim)
+    vec[band * n:(band + 1) * n] = (1.0 if sign == "+" else -1.0) ** np.arange(1, n + 1) / np.sqrt(n)
+    return vec
+
+
+def plus_minus_state_reference(params, sign: str):
+    """(rho, eigenvalues, eigenvectors) of ``build_plus_minus_state``."""
+    n = params.n_levels
+    vg, ve = _band_vector_reference(params, 0, sign), _band_vector_reference(params, 1, sign)
+    rho = params.p_g * np.outer(vg, vg) + params.p_e * np.outer(ve, ve)
+    w = vg[:n].copy()
+    w[0] -= 1.0
+    reflector = np.eye(n)
+    if w.any():
+        reflector -= np.outer(w, (2.0 / (w @ w)) * w)
+    vectors = np.zeros((params.dim, params.dim))
+    vectors[:n, :n] = vectors[n:, n:] = reflector
+    values = np.zeros(params.dim)
+    values[[0, n]] = params.p_g, params.p_e
+    order = np.argsort(values, kind="stable")
+    return rho, values[order], vectors[:, order]
+
+
+def diagonal_state_reference(params):
+    """(rho, eigenvalues, eigenvectors) of ``build_diagonal_state``."""
+    n = params.n_levels
+    diag = np.concatenate([np.full(n, params.p_g / n), np.full(n, params.p_e / n)])
+    order = np.argsort(diag, kind="stable")
+    return np.diag(diag), diag[order], np.eye(params.dim)[:, order]

@@ -3,6 +3,7 @@ import pytest
 
 from quasitur.degeneracy import (
     STATE_KINDS,
+    _sweep_point,
     CollectiveModelParams,
     balanced_p_g,
     build_collective_model,
@@ -25,8 +26,17 @@ from quasitur.errors import BasisMismatchError, DimMismatchError, InsufficientPo
 from quasitur.lindblad import LindbladModel, validate_local_detailed_balance
 from quasitur.quasiprob import ObservableDecomposition, flux_matrix, short_time_moment
 from quasitur.thermo import DEFAULT_EIGENVALUE_FLOOR, entropy_production_rate
+from quasitur.util import group_sums
 
-from oracles import epr_reference, thermal_qubit
+from oracles import (
+    collective_basis_reference,
+    collective_model_reference,
+    diagonal_state_reference,
+    epr_reference,
+    permutation_reference,
+    plus_minus_state_reference,
+    thermal_qubit,
+)
 
 STANDARD = dict(omega=1.0, gamma_plus=1.0, gamma_minus=1.0, p_g=0.5)
 P_G_VALUES = (0.0, 0.3, 0.5, 1.0)
@@ -80,6 +90,18 @@ def random_degenerate_setup(rng, dim=6, sizes=(3, 2, 1)):
 
 
 class TestIntegratedFluxes:
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    @pytest.mark.parametrize("p_g", [0.0, 0.3, 0.5, 1.0])
+    def test_is_the_group_sum_without_the_diagonal(self, kind, p_g):
+        # the earlier formula, with two d x d temporaries, bit for bit
+        params = CollectiveModelParams(n_levels=64, omega=1.3, gamma_plus=0.8, gamma_minus=0.45,
+                                       p_g=p_g)
+        flux = flux_matrix(build_collective_model(params), collective_state(params, kind),
+                           collective_basis(params))
+        resolved = flux.resolved
+        expected = group_sums(resolved - np.diag(np.diag(resolved)), flux.class_members)
+        assert np.array_equal(flux.integrated, expected)
+
     def test_collective_plus_reference_value(self):
         params = CollectiveModelParams(n_levels=4, **STANDARD)
         flux = flux_matrix(
@@ -314,6 +336,78 @@ class TestCollectiveBuilders:
             reference = epr_reference(model, (1 - d * eps) * state.rho + eps * np.eye(d), log_rho)
             assert entropy_production_rate(model, state) == pytest.approx(reference, rel=1e-12,
                                                                           abs=1e-12)
+
+
+class TestBuildersMatchTheirDefinition:
+    """Each collective builder against its earlier construction in
+    ``tests/oracles.py``, entry for entry: ``array_equal`` tells -0.0 from
+    nothing else. At p_g = 0 or 1 a band vector's population ties with the
+    zeros, where the stable order is easiest to get wrong."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+    def test_model_and_basis(self, n):
+        params = CollectiveModelParams(n_levels=n, omega=1.3, gamma_plus=0.8, gamma_minus=0.45)
+        model = build_collective_model(params)
+        ham, l_plus, l_minus = collective_model_reference(params)
+        assert np.array_equal(model.hamiltonian, ham)
+        assert np.array_equal(model.jump_pairs[0].forward, l_plus)
+        assert np.array_equal(model.jump_pairs[0].backward, l_minus)
+        basis = collective_basis(params)
+        assert np.array_equal(basis.eigenvectors, collective_basis_reference(params))
+        assert np.array_equal(basis._perm, permutation_reference(basis.eigenvectors))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    @pytest.mark.parametrize("p_g", [0.0, 0.3, 0.5, 0.7, 1.0])
+    def test_states(self, n, kind, p_g):
+        params = CollectiveModelParams(n_levels=n, gamma_plus=0.8, gamma_minus=0.45, p_g=p_g)
+        state = collective_state(params, kind)
+        if kind == "diagonal":
+            rho, values, vectors = diagonal_state_reference(params)
+        else:
+            rho, values, vectors = plus_minus_state_reference(params, kind)
+        assert np.array_equal(state.rho, rho)
+        assert np.array_equal(state.eigenvalues, values)
+        assert np.array_equal(state.eigenvectors, vectors)
+        # the permutation the builder recorded is the one a search would find
+        expected = permutation_reference(vectors)
+        if expected is None:
+            assert state._perm is None
+        else:
+            assert np.array_equal(state._perm, expected)
+
+
+class TestPermutationSearches:
+    """The cost pin: a sweep point searches each basis it builds for its
+    permutation at most once, where it is built, and the fluxes and the
+    entropy production read what was recorded."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 256])
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    def test_sweep_point_searches_its_basis_once(self, permutation_searches, n, kind):
+        params = CollectiveModelParams(n_levels=n, gamma_plus=0.8, gamma_minus=0.45, p_g=0.3)
+        _sweep_point(params, kind, DEFAULT_EIGENVALUE_FLOOR)
+        # the basis, in its orthonormality check; the states record theirs
+        assert permutation_searches == [(2 * n, 2 * n)]
+
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    def test_fluxes_and_entropy_production_search_nothing(self, permutation_searches, kind):
+        params = CollectiveModelParams(n_levels=16, gamma_plus=0.8, gamma_minus=0.45, p_g=0.3)
+        model, state = build_collective_model(params), collective_state(params, kind)
+        basis = collective_basis(params)
+        permutation_searches.clear()
+        flux_matrix(model, state, basis)
+        entropy_production_rate(model, state)
+        assert permutation_searches == []
+
+    def test_an_unrecorded_basis_is_searched_once_where_first_used(self, permutation_searches):
+        rng = np.random.default_rng(31)
+        model, state = random_model(rng, 5, 2), random_state(rng, 5)
+        obs = ObservableDecomposition.from_operator(random_model(rng, 5, 1).hamiltonian)
+        for _ in range(2):
+            flux_matrix(model, state, obs)
+            entropy_production_rate(model, state)
+        assert permutation_searches == [(5, 5), (5, 5)]
 
 
 class TestClosedForms:

@@ -1,12 +1,15 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasitur.errors import BasisMismatchError, NotHermitianError, QuasiturError
 from quasitur.operators import ObservableDecomposition, logarithmic_mean
 from quasitur.ensembles import random_hermitian, random_unitary
+from quasitur.util import _permutation
 
-from oracles import kubo_integral, kubo_quadrature
+from oracles import kubo_integral, kubo_quadrature, permutation_reference
 
 
 class TestSpectralDecompose:
@@ -166,3 +169,60 @@ class TestLogarithmicMean:
                         exact = (x - y) / (mpmath.log(x) - mpmath.log(y))
                         assert abs((value - exact) / exact) <= 1e-14
 
+
+
+def _near_permutation(rng, d, kind):
+    """A d x d array that a permutation search must accept (``permutation``)
+    or reject (every other kind), built from a random permutation."""
+    v = np.eye(d)[:, rng.permutation(d)]
+    i, j = rng.integers(d), rng.integers(d)
+    if kind == "signed":
+        v[:, j] *= -1.0
+    elif kind == "phase":
+        v = v * np.exp(1j * rng.uniform(0.1, 2 * np.pi - 0.1, size=d))
+    elif kind == "complex dtype":
+        v = v.astype(complex)
+    elif kind == "next after one":
+        v[np.flatnonzero(v[:, j])[0], j] = np.nextafter(1.0, 2.0)
+    elif kind == "two in a row":  # d nonzeros, every column's largest entry 1
+        v[:, j] = v[:, (j + 1) % d]
+    elif kind == "two in a column":  # d nonzeros, every row's largest entry 1
+        v[i] = v[(i + 1) % d]
+    elif kind == "a half":
+        v[np.flatnonzero(v[:, j])[0], j] = 0.5
+    elif kind == "nan":
+        v[np.flatnonzero(v[:, j])[0], j] = np.nan
+    elif kind == "orthogonal":
+        v = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    elif kind == "rectangular":
+        v = v[:, :max(d - 1, 1)]
+    return v
+
+
+PERMUTATION_KINDS = ("permutation", "signed", "phase", "complex dtype", "next after one",
+                     "two in a row", "two in a column", "a half", "nan", "orthogonal",
+                     "rectangular")
+
+
+class TestPermutationSearch:
+    """``util._permutation`` against the column-by-column definition."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12),
+           kind=st.sampled_from(PERMUTATION_KINDS))
+    def test_matches_the_definition(self, seed, d, kind):
+        v = _near_permutation(np.random.default_rng(seed), d, kind)
+        expected = permutation_reference(v)
+        got = _permutation(v)
+        if expected is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, expected)
+            assert np.array_equal(v, np.eye(d)[:, got])
+
+    @pytest.mark.parametrize("kind", PERMUTATION_KINDS)
+    def test_each_kind_is_judged_as_its_name_says(self, kind):
+        # at d = 4 every kind but the last is a square real or complex array,
+        # and only a plain permutation matrix passes
+        v = _near_permutation(np.random.default_rng(5), 4, kind)
+        assert (_permutation(v) is not None) == (kind == "permutation")

@@ -380,6 +380,25 @@ class TestEntropyProductionOracles:
             assert entropy_production_rate(model, state) == pytest.approx(
                 epr_full_rotation(model, state), rel=1e-12, abs=1e-12)
 
+    def test_runs_of_equal_populations_match_the_full_rotation(self):
+        # populations repeated above the smallest: in permutation bases the
+        # jumps are weighed unrotated, p is put in their order and each run of
+        # it is one group; rotated bases take the full rotation or the bulk
+        rng = np.random.default_rng(27)
+        for trial in range(60):
+            dim = int(rng.integers(3, 9))
+            p = rng.choice(rng.uniform(0.05, 1.0, size=int(rng.integers(1, dim))), size=dim)
+            p = np.sort(p / p.sum())
+            if trial % 2:
+                basis = np.eye(dim)[:, rng.permutation(dim)]
+            else:
+                basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            rho = (basis * p) @ basis.T
+            state = QuantumState._from_spectrum((rho + rho.T) / 2, p, basis)
+            model = random_model(rng, dim, int(rng.integers(1, 4)))
+            assert entropy_production_rate(model, state) == pytest.approx(
+                epr_full_rotation(model, state), rel=1e-12, abs=1e-14)
+
     def test_matches_reference_route(self):
         rng = np.random.default_rng(16)
         for _ in range(100):
